@@ -9,14 +9,11 @@
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
 #include "io/mmap_file.hpp"
-#include "io/prefetch.hpp"
 #include "io/stage_codec.hpp"
 #include "io/stage_store.hpp"
 #include "io/tsv.hpp"
-#include "perf/radix_partition.hpp"
 #include "sort/edge_sort.hpp"
 #include "util/fs.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
@@ -56,35 +53,6 @@ void BM_ParseEdges(benchmark::State& state) {
                           state.iterations());
 }
 
-void BM_WriteStageSharded(benchmark::State& state) {
-  gen::KroneckerParams params;
-  params.scale = 14;
-  const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-bench-io");
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    io::write_generated_edges(generator, dir.path(), shards,
-                              io::Codec::kFast);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
-                          state.iterations());
-}
-
-void BM_ReadStageSharded(benchmark::State& state) {
-  gen::KroneckerParams params;
-  params.scale = 14;
-  const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-bench-io");
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  io::write_generated_edges(generator, dir.path(), shards, io::Codec::kFast);
-  for (auto _ : state) {
-    const auto edges = io::read_all_edges(dir.path(), io::Codec::kFast);
-    benchmark::DoNotOptimize(edges.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
-                          state.iterations());
-}
-
 BENCHMARK(BM_FormatEdges)
     ->Arg(static_cast<int>(io::Codec::kFast))
     ->Arg(static_cast<int>(io::Codec::kGeneric))
@@ -93,36 +61,12 @@ BENCHMARK(BM_ParseEdges)
     ->Arg(static_cast<int>(io::Codec::kFast))
     ->Arg(static_cast<int>(io::Codec::kGeneric))
     ->Unit(benchmark::kMillisecond);
-void BM_ReadStageMmap(benchmark::State& state) {
-  gen::KroneckerParams params;
-  params.scale = 14;
-  const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-bench-io");
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  io::write_generated_edges(generator, dir.path(), shards, io::Codec::kFast);
-  // Same read path as BM_ReadStageSharded with the mapped view forced on,
-  // so the delta between the two is the mmap-vs-buffered-drain effect.
-  const io::MmapPolicy prior = io::set_mmap_policy(io::MmapPolicy::kOn);
-  for (auto _ : state) {
-    const auto edges = io::read_all_edges(dir.path(), io::Codec::kFast);
-    benchmark::DoNotOptimize(edges.data());
-  }
-  io::set_mmap_policy(prior);
-  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
-                          state.iterations());
-}
-
-BENCHMARK(BM_WriteStageSharded)->Arg(1)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReadStageSharded)->Arg(1)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReadStageMmap)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 // ---- storage ablation: dir vs mem stage stores ------------------------------
 // Arg 0 selects the store (0 = dir, 1 = mem), arg 1 the shard count — the
 // same write/read paths run_pipeline drives, so the gap is the filesystem
-// tax isolated from codec and sharding effects.
+// tax isolated from codec and sharding effects, and the dir rows sweep the
+// "number of files is a free parameter" knob.
 
 std::unique_ptr<io::StageStore> make_store(int kind,
                                            const util::TempDir& dir) {
@@ -139,7 +83,7 @@ void BM_WriteStageStore(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
     io::write_generated_edges(*store, "k0_edges", generator, shards,
-                              io::Codec::kFast);
+                              io::tsv_codec(io::Codec::kFast));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
                           state.iterations());
@@ -153,11 +97,10 @@ void BM_ReadStageStore(benchmark::State& state) {
   util::TempDir dir("prpb-bench-store");
   const auto store = make_store(static_cast<int>(state.range(0)), dir);
   const auto shards = static_cast<std::size_t>(state.range(1));
-  io::write_generated_edges(*store, "k0_edges", generator, shards,
-                            io::Codec::kFast);
+  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
+  io::write_generated_edges(*store, "k0_edges", generator, shards, codec);
   for (auto _ : state) {
-    const auto edges =
-        io::read_all_edges(*store, "k0_edges", io::Codec::kFast);
+    const auto edges = io::read_all_edges(*store, "k0_edges", codec);
     benchmark::DoNotOptimize(edges.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
@@ -165,11 +108,36 @@ void BM_ReadStageStore(benchmark::State& state) {
   state.SetLabel(store->kind());
 }
 
+void BM_ReadStageMmap(benchmark::State& state) {
+  gen::KroneckerParams params;
+  params.scale = 14;
+  const gen::KroneckerGenerator generator(params);
+  util::TempDir dir("prpb-bench-io");
+  io::DirStageStore store(dir.path());
+  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
+  const auto shards = static_cast<std::size_t>(state.range(0));
+  io::write_generated_edges(store, "k0_edges", generator, shards, codec);
+  // Same read path as the dir rows of BM_ReadStageStore with the mapped
+  // view forced on, so the delta is the mmap-vs-buffered-drain effect.
+  const io::MmapPolicy prior = io::set_mmap_policy(io::MmapPolicy::kOn);
+  for (auto _ : state) {
+    const auto edges = io::read_all_edges(store, "k0_edges", codec);
+    benchmark::DoNotOptimize(edges.data());
+  }
+  io::set_mmap_policy(prior);
+  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
+                          state.iterations());
+}
+
 BENCHMARK(BM_WriteStageStore)
-    ->Args({0, 4})->Args({1, 4})->Args({0, 16})->Args({1, 16})
+    ->Args({0, 1})->Args({0, 4})->Args({0, 16})->Args({0, 64})
+    ->Args({1, 4})->Args({1, 16})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReadStageStore)
-    ->Args({0, 4})->Args({1, 4})->Args({0, 16})->Args({1, 16})
+    ->Args({0, 1})->Args({0, 4})->Args({0, 16})->Args({0, 64})
+    ->Args({1, 4})->Args({1, 16})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReadStageMmap)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // ---- stage-format ablation: storage x codec ---------------------------------
@@ -262,50 +230,6 @@ void BM_SortRoundTripCodec(benchmark::State& state) {
   state.SetLabel(cell_label(*inner, codec));
 }
 
-// Fast-path counterpart of BM_ReadStageCodec: the same stage read through
-// the double-buffered prefetcher, so the cell delta is the decode overlap.
-void BM_ReadStagePrefetched(benchmark::State& state) {
-  gen::KroneckerParams params;
-  params.scale = static_cast<int>(state.range(2));
-  const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-bench-codec");
-  const auto inner = make_store(static_cast<int>(state.range(0)), dir);
-  io::CountingStageStore store(*inner);
-  const io::StageCodec& codec = pick_codec(static_cast<int>(state.range(1)));
-  io::write_generated_edges(store, "k0_edges", generator, 4, codec);
-  for (auto _ : state) {
-    const auto edges = io::read_all_edges_prefetched(store, "k0_edges", codec);
-    benchmark::DoNotOptimize(edges.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
-                          state.iterations());
-  state.SetLabel(cell_label(*inner, codec));
-}
-
-// Fast-path counterpart of BM_SortRoundTripCodec: prefetched read + the
-// parallel radix partition instead of the serial read + serial radix sort —
-// the K1 fast path end to end.
-void BM_SortRoundTripFast(benchmark::State& state) {
-  gen::KroneckerParams params;
-  params.scale = static_cast<int>(state.range(2));
-  const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-bench-codec");
-  const auto inner = make_store(static_cast<int>(state.range(0)), dir);
-  io::CountingStageStore store(*inner);
-  const io::StageCodec& codec = pick_codec(static_cast<int>(state.range(1)));
-  io::write_generated_edges(store, "k0_edges", generator, 4, codec);
-  util::ThreadPool pool;
-  for (auto _ : state) {
-    auto edges = io::read_all_edges_prefetched(store, "k0_edges", codec);
-    perf::radix_partition_sort(edges, pool);
-    io::write_edge_list(store, "k1_sorted", edges, 4, codec);
-    benchmark::DoNotOptimize(edges.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
-                          state.iterations());
-  state.SetLabel(cell_label(*inner, codec));
-}
-
 #define PRPB_CODEC_CELLS(scale)                                       \
   Args({0, 0, (scale)})->Args({0, 1, (scale)})->Args({1, 0, (scale)}) \
       ->Args({1, 1, (scale)})
@@ -316,13 +240,7 @@ BENCHMARK(BM_WriteStageCodec)
 BENCHMARK(BM_ReadStageCodec)
     ->PRPB_CODEC_CELLS(14)->PRPB_CODEC_CELLS(16)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReadStagePrefetched)
-    ->PRPB_CODEC_CELLS(14)->PRPB_CODEC_CELLS(16)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SortRoundTripCodec)
-    ->PRPB_CODEC_CELLS(16)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SortRoundTripFast)
     ->PRPB_CODEC_CELLS(16)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,11 +1,16 @@
 // Ablation: kernel 1 sorting engine choice (google-benchmark).
-// Compares std::stable_sort, LSD radix, parallel merge, and the external
-// merge sort across scales — the design decision behind the paper's "the
-// type of sorting algorithm may depend upon the scale parameter".
+// Compares a std::stable_sort comparison baseline, the LSD radix sort
+// (serial and over a thread pool), and the external merge sort across
+// scales — the design decision behind the paper's "the type of sorting
+// algorithm may depend upon the scale parameter".
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
+#include "io/stage_store.hpp"
+#include "io/tsv.hpp"
 #include "sort/edge_sort.hpp"
 #include "sort/external_sort.hpp"
 #include "util/fs.hpp"
@@ -24,7 +29,10 @@ void BM_SortStd(benchmark::State& state) {
   const gen::EdgeList edges = edges_at_scale(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     gen::EdgeList copy = edges;
-    sort::sort_edges(copy, sort::InMemoryAlgo::kStd);
+    std::stable_sort(copy.begin(), copy.end(),
+                     [](const gen::Edge& a, const gen::Edge& b) {
+                       return a.u != b.u ? a.u < b.u : a.v < b.v;
+                     });
     benchmark::DoNotOptimize(copy.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(edges.size()) *
@@ -42,12 +50,12 @@ void BM_SortRadix(benchmark::State& state) {
                           state.iterations());
 }
 
-void BM_SortParallelMerge(benchmark::State& state) {
+void BM_SortRadixParallel(benchmark::State& state) {
   const gen::EdgeList edges = edges_at_scale(static_cast<int>(state.range(0)));
   util::ThreadPool pool;
   for (auto _ : state) {
     gen::EdgeList copy = edges;
-    sort::parallel_merge_sort(copy, pool);
+    sort::radix_sort(copy, sort::SortKey::kStartEnd, &pool);
     benchmark::DoNotOptimize(copy.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(edges.size()) *
@@ -60,13 +68,14 @@ void BM_SortExternal(benchmark::State& state) {
   params.scale = scale;
   const gen::KroneckerGenerator generator(params);
   util::TempDir work("prpb-bench-ext");
-  const auto in_dir = work.sub("in");
-  io::write_generated_edges(generator, in_dir, 2, io::Codec::kFast);
+  io::DirStageStore store(work.path());
+  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
+  io::write_generated_edges(store, "in", generator, 2, codec);
   for (auto _ : state) {
     sort::ExternalSortConfig config;
     config.memory_budget_bytes = 1 << 20;  // force multiple runs
-    sort::external_sort_stage(in_dir, work.sub("out"), work.sub("tmp"),
-                              config);
+    config.stage_codec = &codec;
+    sort::external_sort_stage(store, "in", "out", "tmp", config);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
                           state.iterations());
@@ -74,7 +83,7 @@ void BM_SortExternal(benchmark::State& state) {
 
 BENCHMARK(BM_SortStd)->Arg(12)->Arg(14)->Arg(16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SortRadix)->Arg(12)->Arg(14)->Arg(16)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SortParallelMerge)->Arg(12)->Arg(14)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SortRadixParallel)->Arg(12)->Arg(14)->Arg(16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SortExternal)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
 
 }  // namespace

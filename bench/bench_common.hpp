@@ -53,7 +53,6 @@ struct SweepOptions {
   std::string storage = "dir";       ///< stage store kind: dir | mem
   std::string stage_format = "tsv";  ///< stage encoding: tsv | binary
   std::string csr = "plain";  ///< kernel-3 CSR form: plain | compressed
-  bool fast_path = false;  ///< run cells with the src/perf fast paths on
   std::string trace_out;  ///< when set, write a Chrome trace of the sweep
   std::string json_path;  ///< when set, the series is also written as JSON
 };
@@ -88,9 +87,6 @@ inline bool parse_sweep_options(int argc, char** argv, const char* name,
   args.add_option("csr",
                   "kernel-3 CSR form: plain (8-byte indices) | compressed "
                   "(delta-varint groups)", "plain");
-  args.add_option("fast-path",
-                  "src/perf fast paths (radix sort, prefetch, blocked "
-                  "SpMV): on | off", "off");
   args.add_option("trace-out",
                   "write a Chrome trace_event JSON trace of the sweep", "");
   args.add_option("json",
@@ -119,10 +115,6 @@ inline bool parse_sweep_options(int argc, char** argv, const char* name,
   options.csr = args.get("csr");
   util::require(options.csr == "plain" || options.csr == "compressed",
                 "--csr must be plain or compressed");
-  const std::string fast_path = args.get("fast-path");
-  util::require(fast_path == "on" || fast_path == "off",
-                "--fast-path must be 'on' or 'off'");
-  options.fast_path = fast_path == "on";
   options.trace_out = args.get("trace-out");
   options.json_path = args.get("json");
   util::require(options.trials >= 1, "--trials must be >= 1");
@@ -195,7 +187,6 @@ inline core::PipelineConfig cell_config(const util::TempDir& work,
   config.storage = options.storage;
   config.stage_format = options.stage_format;
   config.csr = options.csr;
-  config.fast_path = options.fast_path;
   config.work_dir = work.path();
   return config;
 }
@@ -368,7 +359,6 @@ inline std::vector<SeriesPoint> sweep_kernel(
       point.io_write_bytes = median_trial.io_write;
       point.storage = config.storage;
       point.stage_format = config.stage_format;
-      point.fast_path = config.fast_path;
       point.source = config.source;
       if (kernel == 3) {
         point.algorithm = algorithm;

@@ -1,5 +1,5 @@
 // Machine-readable per-kernel benchmark: every cell of
-// {kernel 0-3} x {backend} x {fast-path off|on} at each sweep scale, with
+// {kernel 0-3} x {backend} at each sweep scale, with
 // edges/sec, median seconds, and peak RSS, written as one JSON document
 // (BENCH_kernels.json). The I/O-bound kernels 0-2 are additionally swept
 // over {stage_format tsv|binary} x {storage dir|mem} so the document
@@ -13,9 +13,6 @@
 //
 //   bench_kernels --min-scale 16 --max-scale 16
 //       --backends native,parallel --json BENCH_kernels.json
-//
-// --fast-path is ignored here: both settings are always measured, since
-// the off/on delta is the point of the document.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -26,8 +23,8 @@ int main(int argc, char** argv) {
   options.algorithms = core::algorithm_names();
   if (!bench::parse_sweep_options(
           argc, argv, "bench_kernels",
-          "all kernels x backends x fast-path (x algorithm for kernel 3), "
-          "as JSON", options)) {
+          "all kernels x backends (x algorithm for kernel 3), as JSON",
+          options)) {
     return 0;
   }
   if (options.json_path.empty()) options.json_path = "BENCH_kernels.json";
@@ -39,46 +36,40 @@ int main(int argc, char** argv) {
     obs::TraceRecorder* trace =
         recorder.enabled() ? &recorder : nullptr;
     std::vector<bench::SeriesPoint> cells;
-    for (const bool fast : {false, true}) {
-      bench::SweepOptions cell_options = options;
-      cell_options.fast_path = fast;
-      cell_options.csv_path.clear();
-      cell_options.json_path.clear();
-      cell_options.trace_out.clear();
-      struct Combo {
-        const char* format;
-        const char* storage;
-      };
-      static constexpr Combo kCombos[] = {
-          {"tsv", "dir"}, {"binary", "dir"}, {"tsv", "mem"}, {"binary", "mem"}};
-      for (const auto& combo : kCombos) {
-        cell_options.stage_format = combo.format;
-        cell_options.storage = combo.storage;
-        for (int kernel = 0; kernel <= 2; ++kernel) {
-          std::fprintf(stderr,
-                       "[bench_kernels] kernel %d, %s/%s, fast-path %s\n",
-                       kernel, combo.format, combo.storage,
-                       fast ? "on" : "off");
-          const auto points =
-              bench::sweep_kernel(cell_options, kernel, "pagerank", trace);
-          cells.insert(cells.end(), points.begin(), points.end());
-        }
+    bench::SweepOptions cell_options = options;
+    cell_options.csv_path.clear();
+    cell_options.json_path.clear();
+    cell_options.trace_out.clear();
+    struct Combo {
+      const char* format;
+      const char* storage;
+    };
+    static constexpr Combo kCombos[] = {
+        {"tsv", "dir"}, {"binary", "dir"}, {"tsv", "mem"}, {"binary", "mem"}};
+    for (const auto& combo : kCombos) {
+      cell_options.stage_format = combo.format;
+      cell_options.storage = combo.storage;
+      for (int kernel = 0; kernel <= 2; ++kernel) {
+        std::fprintf(stderr, "[bench_kernels] kernel %d, %s/%s\n", kernel,
+                     combo.format, combo.storage);
+        const auto points =
+            bench::sweep_kernel(cell_options, kernel, "pagerank", trace);
+        cells.insert(cells.end(), points.begin(), points.end());
       }
-      cell_options.stage_format = options.stage_format;
-      cell_options.storage = options.storage;
-      // Kernel 3 sweeps the CSR form too — the compressed delta-varint
-      // layout's bytes/edge and time land next to the plain cells so the
-      // document carries the index-traffic ablation.
-      for (const char* csr : {"plain", "compressed"}) {
-        cell_options.csr = csr;
-        for (const auto& algorithm : cell_options.algorithms) {
-          std::fprintf(stderr,
-                       "[bench_kernels] kernel 3/%s, csr %s, fast-path %s\n",
-                       algorithm.c_str(), csr, fast ? "on" : "off");
-          const auto points =
-              bench::sweep_kernel(cell_options, 3, algorithm, trace);
-          cells.insert(cells.end(), points.begin(), points.end());
-        }
+    }
+    cell_options.stage_format = options.stage_format;
+    cell_options.storage = options.storage;
+    // Kernel 3 sweeps the CSR form too — the compressed delta-varint
+    // layout's bytes/edge and time land next to the plain cells so the
+    // document carries the index-traffic ablation.
+    for (const char* csr : {"plain", "compressed"}) {
+      cell_options.csr = csr;
+      for (const auto& algorithm : cell_options.algorithms) {
+        std::fprintf(stderr, "[bench_kernels] kernel 3/%s, csr %s\n",
+                     algorithm.c_str(), csr);
+        const auto points =
+            bench::sweep_kernel(cell_options, 3, algorithm, trace);
+        cells.insert(cells.end(), points.begin(), points.end());
       }
     }
 
@@ -91,7 +82,7 @@ int main(int argc, char** argv) {
                   options.trace_out.c_str());
     }
 
-    bench::print_series("kernel cells (fast-path off, then on)", cells);
+    bench::print_series("kernel cells", cells);
   } catch (const util::Error& e) {
     std::fprintf(stderr, "bench_kernels: error: %s\n", e.what());
     return 1;

@@ -7,6 +7,8 @@
 #include "core/config.hpp"
 #include "gen/generator.hpp"
 #include "io/edge_files.hpp"
+#include "io/stage_store.hpp"
+#include "io/tsv.hpp"
 #include "util/format.hpp"
 #include "util/fs.hpp"
 
@@ -37,9 +39,11 @@ int main() {
     const bool counts_ok = generator->num_vertices() == size.max_vertices &&
                            generator->num_edges() == size.max_edges;
     util::TempDir dir("prpb-table2");
-    io::write_generated_edges(*generator, dir.path(), 2, io::Codec::kFast);
+    io::DirStageStore store(dir.path());
+    const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
+    io::write_generated_edges(store, "k0_edges", *generator, 2, codec);
     const bool stage_ok =
-        io::count_edges(dir.path()) == size.max_edges;
+        io::count_edges(store, "k0_edges", codec) == size.max_edges;
     std::printf("scale %d live check: generator %s, stage %s\n", scale,
                 counts_ok ? "OK" : "MISMATCH",
                 stage_ok ? "OK" : "MISMATCH");

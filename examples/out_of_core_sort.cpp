@@ -8,9 +8,10 @@
 
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
+#include "io/stage_store.hpp"
+#include "io/tsv.hpp"
 #include "sort/edge_sort.hpp"
 #include "sort/external_sort.hpp"
-#include "sort/policy.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/fs.hpp"
@@ -33,39 +34,39 @@ int main(int argc, char** argv) {
   params.scale = scale;
   gen::KroneckerGenerator generator(params);
   util::TempDir work("prpb-ooc");
-  const auto stage0 = work.sub("input");
-  io::write_generated_edges(generator, stage0, 4, io::Codec::kFast);
+  io::DirStageStore store(work.path());
+  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
+  io::write_generated_edges(store, "input", generator, 4, codec);
   std::printf("stage 0: %s edges, %s on disk\n",
               util::human_count(generator.num_edges()).c_str(),
-              util::human_bytes(util::dir_bytes(stage0)).c_str());
+              util::human_bytes(util::dir_bytes(work.path() / "input"))
+                  .c_str());
 
-  const auto decision =
-      sort::choose_sort_policy(generator.num_edges(), budget);
+  const std::uint64_t required = 2 * generator.num_edges() * sizeof(gen::Edge);
   std::printf("policy at a %s budget: %s (in-memory would need %s)\n\n",
               util::human_bytes(budget).c_str(),
-              decision.strategy == sort::SortStrategy::kExternal
+              sort::needs_external_sort(generator.num_edges(), budget)
                   ? "EXTERNAL sort"
                   : "in-memory sort",
-              util::human_bytes(decision.required_bytes).c_str());
+              util::human_bytes(required).c_str());
 
   // In-memory reference.
-  const auto mem_dir = work.sub("sorted_mem");
   util::Stopwatch mem_watch;
   {
-    gen::EdgeList edges = io::read_all_edges(stage0, io::Codec::kFast);
+    gen::EdgeList edges = io::read_all_edges(store, "input", codec);
     sort::radix_sort(edges);
-    io::write_edge_list(edges, mem_dir, 4, io::Codec::kFast);
+    io::write_edge_list(store, "sorted_mem", edges, 4, codec);
   }
   const double mem_seconds = mem_watch.seconds();
 
   // External with the tiny budget.
-  const auto ext_dir = work.sub("sorted_ext");
   sort::ExternalSortConfig config;
   config.memory_budget_bytes = budget;
   config.output_shards = 4;
+  config.stage_codec = &codec;
   util::Stopwatch ext_watch;
-  const auto stats =
-      sort::external_sort_stage(stage0, ext_dir, work.sub("tmp"), config);
+  const auto stats = sort::external_sort_stage(store, "input", "sorted_ext",
+                                               "tmp", config);
   const double ext_seconds = ext_watch.seconds();
 
   std::printf("in-memory: %.3fs (%s edges/s)\n", mem_seconds,
@@ -80,8 +81,8 @@ int main(int argc, char** argv) {
               stats.initial_runs, stats.merge_passes,
               util::human_bytes(stats.spill_bytes).c_str());
 
-  const auto a = io::read_all_edges(mem_dir, io::Codec::kFast);
-  const auto b = io::read_all_edges(ext_dir, io::Codec::kFast);
+  const auto a = io::read_all_edges(store, "sorted_mem", codec);
+  const auto b = io::read_all_edges(store, "sorted_ext", codec);
   const bool identical = a == b;
   std::printf("sorted outputs identical: %s\n", identical ? "YES" : "NO");
   return identical ? 0 : 1;

@@ -60,9 +60,6 @@ int main(int argc, char** argv) {
   args.add_option("csr",
                   "kernel-3 CSR form: plain (8-byte indices) | compressed "
                   "(delta-varint groups)", "plain");
-  args.add_option("fast-path",
-                  "src/perf fast paths (radix sort, prefetch, blocked "
-                  "SpMV): on | off", "off");
   args.add_option("faults",
                   "fault-injection plan, e.g. "
                   "'read_error@k1_sorted#2;bit_flip@k0_edges' "
@@ -113,10 +110,6 @@ int main(int argc, char** argv) {
   config.storage = args.get("storage");
   config.stage_format = args.get("stage-format");
   config.csr = args.get("csr");
-  const std::string fast_path = args.get("fast-path");
-  util::require(fast_path == "on" || fast_path == "off",
-                "--fast-path must be 'on' or 'off'");
-  config.fast_path = fast_path == "on";
   if (args.get_flag("sort-start-only"))
     config.sort_key = sort::SortKey::kStart;
 
@@ -139,20 +132,19 @@ int main(int argc, char** argv) {
     if (config.source == "external") {
       std::printf(
           "prpb: backend=%s source=external input=%s algorithms=%s "
-          "files=%zu storage=%s stage-format=%s fast-path=%s\n",
+          "files=%zu storage=%s stage-format=%s\n",
           backend->name().c_str(), config.input_path.string().c_str(),
           algorithms.c_str(), config.num_files, config.storage.c_str(),
-          config.stage_format.c_str(), config.fast_path ? "on" : "off");
+          config.stage_format.c_str());
     } else {
       std::printf(
           "prpb: backend=%s generator=%s scale=%d (N=%s, M=%s) "
-          "algorithms=%s files=%zu storage=%s stage-format=%s "
-          "fast-path=%s\n",
+          "algorithms=%s files=%zu storage=%s stage-format=%s\n",
           backend->name().c_str(), config.generator.c_str(), config.scale,
           util::human_count(config.num_vertices()).c_str(),
           util::human_count(config.num_edges()).c_str(), algorithms.c_str(),
           config.num_files, config.storage.c_str(),
-          config.stage_format.c_str(), config.fast_path ? "on" : "off");
+          config.stage_format.c_str());
     }
 
     // Observability: tracing (and the resource-counter tracks) only turn

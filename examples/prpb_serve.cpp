@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   args.add_option("csr",
                   "warm CSR form: plain | compressed (delta-varint)",
                   "plain");
-  args.add_option("fast-path", "src/perf fast paths: on | off", "off");
   // Serving flags.
   args.add_option("port", "TCP port on 127.0.0.1 (0 = ephemeral)", "0");
   args.add_option("threads", "query worker threads", "4");
@@ -101,10 +100,6 @@ int main(int argc, char** argv) {
   config.storage = args.get("storage");
   config.stage_format = args.get("stage-format");
   config.csr = args.get("csr");
-  const std::string fast_path = args.get("fast-path");
-  util::require(fast_path == "on" || fast_path == "off",
-                "--fast-path must be 'on' or 'off'");
-  config.fast_path = fast_path == "on";
 
   std::optional<util::TempDir> temp;
   if (!args.get("work-dir").empty()) {

@@ -5,9 +5,7 @@
 
 #include "gen/generator.hpp"
 #include "io/edge_files.hpp"
-#include "io/prefetch.hpp"
 #include "sort/external_sort.hpp"
-#include "sort/policy.hpp"
 #include "sparse/filter.hpp"
 #include "sparse/pagerank.hpp"
 #include "util/error.hpp"
@@ -25,31 +23,27 @@ void NativeBackend::kernel0(const KernelContext& ctx) {
 
 void NativeBackend::kernel1(const KernelContext& ctx) {
   const PipelineConfig& config = ctx.config;
-  if (config.memory_budget_bytes > 0) {
-    const auto decision = sort::choose_sort_policy(
-        config.num_edges(), config.memory_budget_bytes);
-    if (decision.strategy == sort::SortStrategy::kExternal) {
-      // The out-of-core sort streams through the StageStore, so it works
-      // over any storage; runs spill as shards of the temp stage.
-      ctx.log("kernel1(native): memory budget " +
-              std::to_string(config.memory_budget_bytes) +
-              " bytes exceeded; using external sort");
-      ctx.metric("k1_external_sort", 1);
-      sort::ExternalSortConfig ext;
-      ext.memory_budget_bytes = config.memory_budget_bytes / 2;
-      ext.output_shards = config.num_files;
-      ext.stage_codec = &ctx.codec();
-      ext.key = config.sort_key;
-      ext.hooks = ctx.hooks;
-      sort::external_sort_stage(ctx.store, ctx.in_stage, ctx.out_stage,
-                                ctx.temp_stage, ext);
-      return;
-    }
+  if (config.memory_budget_bytes > 0 &&
+      sort::needs_external_sort(config.num_edges(),
+                                config.memory_budget_bytes)) {
+    // The out-of-core sort streams through the StageStore, so it works
+    // over any storage; runs spill as shards of the temp stage.
+    ctx.log("kernel1(native): memory budget " +
+            std::to_string(config.memory_budget_bytes) +
+            " bytes exceeded; using external sort");
+    ctx.metric("k1_external_sort", 1);
+    sort::ExternalSortConfig ext;
+    ext.memory_budget_bytes = config.memory_budget_bytes / 2;
+    ext.output_shards = config.num_files;
+    ext.stage_codec = &ctx.codec();
+    ext.key = config.sort_key;
+    ext.hooks = ctx.hooks;
+    sort::external_sort_stage(ctx.store, ctx.in_stage, ctx.out_stage,
+                              ctx.temp_stage, ext);
+    return;
   }
   gen::EdgeList edges;
   {
-    // read_stage() rides the zero-copy view path; fast_path additionally
-    // overlaps shard decode ahead of the append loop on a helper thread.
     const obs::Span span = ctx.span("k1/read");
     edges = ctx.read_stage(ctx.in_stage);
   }

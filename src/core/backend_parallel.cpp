@@ -6,11 +6,7 @@
 #include "gen/generator.hpp"
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
-#include "io/prefetch.hpp"
 #include "io/tsv.hpp"
-#include "perf/csr_build.hpp"
-#include "perf/radix_partition.hpp"
-#include "perf/spmv_block.hpp"
 #include "perf/spmv_compressed.hpp"
 #include "rand/rng.hpp"
 #include "sort/edge_sort.hpp"
@@ -64,12 +60,9 @@ void ParallelBackend::kernel1(const KernelContext& ctx) {
     const obs::Span span = ctx.span("k1/read");
     edges = ctx.read_stage(ctx.in_stage);
   }
-  if (config.fast_path) {
-    const obs::Span span = ctx.span("k1/radix_partition");
-    perf::radix_partition_sort(edges, pool(), config.sort_key);
-  } else {
-    const obs::Span span = ctx.span("k1/merge_sort");
-    sort::parallel_merge_sort(edges, pool(), config.sort_key);
+  {
+    const obs::Span span = ctx.span("k1/radix_sort");
+    sort::radix_sort(edges, config.sort_key, &pool());
   }
   const obs::Span span = ctx.span("k1/write");
   io::write_edge_list(ctx.store, ctx.out_stage, edges, config.num_files,
@@ -78,19 +71,6 @@ void ParallelBackend::kernel1(const KernelContext& ctx) {
 
 sparse::CsrMatrix ParallelBackend::kernel2(const KernelContext& ctx) {
   const std::uint64_t n = ctx.config.num_vertices();
-  if (ctx.config.fast_path) {
-    // Prefetched read (decode overlaps the consumer's append), then the
-    // per-task partial-degree CSR build and the shared filter reference.
-    gen::EdgeList edges;
-    {
-      const obs::Span span = ctx.span("k2/read");
-      edges = ctx.read_stage(ctx.in_stage);
-    }
-    const obs::Span span = ctx.span("k2/build_filter");
-    sparse::CsrMatrix matrix = perf::build_csr_parallel(edges, n, n, pool());
-    sparse::apply_filter(matrix);
-    return matrix;
-  }
   // Row decomposition per the paper; at this repo's default configuration
   // the build is bandwidth-bound, so only the parse is parallelized (by
   // shard), with construction following serially on the gathered edges.
@@ -132,7 +112,7 @@ std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,
   sparse::CsrMatrix at = matrix.transpose();
   // --csr compressed: re-encode Aᵀ's column indices as delta-varint groups
   // and release the 8-byte-per-edge plain index array; the iteration loop
-  // then streams the compressed form through the same blocked SpMV
+  // then streams the compressed form, unblocked like the plain loop
   // (bit-identical accumulation order either way).
   std::optional<sparse::CompressedCsrMatrix> cat;
   if (config.csr == "compressed") {
@@ -156,17 +136,9 @@ std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,
     }
     double r_sum = 0.0;
     for (const double x : r) r_sum += x;
-    // Blocked over the source axis so a block of r stays cache-resident;
-    // per-row accumulation order is unchanged (bit-identical). Small
-    // matrices get a single block — r is cache-resident regardless.
-    const std::uint64_t block =
-        config.fast_path && matrix.cols() >= perf::kSpmvBlockMinCols
-            ? perf::kDefaultSpmvBlockCols
-            : std::max<std::uint64_t>(1, matrix.cols());
     if (cat) {
-      perf::transposed_spmv_compressed(*cat, r, y, pool(), block);
-    } else if (config.fast_path) {
-      perf::transposed_spmv_blocked(at, r, y, pool(), block);
+      perf::transposed_spmv_compressed(
+          *cat, r, y, pool(), std::max<std::uint64_t>(1, matrix.cols()));
     } else {
       util::parallel_for_chunks(
           pool(), 0, at.rows(), [&](std::uint64_t lo, std::uint64_t hi) {

@@ -11,15 +11,12 @@ namespace prpb::core {
 /// Thread-parallel backend: the paper's sketched parallel decomposition
 /// ("each processor holds a set of rows"). Kernel 0 generates shards
 /// concurrently (the counter-based generator needs no communication),
-/// kernel 1 uses the parallel merge sort, kernel 3 partitions the SpMV by
-/// output entry via the transposed matrix. Results are bit-identical to
-/// `native` for kernels 0-2 and fp-identical for kernel 3's additions
-/// within each output entry.
-///
-/// With config.fast_path set, kernels 1-3 switch to the src/perf
-/// implementations (radix partition sort, prefetched reads + parallel CSR
-/// build, cache-blocked SpMV) — same results, the reference paths remain
-/// selectable for ablation.
+/// kernel 1 runs the chunk-parallel radix sort, kernel 2 parses shards
+/// concurrently, kernel 3 partitions the SpMV by output entry via the
+/// transposed matrix. Results are bit-identical to `native` for kernels
+/// 0-2 and fp-identical for kernel 3's additions within each output entry.
+/// DESIGN.md "Kernel schedules" records why each kernel runs the schedule
+/// it does.
 class ParallelBackend final : public PipelineBackend {
  public:
   /// threads == 0 means hardware concurrency.

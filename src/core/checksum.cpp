@@ -55,15 +55,6 @@ StageChecksum stage_checksum(io::StageStore& store, const std::string& stage,
   return checksum;
 }
 
-StageChecksum stage_checksum(io::StageStore& store, const std::string& stage) {
-  return stage_checksum(store, stage, io::tsv_codec(io::Codec::kFast));
-}
-
-StageChecksum stage_checksum(const std::filesystem::path& dir) {
-  io::DirStageStore store;
-  return stage_checksum(store, dir.string());
-}
-
 std::uint64_t matrix_fingerprint(const sparse::CsrMatrix& a, double quantum) {
   std::uint64_t acc = mix_pair(a.rows(), a.cols());
   acc = mix_pair(acc, a.nnz());

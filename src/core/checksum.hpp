@@ -42,10 +42,6 @@ struct StageChecksum {
 };
 StageChecksum stage_checksum(io::StageStore& store, const std::string& stage,
                              const io::StageCodec& codec);
-/// TSV form (the default stage encoding).
-StageChecksum stage_checksum(io::StageStore& store, const std::string& stage);
-/// Path form: hashes a TSV stage directory on disk.
-StageChecksum stage_checksum(const std::filesystem::path& dir);
 
 /// CSR fingerprint: shape, structure, and values quantized to `quantum`.
 std::uint64_t matrix_fingerprint(const sparse::CsrMatrix& a,

@@ -55,11 +55,6 @@ struct PipelineConfig {
   /// loop, shrinking per-edge index traffic ~4-7x. Results are
   /// bit-identical either way; interpreted-stack backends ignore it.
   std::string csr = "plain";
-  /// Enables the src/perf fast paths: kernel 1's radix partition sort,
-  /// prefetched (decode-overlapped) stage reads, kernel 2's parallel CSR
-  /// build and kernel 3's cache-blocked SpMV. Results are bit-identical
-  /// to the reference paths; off by default for the ablation baseline.
-  bool fast_path = false;
   /// True graph size of an external source, filled by the runner once the
   /// source materializes (or resumes) its stages — unknown before that,
   /// because N is the number of distinct vertex ids in the input file.

@@ -19,7 +19,6 @@
 
 #include "core/config.hpp"
 #include "io/edge_files.hpp"
-#include "io/prefetch.hpp"
 #include "io/stage_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
@@ -114,16 +113,10 @@ struct KernelContext {
   }
 
   /// Reads an entire stage as a decoded edge list over the zero-copy view
-  /// path. With config.fast_path set, shard decode is additionally
-  /// overlapped ahead of the append loop on a prefetch thread. This is the
-  /// one place the fast-path read dispatch lives; backends call this
-  /// instead of re-spelling the ternary.
+  /// path, in the configured codec.
   [[nodiscard]] gen::EdgeList read_stage(
       const std::string& stage, io::Codec flavor = io::Codec::kFast) const {
-    return config.fast_path
-               ? io::read_all_edges_prefetched(store, stage, codec(flavor),
-                                               hooks)
-               : io::read_all_edges(store, stage, codec(flavor), hooks);
+    return io::read_all_edges(store, stage, codec(flavor), hooks);
   }
 };
 

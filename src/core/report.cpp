@@ -60,7 +60,6 @@ std::string run_report_json(const PipelineConfig& config,
   json.field("storage", config.storage);
   json.field("stage_format", config.stage_format);
   json.field("csr", config.csr);
-  json.field("fast_path", config.fast_path);
   json.end_object();
 
   if (!result.graph.source.empty()) {
@@ -96,7 +95,6 @@ std::string run_report_json(const PipelineConfig& config,
   if (!result.stage_format.empty()) {
     json.field("stage_format", result.stage_format);
   }
-  json.field("fast_path", result.fast_path);
   if (!result.csr.empty()) json.field("csr", result.csr);
   if (result.csr_bytes_per_edge > 0.0) {
     json.field("csr_bytes_per_edge", result.csr_bytes_per_edge);

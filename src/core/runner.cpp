@@ -125,7 +125,6 @@ PipelineResult run_pipeline(const PipelineConfig& config,
   result.storage = store.kind();
   result.stage_format = config.stage_format;
   result.csr = config.csr;
-  result.fast_path = config.fast_path;
 
   util::Stopwatch wall;
   obs::Span pipeline_span(hooks.trace, "pipeline");

@@ -88,7 +88,6 @@ struct PipelineResult {
   std::string storage;       ///< store kind the run used ("dir" | "mem")
   std::string stage_format;  ///< stage encoding ("tsv" | "binary")
   std::string csr;           ///< K3 CSR form ("plain" | "compressed")
-  bool fast_path = false;    ///< whether the src/perf fast paths were on
   std::uint64_t num_vertices = 0;
   std::uint64_t num_edges = 0;
   /// What kernel 0's graph source produced: true N and M plus, for

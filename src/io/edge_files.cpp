@@ -1,20 +1,10 @@
 #include "io/edge_files.hpp"
 
-#include <cinttypes>
-
 #include "io/edge_batch.hpp"
-#include "io/file_stream.hpp"
 #include "util/error.hpp"
-#include "util/fs.hpp"
 #include "util/json.hpp"
 
 namespace prpb::io {
-
-namespace fs = std::filesystem;
-
-fs::path shard_path(const fs::path& dir, std::size_t index) {
-  return dir / shard_name(index);
-}
 
 std::vector<std::uint64_t> shard_boundaries(std::uint64_t total,
                                             std::size_t shards) {
@@ -50,9 +40,10 @@ std::string decode_trace_args(const std::string& label) {
   return "{\"shard\":\"" + util::JsonWriter::escape(label) + "\"}";
 }
 
-gen::EdgeList read_shard_impl(StageReader& reader, const std::string& label,
-                              const StageCodec& codec, obs::Hooks hooks) {
-  gen::EdgeList edges;
+/// Decodes one whole shard, appending its records to `edges`.
+void read_shard_impl(StageReader& reader, const std::string& label,
+                     const StageCodec& codec, obs::Hooks hooks,
+                     gen::EdgeList& edges) {
   const auto decoder = codec.make_decoder();
   obs::AccumulatingSpan span(hooks.trace, "codec/decode");
   // Zero-copy path: take the whole shard as one contiguous view (mmap for
@@ -63,7 +54,6 @@ gen::EdgeList read_shard_impl(StageReader& reader, const std::string& label,
   decoder->decode(view->chars(), edges, label);
   span.end();
   if (span.active()) span.flush(decode_trace_args(label));
-  return edges;
 }
 
 void stream_shard_impl(StageReader& reader, const std::string& label,
@@ -89,12 +79,7 @@ void stream_shard_impl(StageReader& reader, const std::string& label,
   if (!batch.empty()) sink(batch);
 }
 
-/// Expresses an arbitrary stage directory as a (store, stage) pair.
-DirStageStore path_store() { return DirStageStore{}; }
-
 }  // namespace
-
-// ---- StageCodec forms ------------------------------------------------------
 
 std::uint64_t write_generated_edges(StageStore& store,
                                     const std::string& stage,
@@ -121,16 +106,19 @@ std::uint64_t write_edge_list(StageStore& store, const std::string& stage,
 gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
                               const std::string& shard,
                               const StageCodec& codec, obs::Hooks hooks) {
+  gen::EdgeList edges;
   const auto reader = store.open_read(stage, shard);
-  return read_shard_impl(*reader, stage + "/" + shard, codec, hooks);
+  read_shard_impl(*reader, stage + "/" + shard, codec, hooks, edges);
+  return edges;
 }
 
 gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,
                              const StageCodec& codec, obs::Hooks hooks) {
+  // Shards decode straight onto the end of one list: no per-shard copy.
   gen::EdgeList edges;
   for (const auto& shard : store.list(stage)) {
-    auto part = read_edge_shard(store, stage, shard, codec, hooks);
-    edges.insert(edges.end(), part.begin(), part.end());
+    const auto reader = store.open_read(stage, shard);
+    read_shard_impl(*reader, stage + "/" + shard, codec, hooks, edges);
   }
   return edges;
 }
@@ -153,77 +141,6 @@ std::uint64_t count_edges(StageStore& store, const std::string& stage,
                      total += batch.size();
                    });
   return total;
-}
-
-// ---- legacy io::Codec forms ------------------------------------------------
-
-std::uint64_t write_generated_edges(StageStore& store,
-                                    const std::string& stage,
-                                    const gen::EdgeGenerator& generator,
-                                    std::size_t shards, Codec codec) {
-  return write_generated_edges(store, stage, generator, shards,
-                               tsv_codec(codec));
-}
-
-std::uint64_t write_edge_list(StageStore& store, const std::string& stage,
-                              const gen::EdgeList& edges, std::size_t shards,
-                              Codec codec) {
-  return write_edge_list(store, stage, edges, shards, tsv_codec(codec));
-}
-
-gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
-                              const std::string& shard, Codec codec) {
-  return read_edge_shard(store, stage, shard, tsv_codec(codec));
-}
-
-gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,
-                             Codec codec) {
-  return read_all_edges(store, stage, tsv_codec(codec));
-}
-
-void stream_all_edges(StageStore& store, const std::string& stage, Codec codec,
-                      const std::function<void(const gen::EdgeList&)>& sink) {
-  stream_all_edges(store, stage, tsv_codec(codec), sink);
-}
-
-std::uint64_t count_edges(StageStore& store, const std::string& stage) {
-  return count_edges(store, stage, tsv_codec(Codec::kFast));
-}
-
-// ---- path forms ------------------------------------------------------------
-
-std::uint64_t write_generated_edges(const gen::EdgeGenerator& generator,
-                                    const fs::path& dir, std::size_t shards,
-                                    Codec codec) {
-  auto store = path_store();
-  return write_generated_edges(store, dir.string(), generator, shards, codec);
-}
-
-std::uint64_t write_edge_list(const gen::EdgeList& edges, const fs::path& dir,
-                              std::size_t shards, Codec codec) {
-  auto store = path_store();
-  return write_edge_list(store, dir.string(), edges, shards, codec);
-}
-
-gen::EdgeList read_edge_file(const fs::path& path, Codec codec) {
-  FileReader reader(path);
-  return read_shard_impl(reader, path.string(), tsv_codec(codec), {});
-}
-
-gen::EdgeList read_all_edges(const fs::path& dir, Codec codec) {
-  auto store = path_store();
-  return read_all_edges(store, dir.string(), codec);
-}
-
-void stream_all_edges(const fs::path& dir, Codec codec,
-                      const std::function<void(const gen::EdgeList&)>& sink) {
-  auto store = path_store();
-  stream_all_edges(store, dir.string(), codec, sink);
-}
-
-std::uint64_t count_edges(const fs::path& dir) {
-  auto store = path_store();
-  return count_edges(store, dir.string());
 }
 
 }  // namespace prpb::io

@@ -2,15 +2,12 @@
 // shards and writes another; "the number of files is a free parameter"
 // (paper §IV.A), so the shard count is part of the stage layout.
 //
-// Every helper comes in three forms: the StageCodec form (the kernel seam —
-// any storage, any encoding), a legacy io::Codec form that fixes the
-// encoding to TSV in the given flavor (kept so TSV-era call sites read
-// unchanged), and a path form that is a thin wrapper over a DirStageStore,
-// preserving the historical on-disk layout byte for byte.
+// Every helper takes a (StageStore, stage) pair and a StageCodec — the
+// kernel seam: any storage, any encoding. A directory on disk is a stage
+// of a DirStageStore; a TSV stage in a given flavor uses tsv_codec().
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -19,21 +16,14 @@
 #include "gen/generator.hpp"
 #include "io/stage_codec.hpp"
 #include "io/stage_store.hpp"
-#include "io/tsv.hpp"
 #include "obs/trace.hpp"
 
 namespace prpb::io {
-
-/// Naming scheme for shard i of a stage directory (dir / shard_name(i)).
-std::filesystem::path shard_path(const std::filesystem::path& dir,
-                                 std::size_t index);
 
 /// Splits `total` items into `shards` near-equal contiguous ranges.
 /// Returns shard boundaries of size shards+1 (first 0, last total).
 std::vector<std::uint64_t> shard_boundaries(std::uint64_t total,
                                             std::size_t shards);
-
-// ---- StageCodec forms (the kernel I/O seam) --------------------------------
 
 /// Writes all edges of `generator` into `shards` shards of `stage`
 /// (created if needed, cleared of stale shards first). Returns bytes
@@ -69,49 +59,5 @@ void stream_all_edges(StageStore& store, const std::string& stage,
 /// Number of decoded records in the stage.
 std::uint64_t count_edges(StageStore& store, const std::string& stage,
                           const StageCodec& codec);
-
-// ---- legacy io::Codec forms (TSV in the given flavor) ----------------------
-
-std::uint64_t write_generated_edges(StageStore& store,
-                                    const std::string& stage,
-                                    const gen::EdgeGenerator& generator,
-                                    std::size_t shards, Codec codec);
-
-std::uint64_t write_edge_list(StageStore& store, const std::string& stage,
-                              const gen::EdgeList& edges, std::size_t shards,
-                              Codec codec);
-
-gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
-                              const std::string& shard, Codec codec);
-
-gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,
-                             Codec codec);
-
-void stream_all_edges(StageStore& store, const std::string& stage,
-                      Codec codec,
-                      const std::function<void(const gen::EdgeList&)>& sink);
-
-/// Number of edges in the stage (decodes the default TSV encoding).
-std::uint64_t count_edges(StageStore& store, const std::string& stage);
-
-// ---- path forms (DirStageStore wrappers) -----------------------------------
-
-std::uint64_t write_generated_edges(const gen::EdgeGenerator& generator,
-                                    const std::filesystem::path& dir,
-                                    std::size_t shards, Codec codec);
-
-std::uint64_t write_edge_list(const gen::EdgeList& edges,
-                              const std::filesystem::path& dir,
-                              std::size_t shards, Codec codec);
-
-/// Reads one TSV shard fully.
-gen::EdgeList read_edge_file(const std::filesystem::path& path, Codec codec);
-
-gen::EdgeList read_all_edges(const std::filesystem::path& dir, Codec codec);
-
-void stream_all_edges(const std::filesystem::path& dir, Codec codec,
-                      const std::function<void(const gen::EdgeList&)>& sink);
-
-std::uint64_t count_edges(const std::filesystem::path& dir);
 
 }  // namespace prpb::io

@@ -295,7 +295,12 @@ class BinaryDecoder final : public StageDecoder {
       }
       const char* su = data.data() + pos + binfmt::kBlockHeaderBytes;
       const char* sv = su + header.count * header.wu;
-      out.reserve(out.size() + header.count);
+      // Grow at least geometrically: an exact per-block reserve would copy
+      // the whole list once per block, quadratic over a many-block shard.
+      if (out.capacity() - out.size() < header.count) {
+        out.reserve(std::max<std::size_t>(out.size() + header.count,
+                                          2 * out.capacity()));
+      }
       decode_block(su, sv, header.count, header.wu, header.wv, out);
       pos += binfmt::kBlockHeaderBytes + header.payload;
     }

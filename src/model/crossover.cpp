@@ -1,5 +1,6 @@
 #include "model/crossover.hpp"
 
+#include "sort/external_sort.hpp"
 #include "util/error.hpp"
 
 namespace prpb::model {
@@ -10,12 +11,8 @@ int max_in_memory_sort_scale(std::uint64_t ram_bytes, int edge_factor) {
   for (int scale = 1; scale <= 40; ++scale) {
     const std::uint64_t edges =
         static_cast<std::uint64_t>(edge_factor) << scale;
-    const std::uint64_t needed = 2 * edges * 16;  // input + radix scratch
-    if (needed <= ram_bytes) {
-      best = scale;
-    } else {
-      break;
-    }
+    if (sort::needs_external_sort(edges, ram_bytes)) break;
+    best = scale;
   }
   return best;
 }

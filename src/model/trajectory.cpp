@@ -37,11 +37,24 @@ void write_key_fields(util::JsonWriter& json, const BenchCell& cell) {
   json.field("scale", static_cast<std::int64_t>(cell.scale));
   json.field("storage", cell.storage);
   json.field("stage_format", cell.stage_format);
-  json.field("fast_path", cell.fast_path);
   json.field("source", cell.source.empty() ? "generator" : cell.source);
   if (!cell.algorithm.empty()) json.field("algorithm", cell.algorithm);
   if (cell.csr == "compressed") json.field("csr", cell.csr);
   if (cell.metric != "seconds") json.field("metric", cell.metric);
+}
+
+/// Indexes `cells` by key; a repeated key is a DuplicateCellError.
+std::unordered_map<std::string, const BenchCell*> index_cells(
+    const std::vector<BenchCell>& cells, const char* document) {
+  std::unordered_map<std::string, const BenchCell*> by_key;
+  by_key.reserve(cells.size());
+  for (const BenchCell& cell : cells) {
+    if (!by_key.emplace(cell.key(), &cell).second) {
+      throw DuplicateCellError(std::string("bench diff: ") + document +
+                               " document repeats cell " + cell.key());
+    }
+  }
+  return by_key;
 }
 
 }  // namespace
@@ -49,7 +62,7 @@ void write_key_fields(util::JsonWriter& json, const BenchCell& cell) {
 std::string BenchCell::key() const {
   std::string key = "k" + std::to_string(kernel) + "|" + backend + "|" +
                     std::to_string(scale) + "|" + storage + "|" +
-                    stage_format + "|" + (fast_path ? "fast" : "ref") + "|" +
+                    stage_format + "|" +
                     (source.empty() ? "generator" : source) + "|" +
                     algorithm;
   // Appended only for the non-default form so cells measured before the
@@ -83,7 +96,6 @@ std::string cells_json(const std::vector<BenchCell>& cells,
     json.field("io_write_bytes", cell.io_write_bytes);
     json.field("storage", cell.storage);
     json.field("stage_format", cell.stage_format);
-    json.field("fast_path", cell.fast_path);
     json.field("source", cell.source.empty() ? "generator" : cell.source);
     if (!cell.algorithm.empty()) json.field("algorithm", cell.algorithm);
     if (cell.csr == "compressed") json.field("csr", cell.csr);
@@ -149,8 +161,6 @@ std::vector<BenchCell> parse_cells(const util::JsonValue& document) {
     cell.io_write_bytes = uint_or(node, "io_write_bytes", 0);
     cell.storage = string_or(node, "storage", "");
     cell.stage_format = string_or(node, "stage_format", "");
-    const util::JsonValue* fast = node.find("fast_path");
-    cell.fast_path = fast != nullptr && fast->is_bool() && fast->boolean();
     cell.source = string_or(node, "source", "generator");
     cell.algorithm = string_or(node, "algorithm", "");
     cell.csr = string_or(node, "csr", "plain");
@@ -196,9 +206,9 @@ const char* verdict_name(CellVerdict verdict) {
 DiffReport diff_cells(const std::vector<BenchCell>& base,
                       const std::vector<BenchCell>& head,
                       const DiffOptions& options) {
-  std::unordered_map<std::string, const BenchCell*> by_key;
-  by_key.reserve(base.size());
-  for (const BenchCell& cell : base) by_key[cell.key()] = &cell;
+  std::unordered_map<std::string, const BenchCell*> by_key =
+      index_cells(base, "baseline");
+  index_cells(head, "candidate");  // only the duplicate check is needed
 
   DiffReport report;
   for (const BenchCell& cell : head) {

@@ -2,8 +2,8 @@
 // serializer/parser, and the noise-aware cell-by-cell diff that decides
 // whether a perf change is a real regression or run-to-run jitter.
 //
-// A cell is one (kernel, backend, scale, storage, stage_format, fast_path,
-// source, algorithm) measurement. Since PR 8 a cell carries its noise
+// A cell is one (kernel, backend, scale, storage, stage_format, source,
+// algorithm) measurement. Since PR 8 a cell carries its noise
 // model — `repeats` timings reduced to a median and a MAD (median absolute
 // deviation) — plus CPU seconds, /proc/self/io disk traffic, and, when the
 // host exposes perf_event_open, counter-derived attribution (IPC, LLC miss
@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace prpb::util {
 class JsonValue;
@@ -50,7 +52,6 @@ struct BenchCell {
   // Cell configuration labels, part of the identity key.
   std::string storage;
   std::string stage_format;
-  bool fast_path = false;
   std::string source;     ///< graph source the cell ran on
   std::string algorithm;  ///< kernel-3 cells: the algorithm measured
   /// Kernel-3 CSR form ("plain" | "compressed"). Part of the identity key
@@ -151,8 +152,18 @@ struct DiffReport {
   [[nodiscard]] bool regressed() const { return regressions > 0; }
 };
 
+/// Two cells of one document share a BenchCell::key(), so the diff could
+/// not tell which of them a cell of the other document matches (e.g. a
+/// baseline that still carries the retired fast/ref axis).
+class DuplicateCellError final : public util::InvariantError {
+ public:
+  explicit DuplicateCellError(const std::string& what)
+      : util::InvariantError(what) {}
+};
+
 /// Cell-by-cell comparison of two documents' cells, keyed on
 /// BenchCell::key(). Added/removed cells never count as regressions.
+/// Throws DuplicateCellError when either document repeats a key.
 DiffReport diff_cells(const std::vector<BenchCell>& base,
                       const std::vector<BenchCell>& head,
                       const DiffOptions& options = {});

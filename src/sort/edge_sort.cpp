@@ -1,171 +1,149 @@
 #include "sort/edge_sort.hpp"
 
 #include <algorithm>
-
-#include "util/error.hpp"
+#include <array>
+#include <vector>
 
 namespace prpb::sort {
 
 namespace {
 
-bool less_start(const gen::Edge& a, const gen::Edge& b) { return a.u < b.u; }
-bool less_start_end(const gen::Edge& a, const gen::Edge& b) {
-  return a.u != b.u ? a.u < b.u : a.v < b.v;
+using Histogram = std::array<std::size_t, 256>;
+
+/// Runs body(t) for every chunk t in [0, chunks): inline for one chunk,
+/// otherwise one pool task per chunk (chunks never exceeds the pool size).
+/// Blocks until all have finished.
+template <typename Body>
+void for_each_chunk(util::ThreadPool* pool, std::size_t chunks,
+                    const Body& body) {
+  if (chunks == 1) {
+    body(std::size_t{0});
+    return;
+  }
+  util::parallel_for(*pool, 0, chunks, [&body](std::uint64_t t) {
+    body(static_cast<std::size_t>(t));
+  });
 }
 
-using Less = bool (*)(const gen::Edge&, const gen::Edge&);
+/// Sorts with a fixed set of contiguous input chunks, one per task.
+class RadixSorter {
+ public:
+  RadixSorter(util::ThreadPool* pool, std::size_t total, std::size_t chunks)
+      : pool_(pool), bounds_(chunks + 1), hist_(chunks) {
+    for (std::size_t i = 0; i <= chunks; ++i) {
+      bounds_[i] = total * i / chunks;
+    }
+  }
 
-Less comparator(SortKey key) {
-  return key == SortKey::kStart ? less_start : less_start_end;
-}
+  /// Runs the passes for every varying byte of the selected field,
+  /// ping-ponging between *src and *dst (swapped after each pass).
+  void sort_field(gen::EdgeList*& src, gen::EdgeList*& dst, bool use_v) {
+    const unsigned mask = varying_bytes(*src, use_v);
+    for (int byte = 0; byte < 8; ++byte) {
+      if (!(mask & (1u << byte))) continue;  // constant byte: skip the pass
+      pass(*src, *dst, 8 * byte, use_v);
+      std::swap(src, dst);
+    }
+  }
 
-/// One stable LSD counting pass over byte `shift/8` of the field selected by
-/// `use_v`. src -> dst.
-void counting_pass(const gen::EdgeList& src, gen::EdgeList& dst, int shift,
-                   bool use_v) {
-  std::size_t counts[256] = {};
-  for (const auto& edge : src) {
-    const std::uint64_t field = use_v ? edge.v : edge.u;
-    ++counts[(field >> shift) & 0xff];
-  }
-  std::size_t offsets[256];
-  std::size_t acc = 0;
-  for (int b = 0; b < 256; ++b) {
-    offsets[b] = acc;
-    acc += counts[b];
-  }
-  for (const auto& edge : src) {
-    const std::uint64_t field = use_v ? edge.v : edge.u;
-    dst[offsets[(field >> shift) & 0xff]++] = edge;
-  }
-}
+ private:
+  [[nodiscard]] std::size_t chunks() const { return hist_.size(); }
 
-/// Returns a bitmask of byte positions (0..7) that vary across the field.
-unsigned varying_bytes(const gen::EdgeList& edges, bool use_v) {
-  if (edges.empty()) return 0;
-  std::uint64_t all_or = 0;
-  std::uint64_t all_and = ~0ULL;
-  for (const auto& edge : edges) {
-    const std::uint64_t field = use_v ? edge.v : edge.u;
-    all_or |= field;
-    all_and &= field;
+  /// Bitmask of byte positions (0..7) that vary across the selected field;
+  /// each chunk folds its own OR/AND.
+  unsigned varying_bytes(const gen::EdgeList& edges, bool use_v) {
+    std::vector<std::uint64_t> ors(chunks(), 0);
+    std::vector<std::uint64_t> ands(chunks(), ~0ULL);
+    for_each_chunk(pool_, chunks(), [&](std::size_t t) {
+      std::uint64_t all_or = 0;
+      std::uint64_t all_and = ~0ULL;
+      for (std::size_t i = bounds_[t]; i < bounds_[t + 1]; ++i) {
+        const std::uint64_t field = use_v ? edges[i].v : edges[i].u;
+        all_or |= field;
+        all_and &= field;
+      }
+      ors[t] = all_or;
+      ands[t] = all_and;
+    });
+    std::uint64_t all_or = 0;
+    std::uint64_t all_and = ~0ULL;
+    for (std::size_t t = 0; t < chunks(); ++t) {
+      all_or |= ors[t];
+      all_and &= ands[t];
+    }
+    const std::uint64_t varying = all_or ^ all_and;
+    unsigned mask = 0;
+    for (int byte = 0; byte < 8; ++byte) {
+      if ((varying >> (8 * byte)) & 0xff) mask |= 1u << byte;
+    }
+    return mask;
   }
-  const std::uint64_t varying = all_or ^ all_and;
-  unsigned mask = 0;
-  for (int byte = 0; byte < 8; ++byte) {
-    if ((varying >> (8 * byte)) & 0xff) mask |= 1u << byte;
-  }
-  return mask;
-}
 
-void radix_field(gen::EdgeList& edges, gen::EdgeList& scratch, bool use_v) {
-  const unsigned mask = varying_bytes(edges, use_v);
-  gen::EdgeList* src = &edges;
-  gen::EdgeList* dst = &scratch;
-  for (int byte = 0; byte < 8; ++byte) {
-    if (!(mask & (1u << byte))) continue;  // constant byte: skip the pass
-    counting_pass(*src, *dst, 8 * byte, use_v);
-    std::swap(src, dst);
+  /// One stable counting pass over byte `shift/8` of the selected field:
+  /// per-chunk histogram, serial bucket-major offset scan, per-chunk
+  /// scatter into disjoint destination ranges. src -> dst.
+  void pass(const gen::EdgeList& src, gen::EdgeList& dst, int shift,
+            bool use_v) {
+    for_each_chunk(pool_, chunks(), [&](std::size_t t) {
+      Histogram& hist = hist_[t];
+      hist.fill(0);
+      for (std::size_t i = bounds_[t]; i < bounds_[t + 1]; ++i) {
+        const std::uint64_t field = use_v ? src[i].v : src[i].u;
+        ++hist[(field >> shift) & 0xff];
+      }
+    });
+    // Exclusive scan, bucket-major then chunk order: chunk t's bucket-b run
+    // lands after every lower bucket and after bucket b of chunks < t,
+    // which is exactly the stable ordering. hist_ becomes the cursor table.
+    std::size_t acc = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+      for (Histogram& hist : hist_) {
+        const std::size_t count = hist[b];
+        hist[b] = acc;
+        acc += count;
+      }
+    }
+    for_each_chunk(pool_, chunks(), [&](std::size_t t) {
+      Histogram& cursor = hist_[t];
+      for (std::size_t i = bounds_[t]; i < bounds_[t + 1]; ++i) {
+        const std::uint64_t field = use_v ? src[i].v : src[i].u;
+        dst[cursor[(field >> shift) & 0xff]++] = src[i];
+      }
+    });
   }
-  if (src != &edges) edges = *src;
-}
+
+  util::ThreadPool* pool_;
+  std::vector<std::size_t> bounds_;
+  std::vector<Histogram> hist_;
+};
 
 }  // namespace
 
-void radix_sort(gen::EdgeList& edges, SortKey key) {
+void radix_sort(gen::EdgeList& edges, SortKey key, util::ThreadPool* pool) {
   if (edges.size() < 2) return;
+  // One chunk per pool thread; small inputs collapse to fewer chunks so
+  // the per-pass bookkeeping never dominates.
+  const std::size_t threads = pool != nullptr ? pool->size() : 1;
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min(edges.size() / 4096 + 1, threads));
+  RadixSorter sorter(pool, edges.size(), chunks);
   gen::EdgeList scratch(edges.size());
-  // LSD over the composite key: minor field (v) first when requested, then
-  // the major field (u); stability makes the composite ordering correct.
-  if (key == SortKey::kStartEnd) radix_field(edges, scratch, /*use_v=*/true);
-  radix_field(edges, scratch, /*use_v=*/false);
-}
-
-void parallel_merge_sort(gen::EdgeList& edges, util::ThreadPool& pool,
-                         SortKey key) {
-  if (edges.size() < 2) return;
-  const Less less = comparator(key);
-  const std::size_t chunks =
-      std::max<std::size_t>(1, std::min(edges.size() / 4096 + 1,
-                                        pool.size() * 2));
-  // Chunk boundaries.
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t i = 0; i <= chunks; ++i)
-    bounds[i] = edges.size() * i / chunks;
-
-  // Phase 1: stable-sort each chunk in parallel.
-  {
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (std::size_t i = 0; i < chunks; ++i) {
-      futures.push_back(pool.submit([&edges, &bounds, less, i] {
-        std::stable_sort(
-            edges.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
-            edges.begin() + static_cast<std::ptrdiff_t>(bounds[i + 1]), less);
-      }));
-    }
-    for (auto& future : futures) future.get();
-  }
-
-  // Phase 2: pairwise merges until a single run remains.
-  gen::EdgeList scratch(edges.size());
-  std::vector<std::size_t> runs = bounds;
   gen::EdgeList* src = &edges;
   gen::EdgeList* dst = &scratch;
-  while (runs.size() > 2) {
-    std::vector<std::size_t> next_runs;
-    next_runs.push_back(0);
-    std::vector<std::future<void>> futures;
-    for (std::size_t i = 0; i + 2 < runs.size(); i += 2) {
-      const std::size_t lo = runs[i];
-      const std::size_t mid = runs[i + 1];
-      const std::size_t hi = runs[i + 2];
-      futures.push_back(pool.submit([src, dst, lo, mid, hi, less] {
-        std::merge(src->begin() + static_cast<std::ptrdiff_t>(lo),
-                   src->begin() + static_cast<std::ptrdiff_t>(mid),
-                   src->begin() + static_cast<std::ptrdiff_t>(mid),
-                   src->begin() + static_cast<std::ptrdiff_t>(hi),
-                   dst->begin() + static_cast<std::ptrdiff_t>(lo), less);
-      }));
-      next_runs.push_back(hi);
-    }
-    // Odd trailing run: copy through.
-    if ((runs.size() - 1) % 2 == 1) {
-      const std::size_t lo = runs[runs.size() - 2];
-      const std::size_t hi = runs[runs.size() - 1];
-      futures.push_back(pool.submit([src, dst, lo, hi] {
-        std::copy(src->begin() + static_cast<std::ptrdiff_t>(lo),
-                  src->begin() + static_cast<std::ptrdiff_t>(hi),
-                  dst->begin() + static_cast<std::ptrdiff_t>(lo));
-      }));
-      if (next_runs.back() != hi) next_runs.push_back(hi);
-    }
-    for (auto& future : futures) future.get();
-    runs = std::move(next_runs);
-    std::swap(src, dst);
-  }
-  if (src != &edges) edges = *src;
-}
-
-void sort_edges(gen::EdgeList& edges, InMemoryAlgo algo, SortKey key) {
-  switch (algo) {
-    case InMemoryAlgo::kStd:
-      std::stable_sort(edges.begin(), edges.end(), comparator(key));
-      return;
-    case InMemoryAlgo::kRadix:
-      radix_sort(edges, key);
-      return;
-    case InMemoryAlgo::kParallelMerge: {
-      util::ThreadPool pool;
-      parallel_merge_sort(edges, pool, key);
-      return;
-    }
-  }
-  throw util::ConfigError("sort_edges: unknown algorithm");
+  // LSD over the composite key: minor field (v) first when requested, then
+  // the major field (u); per-pass stability makes the composite ordering
+  // correct.
+  if (key == SortKey::kStartEnd) sorter.sort_field(src, dst, /*use_v=*/true);
+  sorter.sort_field(src, dst, /*use_v=*/false);
+  if (src != &edges) edges.swap(scratch);
 }
 
 bool is_sorted_edges(const gen::EdgeList& edges, SortKey key) {
-  return std::is_sorted(edges.begin(), edges.end(), comparator(key));
+  return std::is_sorted(edges.begin(), edges.end(),
+                        [key](const gen::Edge& a, const gen::Edge& b) {
+                          if (key == SortKey::kStart) return a.u < b.u;
+                          return a.u != b.u ? a.u < b.u : a.v < b.v;
+                        });
 }
 
 }  // namespace prpb::sort

@@ -1,14 +1,14 @@
-// Kernel 1's sorting engines.
+// Kernel 1's in-memory sort.
 //
 // The paper: "The type of sorting algorithm may depend upon the scale
 // parameter... in the case where u and v fit into the RAM of the system, an
 // in-memory algorithm could be used. Likewise, if u and v are too large to
 // fit in memory, then an out-of-core algorithm would be required."
 //
-// In-memory engines: std::sort (comparison), LSD radix (byte-skipping), and
-// a thread-pool parallel merge sort. The external engine lives in
-// sort/external_sort.hpp. All engines produce identical output for the same
-// key, which the tests enforce.
+// The in-memory engine is one byte-skipping LSD radix sort, serial or
+// chunk-parallel over a thread pool; the external engine lives in
+// sort/external_sort.hpp. Both produce identical output for the same key,
+// which the tests enforce against std::stable_sort.
 #pragma once
 
 #include <cstdint>
@@ -27,19 +27,17 @@ enum class SortKey {
   kStartEnd,  ///< order by (u, v); canonical, engine-independent output
 };
 
-enum class InMemoryAlgo { kStd, kRadix, kParallelMerge };
-
-/// Sorts `edges` in place with the requested engine and key.
-void sort_edges(gen::EdgeList& edges, InMemoryAlgo algo,
-                SortKey key = SortKey::kStartEnd);
-
 /// LSD radix sort. Stable. Skips byte positions that are constant across
 /// the input (for scale-S graphs only ceil(S/8) byte passes per column run).
-void radix_sort(gen::EdgeList& edges, SortKey key = SortKey::kStartEnd);
-
-/// Parallel merge sort over `pool`. Stable.
-void parallel_merge_sort(gen::EdgeList& edges, util::ThreadPool& pool,
-                         SortKey key = SortKey::kStartEnd);
+///
+/// With a pool of more than one thread, each pass splits the input into
+/// per-thread chunks: chunk histograms run in parallel, a serial
+/// bucket-major/chunk-minor scan turns them into scatter cursors, and the
+/// scatter runs in parallel into disjoint destination ranges (no atomics,
+/// input order kept within a bucket). With no pool, a one-thread pool or a
+/// small input, the one chunk runs inline without submitting a task.
+void radix_sort(gen::EdgeList& edges, SortKey key = SortKey::kStartEnd,
+                util::ThreadPool* pool = nullptr);
 
 /// True when edges are non-decreasing under `key` (u-only checks u order).
 bool is_sorted_edges(const gen::EdgeList& edges, SortKey key);

@@ -14,14 +14,14 @@
 
 namespace prpb::sort {
 
-namespace fs = std::filesystem;
-
 void ExternalSortConfig::validate() const {
   util::require(memory_budget_bytes >= sizeof(gen::Edge) * 1024,
                 "external sort: memory budget must allow >= 1024 edges");
   util::require(fan_in >= 2, "external sort: fan_in must be >= 2");
   util::require(output_shards >= 1,
                 "external sort: output_shards must be >= 1");
+  util::require(stage_codec != nullptr,
+                "external sort: stage_codec must be set");
 }
 
 namespace {
@@ -82,7 +82,7 @@ ExternalSortStats external_sort_stage(io::StageStore& store,
                                       const std::string& temp_stage,
                                       const ExternalSortConfig& config) {
   config.validate();
-  const io::StageCodec& codec = config.resolved_codec();
+  const io::StageCodec& codec = *config.stage_codec;
   store.clear_stage(temp_stage);
   ExternalSortStats stats;
 
@@ -154,15 +154,6 @@ ExternalSortStats external_sort_stage(io::StageStore& store,
   util::ensure(writer.edges_written() == stats.edges,
                "external sort: output edge count mismatch");
   return stats;
-}
-
-ExternalSortStats external_sort_stage(const fs::path& in_dir,
-                                      const fs::path& out_dir,
-                                      const fs::path& temp_dir,
-                                      const ExternalSortConfig& config) {
-  io::DirStageStore store;  // empty root: stage names are paths verbatim
-  return external_sort_stage(store, in_dir.string(), out_dir.string(),
-                             temp_dir.string(), config);
 }
 
 }  // namespace prpb::sort

@@ -7,24 +7,28 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 
+#include "gen/edge.hpp"
 #include "io/stage_codec.hpp"
 #include "io/stage_store.hpp"
-#include "io/tsv.hpp"
 #include "obs/trace.hpp"
 #include "sort/edge_sort.hpp"
 
 namespace prpb::sort {
 
+/// True when the in-memory radix sort of `edge_count` edges would exceed
+/// `budget_bytes`: it needs the edge array plus an equal scratch array.
+inline bool needs_external_sort(std::uint64_t edge_count,
+                                std::uint64_t budget_bytes) {
+  return 2 * edge_count * sizeof(gen::Edge) > budget_bytes;
+}
+
 struct ExternalSortConfig {
   std::uint64_t memory_budget_bytes = 256ULL << 20;  ///< per-run slice budget
   std::size_t fan_in = 64;          ///< max runs merged per cascade pass
   std::size_t output_shards = 1;    ///< shard count of the sorted stage
-  io::Codec codec = io::Codec::kFast;  ///< TSV flavor when stage_codec unset
-  /// Stage encoding for input and output; nullptr means TSV in `codec`'s
-  /// flavor (the historical behavior).
+  /// Stage encoding for input and output (required).
   const io::StageCodec* stage_codec = nullptr;
   SortKey key = SortKey::kStartEnd;
   /// Optional tracing hooks: spans per spilled run ("k1/sort/run_gen"),
@@ -32,9 +36,6 @@ struct ExternalSortConfig {
   obs::Hooks hooks;
 
   void validate() const;
-  [[nodiscard]] const io::StageCodec& resolved_codec() const {
-    return stage_codec != nullptr ? *stage_codec : io::tsv_codec(codec);
-  }
 };
 
 struct ExternalSortStats {
@@ -53,12 +54,6 @@ ExternalSortStats external_sort_stage(io::StageStore& store,
                                       const std::string& in_stage,
                                       const std::string& out_stage,
                                       const std::string& temp_stage,
-                                      const ExternalSortConfig& config);
-
-/// Path form: the same sort expressed over directories on disk.
-ExternalSortStats external_sort_stage(const std::filesystem::path& in_dir,
-                                      const std::filesystem::path& out_dir,
-                                      const std::filesystem::path& temp_dir,
                                       const ExternalSortConfig& config);
 
 }  // namespace prpb::sort

@@ -1,6 +1,7 @@
 #include "util/threadpool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace prpb::util {
 
@@ -62,7 +63,18 @@ void parallel_for_chunks(
     const std::uint64_t hi = std::min(end, lo + chunk);
     futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
   }
-  for (auto& future : futures) future.get();  // rethrows first failure
+  // Wait for every chunk before rethrowing the first failure: a chunk
+  // still queued or running would otherwise call `body` after the
+  // caller's frame, which owns it, is gone.
+  std::exception_ptr first_error;
+  for (auto& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void parallel_for(ThreadPool& pool, std::uint64_t begin, std::uint64_t end,

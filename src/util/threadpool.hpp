@@ -1,6 +1,6 @@
 // Fixed-size thread pool with a blocking task queue, plus parallel_for /
 // parallel_for_chunks helpers that block until all iterations complete.
-// Used by the `parallel` backend and the parallel merge sort; with one
+// Used by the `parallel` backend and the pooled radix sort; with one
 // hardware thread everything degrades gracefully to serial execution.
 #pragma once
 

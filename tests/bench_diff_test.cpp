@@ -32,11 +32,11 @@ model::BenchCell make_cell(int kernel, const std::string& backend,
 TEST(BenchCell, KeyCoversConfiguration) {
   model::BenchCell cell = make_cell(1, "native", 1.0, 0.01);
   const std::string base_key = cell.key();
-  EXPECT_EQ(base_key, "k1|native|14|dir|tsv|ref|generator|");
+  EXPECT_EQ(base_key, "k1|native|14|dir|tsv|generator|");
 
-  model::BenchCell fast = cell;
-  fast.fast_path = true;
-  EXPECT_NE(fast.key(), base_key);
+  model::BenchCell binary = cell;
+  binary.stage_format = "binary";
+  EXPECT_NE(binary.key(), base_key);
   model::BenchCell algo = cell;
   algo.algorithm = "bfs";
   EXPECT_NE(algo.key(), base_key);
@@ -106,7 +106,29 @@ TEST(BenchCell, OldDocumentsParseWithDefaults) {
   EXPECT_DOUBLE_EQ(cells[0].seconds_mad, 0.0);
   EXPECT_DOUBLE_EQ(cells[0].cpu_seconds, 0.0);
   EXPECT_FALSE(cells[0].has_perf);
-  EXPECT_EQ(cells[0].key(), "k1|native|16|dir|tsv|ref|generator|");
+  EXPECT_EQ(cells[0].key(), "k1|native|16|dir|tsv|generator|");
+}
+
+TEST(BenchDiff, DuplicateKeysAreATypedError) {
+  // A baseline from before the fast/ref axis was retired holds both
+  // schedules of one cell; they now share a key, and silently keeping
+  // either one would judge the candidate against an arbitrary baseline.
+  const std::string two_schedules = R"({
+    "benchmark": "prpb-kernels",
+    "cells": [
+      {"kernel": 1, "backend": "native", "scale": 16, "seconds": 2.5,
+       "storage": "dir", "stage_format": "tsv", "fast_path": false},
+      {"kernel": 1, "backend": "native", "scale": 16, "seconds": 1.5,
+       "storage": "dir", "stage_format": "tsv", "fast_path": true}
+    ]
+  })";
+  const auto old_cells = model::parse_cells_text(two_schedules);
+  ASSERT_EQ(old_cells.size(), 2u);
+  const std::vector<model::BenchCell> one = {old_cells[0]};
+  EXPECT_THROW(model::diff_cells(old_cells, one), model::DuplicateCellError);
+  EXPECT_THROW(model::diff_cells(one, old_cells), model::DuplicateCellError);
+  // Typed as an invariant failure, which bench_diff reports with exit 2.
+  EXPECT_THROW(model::diff_cells(old_cells, old_cells), util::InvariantError);
 }
 
 TEST(BenchCell, ParseRejectsWrongShape) {

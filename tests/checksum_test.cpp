@@ -8,6 +8,8 @@
 #include "core/runner.hpp"
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
+#include "io/stage_store.hpp"
+#include "io/tsv.hpp"
 #include "util/fs.hpp"
 
 namespace prpb::core {
@@ -45,12 +47,13 @@ TEST(ChecksumTest, StageChecksumIndependentOfSharding) {
   gen::KroneckerParams params;
   params.scale = 8;
   const gen::KroneckerGenerator generator(params);
-  util::TempDir dir_a("prpb-ck");
-  util::TempDir dir_b("prpb-ck");
-  io::write_generated_edges(generator, dir_a.path(), 1, io::Codec::kFast);
-  io::write_generated_edges(generator, dir_b.path(), 8, io::Codec::kFast);
-  const StageChecksum a = stage_checksum(dir_a.path());
-  const StageChecksum b = stage_checksum(dir_b.path());
+  util::TempDir dir("prpb-ck");
+  io::DirStageStore store(dir.path());
+  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
+  io::write_generated_edges(store, "a", generator, 1, codec);
+  io::write_generated_edges(store, "b", generator, 8, codec);
+  const StageChecksum a = stage_checksum(store, "a", codec);
+  const StageChecksum b = stage_checksum(store, "b", codec);
   EXPECT_EQ(a.multiset, b.multiset);
   EXPECT_EQ(a.sequence, b.sequence);  // same order: contiguous split
   EXPECT_EQ(a.edges, generator.num_edges());
@@ -61,8 +64,10 @@ TEST(ChecksumTest, StageChecksumMatchesInMemoryHash) {
   params.scale = 7;
   const gen::KroneckerGenerator generator(params);
   util::TempDir dir("prpb-ck");
-  io::write_generated_edges(generator, dir.path(), 3, io::Codec::kFast);
-  const StageChecksum on_disk = stage_checksum(dir.path());
+  io::DirStageStore store(dir.path());
+  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
+  io::write_generated_edges(store, "s", generator, 3, codec);
+  const StageChecksum on_disk = stage_checksum(store, "s", codec);
   const EdgeList edges = generator.generate_all();
   EXPECT_EQ(on_disk.multiset, edge_multiset_hash(edges));
   EXPECT_EQ(on_disk.sequence, edge_sequence_hash(edges));
@@ -76,8 +81,9 @@ TEST(ChecksumTest, SortPreservesMultisetChangesSequence) {
   const auto backend = make_backend("native");
   run_pipeline(config, *backend);
   const auto store = make_stage_store(config);
-  const StageChecksum stage0 = stage_checksum(*store, stages::kStage0);
-  const StageChecksum stage1 = stage_checksum(*store, stages::kStage1);
+  const io::StageCodec& codec = make_stage_codec(config);
+  const StageChecksum stage0 = stage_checksum(*store, stages::kStage0, codec);
+  const StageChecksum stage1 = stage_checksum(*store, stages::kStage1, codec);
   EXPECT_EQ(stage0.multiset, stage1.multiset);  // same edges
   EXPECT_NE(stage0.sequence, stage1.sequence);  // different order
   EXPECT_EQ(stage0.edges, stage1.edges);

@@ -340,10 +340,11 @@ TEST(RunnerTest, MemoryBudgetTriggersExternalSortSameResult) {
   const auto backend = make_backend("native");
   const auto result_a = run_pipeline(in_memory, *backend);
   const auto result_b = run_pipeline(external, *backend);
-  EXPECT_EQ(io::read_all_edges(in_memory.work_dir / stages::kStage1,
-                               io::Codec::kFast),
-            io::read_all_edges(external.work_dir / stages::kStage1,
-                               io::Codec::kFast));
+  io::DirStageStore store_a(in_memory.work_dir);
+  io::DirStageStore store_b(external.work_dir);
+  const io::StageCodec& codec = make_stage_codec(in_memory);
+  EXPECT_EQ(io::read_all_edges(store_a, stages::kStage1, codec),
+            io::read_all_edges(store_b, stages::kStage1, codec));
   EXPECT_EQ(result_a.ranks, result_b.ranks);
 }
 

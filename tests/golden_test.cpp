@@ -1,6 +1,6 @@
 // Golden conformance vectors — committed checksums (tests/data/
-// golden_checksums.json) that every backend × stage codec × store ×
-// fast-path combination must reproduce, and that pin the pipeline's
+// golden_checksums.json) that every backend × stage codec × store
+// combination must reproduce, and that pin the pipeline's
 // numerical output across refactors. All recorded digests are
 // representation-independent by design: rank digests quantize before
 // hashing, stage checksums hash decoded records, so one golden value per
@@ -17,6 +17,7 @@
 #include <tuple>
 
 #include "core/backend.hpp"
+#include "core/backend_parallel.hpp"
 #include "core/checksum.hpp"
 #include "core/runner.hpp"
 #include "io/file_stream.hpp"
@@ -84,8 +85,7 @@ std::optional<GoldenEntry> load_golden(int scale) {
 
 /// Runs the pipeline and distills the conformance digests. The store is
 /// injected so stage checksums can be computed after the run.
-GoldenEntry measure(const PipelineConfig& config, const std::string& backend_name) {
-  const auto backend = make_backend(backend_name);
+GoldenEntry measure(const PipelineConfig& config, PipelineBackend& backend) {
   io::StageStore* store = nullptr;
   io::MemStageStore mem;
   io::DirStageStore dir(config.work_dir);
@@ -93,7 +93,7 @@ GoldenEntry measure(const PipelineConfig& config, const std::string& backend_nam
                                   : static_cast<io::StageStore*>(&dir);
   RunOptions options;
   options.store = store;
-  const PipelineResult result = run_pipeline(config, *backend, options);
+  const PipelineResult result = run_pipeline(config, backend, options);
   const io::StageCodec& codec = make_stage_codec(config);
   const StageChecksum s0 = stage_checksum(*store, stages::kStage0, codec);
   const StageChecksum s1 = stage_checksum(*store, stages::kStage1, codec);
@@ -130,31 +130,29 @@ void expect_matches(const GoldenEntry& actual, const GoldenEntry& golden,
 
 // ---- full combination matrix at scale 8 ------------------------------------
 
-using ComboParam = std::tuple<std::string, std::string, std::string, bool>;
+using ComboParam = std::tuple<std::string, std::string, std::string>;
 
 std::string combo_name(const ::testing::TestParamInfo<ComboParam>& info) {
   return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_" +
-         std::get<2>(info.param) + "_" +
-         (std::get<3>(info.param) ? "fast" : "ref");
+         std::get<2>(info.param);
 }
 
 class GoldenComboTest : public ::testing::TestWithParam<ComboParam> {};
 
 TEST_P(GoldenComboTest, ReproducesCommittedChecksums) {
-  const auto& [backend_name, format, storage, fast] = GetParam();
+  const auto& [backend_name, format, storage] = GetParam();
   const auto golden = load_golden(8);
   ASSERT_TRUE(golden.has_value()) << "no scale_8 entry in " << kGoldenPath;
 
   PipelineConfig config = golden_config(8);
   config.stage_format = format;
   config.storage = storage;
-  config.fast_path = fast;
   std::optional<util::TempDir> work;
   if (storage == "dir") {
     work.emplace("prpb-golden");
     config.work_dir = work->path();
   }
-  expect_matches(measure(config, backend_name), *golden,
+  expect_matches(measure(config, *make_backend(backend_name)), *golden,
                  combo_name(::testing::TestParamInfo<ComboParam>(GetParam(), 0)));
 }
 
@@ -163,8 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("native", "parallel", "graphblas",
                                          "arraylang", "dataframe"),
                        ::testing::Values("tsv", "binary"),
-                       ::testing::Values("mem", "dir"),
-                       ::testing::Values(false, true)),
+                       ::testing::Values("mem", "dir")),
     combo_name);
 
 // ---- scale sweep 9..12 (reduced combination set) ---------------------------
@@ -177,20 +174,22 @@ TEST_P(GoldenScaleTest, NativeTsvReproducesCommittedChecksums) {
   ASSERT_TRUE(golden.has_value())
       << "no scale_" << scale << " entry in " << kGoldenPath;
   const PipelineConfig config = golden_config(scale);
-  expect_matches(measure(config, "native"), *golden,
+  expect_matches(measure(config, *make_backend("native")), *golden,
                  "native/tsv/mem scale " + std::to_string(scale));
 }
 
-TEST_P(GoldenScaleTest, ParallelBinaryFastPathReproducesCommittedChecksums) {
+TEST_P(GoldenScaleTest, ParallelBinaryReproducesCommittedChecksums) {
   const int scale = GetParam();
   const auto golden = load_golden(scale);
   ASSERT_TRUE(golden.has_value())
       << "no scale_" << scale << " entry in " << kGoldenPath;
   PipelineConfig config = golden_config(scale);
   config.stage_format = "binary";
-  config.fast_path = true;
-  expect_matches(measure(config, "parallel"), *golden,
-                 "parallel/binary/fast scale " + std::to_string(scale));
+  // Four threads whatever the host reports, so the radix sort's
+  // multi-chunk scan and scatter stay pinned by the committed digests.
+  ParallelBackend backend(4);
+  expect_matches(measure(config, backend), *golden,
+                 "parallel(4)/binary scale " + std::to_string(scale));
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, GoldenScaleTest,
@@ -228,7 +227,8 @@ TEST(GoldenData, Regenerate) {
   util::JsonWriter json;
   json.begin_object();
   for (int scale = 8; scale <= 12; ++scale) {
-    const GoldenEntry entry = measure(golden_config(scale), "native");
+    const GoldenEntry entry =
+        measure(golden_config(scale), *make_backend("native"));
     json.begin_object("scale_" + std::to_string(scale));
     json.field("rank_digest", entry.rank_digest);
     json.field("matrix_fingerprint", entry.matrix_fingerprint);

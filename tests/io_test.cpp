@@ -344,8 +344,25 @@ TEST(ShardTest, MoreShardsThanItems) {
 }
 
 TEST(ShardTest, ShardPathsAreSortedLexicographically) {
-  EXPECT_LT(shard_path("/d", 2).string(), shard_path("/d", 10).string());
+  EXPECT_LT(shard_name(2), shard_name(10));
 }
+
+/// Stage "s" of a DirStageStore rooted in a fresh temp directory: the
+/// on-disk layout of the pipeline's dir storage.
+struct DiskStage {
+  util::TempDir dir{"prpb-io"};
+  DirStageStore store{dir.path()};
+
+  [[nodiscard]] fs::path path() const { return store.resolve("s"); }
+  /// Path of raw shard `index`, with the stage directory created.
+  [[nodiscard]] fs::path shard(std::size_t index) const {
+    fs::create_directories(path());
+    return path() / shard_name(index);
+  }
+  [[nodiscard]] EdgeList read(Codec flavor = Codec::kFast) {
+    return read_all_edges(store, "s", tsv_codec(flavor));
+  }
+};
 
 class StageTest : public ::testing::TestWithParam<std::size_t> {};
 
@@ -354,16 +371,15 @@ TEST_P(StageTest, GeneratedStageRoundTrips) {
   gen::KroneckerParams params;
   params.scale = 8;
   const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-io");
+  DiskStage stage;
+  const StageCodec& codec = tsv_codec(Codec::kFast);
 
   const std::uint64_t bytes =
-      write_generated_edges(generator, dir.path(), shards, Codec::kFast);
+      write_generated_edges(stage.store, "s", generator, shards, codec);
   EXPECT_GT(bytes, 0u);
-  EXPECT_EQ(util::list_files_sorted(dir.path()).size(), shards);
-  EXPECT_EQ(count_edges(dir.path()), generator.num_edges());
-
-  const EdgeList read_back = read_all_edges(dir.path(), Codec::kFast);
-  EXPECT_EQ(read_back, generator.generate_all());
+  EXPECT_EQ(util::list_files_sorted(stage.path()).size(), shards);
+  EXPECT_EQ(count_edges(stage.store, "s", codec), generator.num_edges());
+  EXPECT_EQ(stage.read(), generator.generate_all());
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, StageTest,
@@ -371,30 +387,31 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, StageTest,
 
 TEST(StageTest, EdgeListRoundTrip) {
   const EdgeList edges = {{5, 6}, {1, 2}, {3, 3}};
-  util::TempDir dir("prpb-io");
-  write_edge_list(edges, dir.path(), 2, Codec::kFast);
-  EXPECT_EQ(read_all_edges(dir.path(), Codec::kFast), edges);
+  DiskStage stage;
+  write_edge_list(stage.store, "s", edges, 2, tsv_codec(Codec::kFast));
+  EXPECT_EQ(stage.read(), edges);
 }
 
 TEST(StageTest, RewriteClearsStaleShards) {
   const EdgeList many = {{1, 1}, {2, 2}, {3, 3}, {4, 4}};
   const EdgeList few = {{9, 9}};
-  util::TempDir dir("prpb-io");
-  write_edge_list(many, dir.path(), 4, Codec::kFast);
-  write_edge_list(few, dir.path(), 1, Codec::kFast);
-  EXPECT_EQ(util::list_files_sorted(dir.path()).size(), 1u);
-  EXPECT_EQ(read_all_edges(dir.path(), Codec::kFast), few);
+  DiskStage stage;
+  write_edge_list(stage.store, "s", many, 4, tsv_codec(Codec::kFast));
+  write_edge_list(stage.store, "s", few, 1, tsv_codec(Codec::kFast));
+  EXPECT_EQ(util::list_files_sorted(stage.path()).size(), 1u);
+  EXPECT_EQ(stage.read(), few);
 }
 
 TEST(StageTest, StreamAllEdgesSeesEverything) {
   gen::KroneckerParams params;
   params.scale = 8;
   const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-io");
-  write_generated_edges(generator, dir.path(), 3, Codec::kFast);
+  DiskStage stage;
+  const StageCodec& codec = tsv_codec(Codec::kFast);
+  write_generated_edges(stage.store, "s", generator, 3, codec);
 
   EdgeList streamed;
-  stream_all_edges(dir.path(), Codec::kFast,
+  stream_all_edges(stage.store, "s", codec,
                    [&streamed](const EdgeList& batch) {
                      streamed.insert(streamed.end(), batch.begin(),
                                      batch.end());
@@ -405,33 +422,33 @@ TEST(StageTest, StreamAllEdgesSeesEverything) {
 TEST(StageTest, MissingFinalNewlineTolerated) {
   // A complete final record without its trailing newline decodes; cutting
   // the record itself still throws.
-  util::TempDir dir("prpb-io");
-  write_file(shard_path(dir.path(), 0), "1\t2\n3\t4");  // no trailing \n
-  EXPECT_EQ(read_all_edges(dir.path(), Codec::kFast),
+  DiskStage stage;
+  write_file(stage.shard(0), "1\t2\n3\t4");  // no trailing \n
+  EXPECT_EQ(stage.read(),
             (EdgeList{{1, 2}, {3, 4}}));
 }
 
 TEST(StageTest, MidRecordTruncationDetected) {
-  util::TempDir dir("prpb-io");
-  write_file(shard_path(dir.path(), 0), "1\t2\n3\t");  // end field lost
-  EXPECT_THROW(read_all_edges(dir.path(), Codec::kFast), util::IoError);
+  DiskStage stage;
+  write_file(stage.shard(0), "1\t2\n3\t");  // end field lost
+  EXPECT_THROW(stage.read(), util::IoError);
 }
 
 TEST(StageTest, CrLfFinalRecordTolerated) {
-  util::TempDir dir("prpb-io");
-  write_file(shard_path(dir.path(), 0), "1\t2\r\n3\t4\r");  // CRLF, no \n
-  EXPECT_EQ(read_all_edges(dir.path(), Codec::kFast),
+  DiskStage stage;
+  write_file(stage.shard(0), "1\t2\r\n3\t4\r");  // CRLF, no \n
+  EXPECT_EQ(stage.read(),
             (EdgeList{{1, 2}, {3, 4}}));
 }
 
 TEST(StageTest, OverflowingVertexIdRejected) {
-  util::TempDir dir("prpb-io");
+  DiskStage stage;
   // 2^64 overflows; 2^64 - 1 is the largest representable id.
-  write_file(shard_path(dir.path(), 0), "18446744073709551616\t1\n");
-  EXPECT_THROW(read_all_edges(dir.path(), Codec::kFast), util::IoError);
-  EXPECT_THROW(read_all_edges(dir.path(), Codec::kGeneric), util::IoError);
-  write_file(shard_path(dir.path(), 0), "18446744073709551615\t1\n");
-  EXPECT_EQ(read_all_edges(dir.path(), Codec::kFast),
+  write_file(stage.shard(0), "18446744073709551616\t1\n");
+  EXPECT_THROW(stage.read(), util::IoError);
+  EXPECT_THROW(stage.read(Codec::kGeneric), util::IoError);
+  write_file(stage.shard(0), "18446744073709551615\t1\n");
+  EXPECT_EQ(stage.read(),
             (EdgeList{{~0ULL, 1}}));
 }
 
@@ -439,9 +456,9 @@ TEST(StageTest, CrossCodecCompatibility) {
   // A stage written by the generic codec parses with the fast codec and
   // vice versa — the file format is codec-independent.
   const EdgeList edges = {{10, 20}, {30, 40}};
-  util::TempDir dir("prpb-io");
-  write_edge_list(edges, dir.path(), 1, Codec::kGeneric);
-  EXPECT_EQ(read_all_edges(dir.path(), Codec::kFast), edges);
+  DiskStage stage;
+  write_edge_list(stage.store, "s", edges, 1, tsv_codec(Codec::kGeneric));
+  EXPECT_EQ(stage.read(Codec::kFast), edges);
 }
 
 // ---- zero-copy views & mmap path --------------------------------------------
@@ -616,30 +633,31 @@ TEST(MmapTest, EdgeStageMatchesBufferedReader) {
   gen::KroneckerParams params;
   params.scale = 9;
   const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-io");
-  write_generated_edges(generator, dir.path(), 3, Codec::kFast);
+  DiskStage stage;
+  write_generated_edges(stage.store, "s", generator, 3,
+                        tsv_codec(Codec::kFast));
   EdgeList mapped;
   {
     const ScopedMmapPolicy policy(MmapPolicy::kOn);
-    mapped = read_all_edges(dir.path(), Codec::kFast);
+    mapped = stage.read();
   }
   const ScopedMmapPolicy policy(MmapPolicy::kOff);
-  EXPECT_EQ(mapped, read_all_edges(dir.path(), Codec::kFast));
+  EXPECT_EQ(mapped, stage.read());
 }
 
 TEST(MmapTest, MissingFinalNewlineTolerated) {
   const ScopedMmapPolicy policy(MmapPolicy::kOn);
-  util::TempDir dir("prpb-io");
-  write_file(shard_path(dir.path(), 0), "1\t2\n3\t4");
-  EXPECT_EQ(read_all_edges(dir.path(), Codec::kFast),
+  DiskStage stage;
+  write_file(stage.shard(0), "1\t2\n3\t4");
+  EXPECT_EQ(stage.read(),
             (EdgeList{{1, 2}, {3, 4}}));
 }
 
 TEST(MmapTest, MidRecordTruncationDetected) {
   const ScopedMmapPolicy policy(MmapPolicy::kOn);
-  util::TempDir dir("prpb-io");
-  write_file(shard_path(dir.path(), 0), "1\t2\n3\t");
-  EXPECT_THROW(read_all_edges(dir.path(), Codec::kFast), util::IoError);
+  DiskStage stage;
+  write_file(stage.shard(0), "1\t2\n3\t");
+  EXPECT_THROW(stage.read(), util::IoError);
 }
 
 TEST(MmapTest, UnalignedTailBlockDecodes) {
@@ -647,15 +665,15 @@ TEST(MmapTest, UnalignedTailBlockDecodes) {
   // the tail lines fall back to the scalar lane and nothing reads past
   // the mapping (ASan would catch an overread on the mapped path).
   const ScopedMmapPolicy policy(MmapPolicy::kOn);
-  util::TempDir dir("prpb-io");
+  DiskStage stage;
   const std::pair<const char*, EdgeList> cases[] = {
       {"7\t9\n", {{7, 9}}},
       {"1\t2\n34\t567\n", {{1, 2}, {34, 567}}},
       {"1\t2\n3\t4", {{1, 2}, {3, 4}}},
   };
   for (const auto& [text, expected] : cases) {
-    write_file(shard_path(dir.path(), 0), text);
-    EXPECT_EQ(read_all_edges(dir.path(), Codec::kFast), expected) << text;
+    write_file(stage.shard(0), text);
+    EXPECT_EQ(stage.read(), expected) << text;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "core/runner.hpp"
 #include "core/validate.hpp"
 #include "io/edge_files.hpp"
+#include "io/stage_store.hpp"
 #include "util/fs.hpp"
 
 namespace prpb::core {
@@ -24,6 +25,12 @@ PipelineConfig config_for(const util::TempDir& work, int scale = 8,
   config.num_files = 2;
   config.work_dir = work.path();
   return config;
+}
+
+/// Decodes a stage a run left under config.work_dir.
+gen::EdgeList read_stage(const PipelineConfig& config, const char* stage) {
+  io::DirStageStore store(config.work_dir);
+  return io::read_all_edges(store, stage, make_stage_codec(config));
 }
 
 PipelineResult run_backend(const std::string& name,
@@ -64,15 +71,11 @@ TEST_P(BackendPipelineTest, StageFilesMatchNativeByteSemantics) {
   run_backend("native", config_n);
   run_backend(GetParam(), config_o);
 
-  EXPECT_EQ(io::read_all_edges(config_n.work_dir / stages::kStage0,
-                               io::Codec::kFast),
-            io::read_all_edges(config_o.work_dir / stages::kStage0,
-                               io::Codec::kFast))
+  EXPECT_EQ(read_stage(config_n, stages::kStage0),
+            read_stage(config_o, stages::kStage0))
       << "kernel 0 stage differs";
-  EXPECT_EQ(io::read_all_edges(config_n.work_dir / stages::kStage1,
-                               io::Codec::kFast),
-            io::read_all_edges(config_o.work_dir / stages::kStage1,
-                               io::Codec::kFast))
+  EXPECT_EQ(read_stage(config_n, stages::kStage1),
+            read_stage(config_o, stages::kStage1))
       << "kernel 1 stage differs";
 }
 
@@ -90,29 +93,6 @@ TEST_P(BackendPipelineTest, MemStorageMatchesDirStorage) {
   EXPECT_EQ(in_mem.storage, "mem");
   EXPECT_TRUE(on_dir.matrix.approx_equal(in_mem.matrix, 0.0));
   EXPECT_EQ(on_dir.ranks, in_mem.ranks);
-}
-
-TEST_P(BackendPipelineTest, FastPathIsBitIdentical) {
-  // --fast-path swaps in the src/perf implementations (radix partition,
-  // prefetched reads, parallel CSR build, blocked SpMV); every result —
-  // stage bytes, matrix, ranks — must be exactly the reference's.
-  util::TempDir work_ref("prpb-integ");
-  util::TempDir work_fast("prpb-integ");
-  const PipelineConfig config_ref = config_for(work_ref);
-  PipelineConfig config_fast = config_for(work_fast);
-  config_fast.fast_path = true;
-
-  const PipelineResult reference = run_backend(GetParam(), config_ref);
-  const PipelineResult fast = run_backend(GetParam(), config_fast);
-  EXPECT_FALSE(reference.fast_path);
-  EXPECT_TRUE(fast.fast_path);
-  EXPECT_EQ(io::read_all_edges(config_ref.work_dir / stages::kStage1,
-                               io::Codec::kFast),
-            io::read_all_edges(config_fast.work_dir / stages::kStage1,
-                               io::Codec::kFast))
-      << "kernel 1 stage differs under fast-path";
-  EXPECT_TRUE(reference.matrix.approx_equal(fast.matrix, 0.0));
-  EXPECT_EQ(reference.ranks, fast.ranks);
 }
 
 TEST_P(BackendPipelineTest, MatrixMatchesNative) {
@@ -166,10 +146,8 @@ TEST(PipelinePropertyTest, Kernel1OutputIsSortedAndSameMultiset) {
   const PipelineConfig config = config_for(work, 9);
   run_backend("native", config);
 
-  auto stage0 = io::read_all_edges(config.work_dir / stages::kStage0,
-                                   io::Codec::kFast);
-  auto stage1 = io::read_all_edges(config.work_dir / stages::kStage1,
-                                   io::Codec::kFast);
+  auto stage0 = read_stage(config, stages::kStage0);
+  auto stage1 = read_stage(config, stages::kStage1);
   EXPECT_TRUE(std::is_sorted(stage1.begin(), stage1.end()));
   std::sort(stage0.begin(), stage0.end());
   EXPECT_EQ(stage0, stage1);  // sorting is a permutation
@@ -239,7 +217,7 @@ TEST(PipelinePropertyTest, EdgeFactorPropagates) {
   config.edge_factor = 4;
   const auto result = run_backend("native", config);
   EXPECT_EQ(result.num_edges, 4u << 8);
-  EXPECT_EQ(io::count_edges(config.work_dir / stages::kStage0), 4u << 8);
+  EXPECT_EQ(read_stage(config, stages::kStage0).size(), 4u << 8);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "gen/kronecker.hpp"
 #include "grb/ops.hpp"
 #include "io/edge_files.hpp"
+#include "io/stage_store.hpp"
 #include "io/tsv.hpp"
 #include "rand/rng.hpp"
 #include "sort/edge_sort.hpp"
@@ -50,9 +51,11 @@ TEST_P(SeedSweep, TsvRoundTripPreservesAnyEdgeList) {
 TEST_P(SeedSweep, ShardedStageRoundTripAnyShardCount) {
   const auto edges = random_edges(GetParam(), 1000, 1 << 20);
   util::TempDir dir("prpb-prop");
+  io::DirStageStore store(dir.path());
+  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
   const std::size_t shards = 1 + GetParam() % 9;
-  io::write_edge_list(edges, dir.path(), shards, io::Codec::kFast);
-  EXPECT_EQ(io::read_all_edges(dir.path(), io::Codec::kFast), edges);
+  io::write_edge_list(store, "s", edges, shards, codec);
+  EXPECT_EQ(io::read_all_edges(store, "s", codec), edges);
 }
 
 // ---- sorting invariants -------------------------------------------------------------
@@ -62,9 +65,13 @@ TEST_P(SeedSweep, AllSortEnginesAgree) {
   gen::EdgeList a = original;
   gen::EdgeList b = original;
   gen::EdgeList c = original;
-  sort::sort_edges(a, sort::InMemoryAlgo::kStd);
-  sort::sort_edges(b, sort::InMemoryAlgo::kRadix);
-  sort::sort_edges(c, sort::InMemoryAlgo::kParallelMerge);
+  std::stable_sort(a.begin(), a.end(),
+                   [](const gen::Edge& x, const gen::Edge& y) {
+                     return x.u != y.u ? x.u < y.u : x.v < y.v;
+                   });
+  sort::radix_sort(b);
+  util::ThreadPool pool(3);
+  sort::radix_sort(c, sort::SortKey::kStartEnd, &pool);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
 }

@@ -1,15 +1,17 @@
-// Tests for src/sort: in-memory engines agree with each other and with
-// std::sort, stability properties, the external sort, and policy selection.
+// Tests for src/sort: the radix sort (serial and over pools) against
+// std::stable_sort, stability properties, the external sort, and the
+// in-memory/external choice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
+#include "io/stage_store.hpp"
+#include "io/tsv.hpp"
 #include "rand/rng.hpp"
 #include "sort/edge_sort.hpp"
 #include "sort/external_sort.hpp"
-#include "sort/policy.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 
@@ -30,59 +32,94 @@ EdgeList random_edges(std::size_t count, std::uint64_t max_vertex,
   return edges;
 }
 
-// ---- parameterized agreement across engines, keys, and sizes -----------------
+EdgeList stable_sorted(EdgeList edges, SortKey key) {
+  std::stable_sort(edges.begin(), edges.end(),
+                   [key](const Edge& a, const Edge& b) {
+                     if (key == SortKey::kStart) return a.u < b.u;
+                     return a.u != b.u ? a.u < b.u : a.v < b.v;
+                   });
+  return edges;
+}
 
+// ---- radix sort vs std::stable_sort across pools, keys, and inputs ----------
+
+enum class Input : std::uint16_t {
+  kRandom = 1,  ///< `count` uniform edges over 2^12 vertices (many ties)
+  kSameStart,   ///< every start vertex equal: all u passes are skipped
+  kHighBits,    ///< only byte 6 varies: the low passes are skipped
+};
+
+// Packed into 16 bytes with no padding, so gtest's byte dump of a case is
+// deterministic.
 struct SortCase {
-  InMemoryAlgo algo;
+  Input input;
+  std::uint16_t threads;  ///< 0 = no pool
   SortKey key;
   std::size_t count;
 };
+
+EdgeList make_input(const SortCase& param) {
+  EdgeList edges = random_edges(param.count, 1 << 12);
+  for (auto& edge : edges) {
+    if (param.input == Input::kSameStart) edge.u = 42;
+    if (param.input == Input::kHighBits) {
+      edge.u = (edge.u & 0xff) << 48;
+      edge.v = (edge.v & 0xff) << 48;
+    }
+  }
+  return edges;
+}
 
 class EngineTest : public ::testing::TestWithParam<SortCase> {};
 
 TEST_P(EngineTest, MatchesStableSortReference) {
   const auto& param = GetParam();
-  EdgeList edges = random_edges(param.count, 1 << 12);
-  EdgeList reference = edges;
-
-  sort_edges(edges, param.algo, param.key);
-
-  const auto less = [key = param.key](const Edge& a, const Edge& b) {
-    if (key == SortKey::kStart) return a.u < b.u;
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  };
-  std::stable_sort(reference.begin(), reference.end(), less);
-  EXPECT_EQ(edges, reference);
+  const EdgeList input = make_input(param);
+  EdgeList edges = input;
+  if (param.threads == 0) {
+    radix_sort(edges, param.key);
+  } else {
+    util::ThreadPool pool(param.threads);
+    radix_sort(edges, param.key, &pool);
+  }
+  EXPECT_EQ(edges, stable_sorted(input, param.key));
 }
 
 std::string sort_case_name(
     const ::testing::TestParamInfo<SortCase>& info) {
-  std::string name;
-  switch (info.param.algo) {
-    case InMemoryAlgo::kStd: name = "Std"; break;
-    case InMemoryAlgo::kRadix: name = "Radix"; break;
-    case InMemoryAlgo::kParallelMerge: name = "ParMerge"; break;
+  const SortCase& param = info.param;
+  std::string name = "Radix";
+  name += param.key == SortKey::kStart ? "Start" : "StartEnd";
+  switch (param.input) {
+    case Input::kRandom: name += "N" + std::to_string(param.count); break;
+    case Input::kSameStart: name += "SameStart"; break;
+    case Input::kHighBits: name += "HighBits"; break;
   }
-  name += info.param.key == SortKey::kStart ? "Start" : "StartEnd";
-  name += "N" + std::to_string(info.param.count);
+  if (param.threads > 0) name += "Pool" + std::to_string(param.threads);
   return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllEngines, EngineTest,
-    ::testing::Values(
-        SortCase{InMemoryAlgo::kStd, SortKey::kStartEnd, 1000},
-        SortCase{InMemoryAlgo::kStd, SortKey::kStart, 1000},
-        SortCase{InMemoryAlgo::kRadix, SortKey::kStartEnd, 0},
-        SortCase{InMemoryAlgo::kRadix, SortKey::kStartEnd, 1},
-        SortCase{InMemoryAlgo::kRadix, SortKey::kStartEnd, 2},
-        SortCase{InMemoryAlgo::kRadix, SortKey::kStartEnd, 1000},
-        SortCase{InMemoryAlgo::kRadix, SortKey::kStartEnd, 65536},
-        SortCase{InMemoryAlgo::kRadix, SortKey::kStart, 1000},
-        SortCase{InMemoryAlgo::kParallelMerge, SortKey::kStartEnd, 1000},
-        SortCase{InMemoryAlgo::kParallelMerge, SortKey::kStartEnd, 100000},
-        SortCase{InMemoryAlgo::kParallelMerge, SortKey::kStart, 1000}),
-    sort_case_name);
+std::vector<SortCase> sort_cases() {
+  std::vector<SortCase> cases = {
+      {Input::kRandom, 0, SortKey::kStartEnd, 2},
+      {Input::kRandom, 0, SortKey::kStartEnd, 1000},
+      {Input::kRandom, 0, SortKey::kStart, 1000},
+  };
+  for (const std::uint16_t threads : {0, 1, 3, 4}) {
+    for (const SortKey key : {SortKey::kStartEnd, SortKey::kStart}) {
+      cases.push_back({Input::kRandom, threads, key, 0});
+      cases.push_back({Input::kRandom, threads, key, 1});
+      cases.push_back({Input::kRandom, threads, key, 65536});
+      cases.push_back({Input::kSameStart, threads, key, 65536});
+      cases.push_back({Input::kHighBits, threads, key, 65536});
+    }
+  }
+  // With a pool, the 65536-edge inputs split into one chunk per thread.
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
+                         ::testing::ValuesIn(sort_cases()), sort_case_name);
 
 // ---- radix specifics ---------------------------------------------------------
 
@@ -124,30 +161,6 @@ TEST(RadixTest, KroneckerGraphSorts) {
   EXPECT_EQ(edges.size(), 16u << 12);
 }
 
-// ---- parallel merge specifics -------------------------------------------------
-
-TEST(ParallelMergeTest, ManyThreadsSmallInput) {
-  util::ThreadPool pool(8);
-  EdgeList edges = random_edges(10, 100);
-  EdgeList reference = edges;
-  parallel_merge_sort(edges, pool);
-  std::stable_sort(reference.begin(), reference.end(),
-                   [](const Edge& a, const Edge& b) {
-                     return a.u != b.u ? a.u < b.u : a.v < b.v;
-                   });
-  EXPECT_EQ(edges, reference);
-}
-
-TEST(ParallelMergeTest, EmptyAndSingle) {
-  util::ThreadPool pool(2);
-  EdgeList empty;
-  parallel_merge_sort(empty, pool);
-  EXPECT_TRUE(empty.empty());
-  EdgeList one = {{3, 4}};
-  parallel_merge_sort(one, pool);
-  EXPECT_EQ(one.size(), 1u);
-}
-
 // ---- is_sorted ----------------------------------------------------------------
 
 TEST(IsSortedTest, ChecksSelectedKey) {
@@ -156,26 +169,38 @@ TEST(IsSortedTest, ChecksSelectedKey) {
   EXPECT_FALSE(is_sorted_edges(by_u_only, SortKey::kStartEnd));
 }
 
-// ---- policy -------------------------------------------------------------------
+// ---- in-memory vs external --------------------------------------------------
 
 TEST(PolicyTest, SmallInputStaysInMemory) {
-  const auto decision = choose_sort_policy(1000, 1 << 20);
-  EXPECT_EQ(decision.strategy, SortStrategy::kInMemory);
-  EXPECT_EQ(decision.required_bytes, 2 * 1000 * 16u);
+  EXPECT_FALSE(needs_external_sort(1000, 1 << 20));
 }
 
 TEST(PolicyTest, LargeInputGoesExternal) {
-  const auto decision = choose_sort_policy(1'000'000, 1 << 20);
-  EXPECT_EQ(decision.strategy, SortStrategy::kExternal);
+  EXPECT_TRUE(needs_external_sort(1'000'000, 1 << 20));
 }
 
 TEST(PolicyTest, ExactBoundaryIsInMemory) {
+  // The radix sort needs the edge array plus an equal scratch array.
   const std::uint64_t edges = 1024;
-  const auto decision = choose_sort_policy(edges, 2 * edges * 16);
-  EXPECT_EQ(decision.strategy, SortStrategy::kInMemory);
+  EXPECT_FALSE(needs_external_sort(edges, 2 * edges * sizeof(Edge)));
+  EXPECT_TRUE(needs_external_sort(edges, 2 * edges * sizeof(Edge) - 1));
 }
 
 // ---- external sort ------------------------------------------------------------
+
+/// Stages "in", "out" and "tmp" of a DirStageStore in a fresh directory.
+struct DiskStages {
+  util::TempDir work{"prpb-extsort"};
+  io::DirStageStore store{work.path()};
+};
+
+const io::StageCodec& tsv() { return io::tsv_codec(io::Codec::kFast); }
+
+ExternalSortConfig tsv_config() {
+  ExternalSortConfig config;
+  config.stage_codec = &tsv();
+  return config;
+}
 
 class ExternalSortTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -183,20 +208,19 @@ TEST_P(ExternalSortTest, MatchesInMemorySort) {
   gen::KroneckerParams params;
   params.scale = 10;
   const gen::KroneckerGenerator generator(params);
-  util::TempDir work("prpb-extsort");
-  const auto in_dir = work.sub("in");
-  io::write_generated_edges(generator, in_dir, 3, io::Codec::kFast);
+  DiskStages disk;
+  io::write_generated_edges(disk.store, "in", generator, 3, tsv());
 
-  ExternalSortConfig config;
+  ExternalSortConfig config = tsv_config();
   config.memory_budget_bytes = GetParam();
   config.output_shards = 2;
-  const auto stats = external_sort_stage(in_dir, work.sub("out"),
-                                         work.sub("tmp"), config);
+  const auto stats =
+      external_sort_stage(disk.store, "in", "out", "tmp", config);
   EXPECT_EQ(stats.edges, generator.num_edges());
 
   EdgeList expected = generator.generate_all();
   radix_sort(expected);
-  EXPECT_EQ(io::read_all_edges(work.sub("out"), io::Codec::kFast), expected);
+  EXPECT_EQ(io::read_all_edges(disk.store, "out", tsv()), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -235,86 +259,81 @@ TEST(ExternalSortTest, TinyFanInForcesCascades) {
   gen::KroneckerParams params;
   params.scale = 9;
   const gen::KroneckerGenerator generator(params);
-  util::TempDir work("prpb-extsort");
-  const auto in_dir = work.sub("in");
-  io::write_generated_edges(generator, in_dir, 1, io::Codec::kFast);
+  DiskStages disk;
+  io::write_generated_edges(disk.store, "in", generator, 1, tsv());
 
-  ExternalSortConfig config;
+  ExternalSortConfig config = tsv_config();
   config.memory_budget_bytes = 32 * 1024;
   config.fan_in = 2;
-  const auto stats = external_sort_stage(in_dir, work.sub("out"),
-                                         work.sub("tmp"), config);
+  const auto stats =
+      external_sort_stage(disk.store, "in", "out", "tmp", config);
   EXPECT_GT(stats.initial_runs, 2u);
   EXPECT_GT(stats.merge_passes, 1u);
 
   EdgeList expected = generator.generate_all();
   radix_sort(expected);
-  EXPECT_EQ(io::read_all_edges(work.sub("out"), io::Codec::kFast), expected);
+  EXPECT_EQ(io::read_all_edges(disk.store, "out", tsv()), expected);
 }
 
 TEST(ExternalSortTest, CleansUpSpillFiles) {
   gen::KroneckerParams params;
   params.scale = 8;
   const gen::KroneckerGenerator generator(params);
-  util::TempDir work("prpb-extsort");
-  const auto in_dir = work.sub("in");
-  io::write_generated_edges(generator, in_dir, 1, io::Codec::kFast);
+  DiskStages disk;
+  io::write_generated_edges(disk.store, "in", generator, 1, tsv());
 
-  ExternalSortConfig config;
+  ExternalSortConfig config = tsv_config();
   config.memory_budget_bytes = 32 * 1024;
-  external_sort_stage(in_dir, work.sub("out"), work.sub("tmp"), config);
-  EXPECT_TRUE(util::list_files_sorted(work.sub("tmp")).empty());
+  external_sort_stage(disk.store, "in", "out", "tmp", config);
+  EXPECT_TRUE(util::list_files_sorted(disk.work.sub("tmp")).empty());
 }
 
 TEST(ExternalSortTest, EmptyInput) {
-  util::TempDir work("prpb-extsort");
-  const auto in_dir = work.sub("in");
-  util::ensure_dir(in_dir);
-  ExternalSortConfig config;
-  const auto stats = external_sort_stage(in_dir, work.sub("out"),
-                                         work.sub("tmp"), config);
+  DiskStages disk;
+  disk.store.clear_stage("in");
+  const auto stats =
+      external_sort_stage(disk.store, "in", "out", "tmp", tsv_config());
   EXPECT_EQ(stats.edges, 0u);
-  EXPECT_EQ(io::count_edges(work.sub("out")), 0u);
+  EXPECT_EQ(io::count_edges(disk.store, "out", tsv()), 0u);
 }
 
 TEST(ExternalSortTest, RequestedShardCountAlwaysProduced) {
   gen::KroneckerParams params;
   params.scale = 8;
   const gen::KroneckerGenerator generator(params);
-  util::TempDir work("prpb-extsort");
-  const auto in_dir = work.sub("in");
-  io::write_generated_edges(generator, in_dir, 1, io::Codec::kFast);
+  DiskStages disk;
+  io::write_generated_edges(disk.store, "in", generator, 1, tsv());
 
-  ExternalSortConfig config;
+  ExternalSortConfig config = tsv_config();
   config.output_shards = 5;
-  external_sort_stage(in_dir, work.sub("out"), work.sub("tmp"), config);
-  EXPECT_EQ(util::list_files_sorted(work.sub("out")).size(), 5u);
+  external_sort_stage(disk.store, "in", "out", "tmp", config);
+  EXPECT_EQ(util::list_files_sorted(disk.work.sub("out")).size(), 5u);
 }
 
 TEST(ExternalSortTest, StartOnlyKeyKeepsRunOrderOnTies) {
   // With SortKey::kStart the merge must still produce u-sorted output.
-  util::TempDir work("prpb-extsort");
-  const auto in_dir = work.sub("in");
-  io::write_edge_list(random_edges(5000, 16), in_dir, 2, io::Codec::kFast);
-  ExternalSortConfig config;
+  DiskStages disk;
+  io::write_edge_list(disk.store, "in", random_edges(5000, 16), 2, tsv());
+  ExternalSortConfig config = tsv_config();
   config.memory_budget_bytes = 16 * 1024;
   config.key = SortKey::kStart;
-  external_sort_stage(in_dir, work.sub("out"), work.sub("tmp"), config);
-  const auto sorted = io::read_all_edges(work.sub("out"), io::Codec::kFast);
+  external_sort_stage(disk.store, "in", "out", "tmp", config);
+  const auto sorted = io::read_all_edges(disk.store, "out", tsv());
   EXPECT_TRUE(is_sorted_edges(sorted, SortKey::kStart));
   EXPECT_EQ(sorted.size(), 5000u);
 }
 
 TEST(ExternalSortTest, InvalidConfigThrows) {
-  ExternalSortConfig config;
+  ExternalSortConfig config = tsv_config();
   config.fan_in = 1;
   EXPECT_THROW(config.validate(), util::ConfigError);
-  config = ExternalSortConfig{};
+  config = tsv_config();
   config.memory_budget_bytes = 100;
   EXPECT_THROW(config.validate(), util::ConfigError);
-  config = ExternalSortConfig{};
+  config = tsv_config();
   config.output_shards = 0;
   EXPECT_THROW(config.validate(), util::ConfigError);
+  EXPECT_THROW(ExternalSortConfig{}.validate(), util::ConfigError);  // codec
 }
 
 }  // namespace

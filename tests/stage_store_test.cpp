@@ -229,8 +229,9 @@ TEST_P(StorageParityTest, MemAndDirProduceIdenticalStagesAndRanks) {
 
   // Identical stage checksums for both materialized stages...
   for (const char* stage : {core::stages::kStage0, core::stages::kStage1}) {
-    const core::StageChecksum d = core::stage_checksum(dir_store, stage);
-    const core::StageChecksum m = core::stage_checksum(mem_store, stage);
+    const io::StageCodec& codec = core::make_stage_codec(config);
+    const core::StageChecksum d = core::stage_checksum(dir_store, stage, codec);
+    const core::StageChecksum m = core::stage_checksum(mem_store, stage, codec);
     EXPECT_EQ(d.multiset, m.multiset) << stage;
     EXPECT_EQ(d.sequence, m.sequence) << stage;
     EXPECT_EQ(d.edges, m.edges) << stage;

@@ -3,7 +3,7 @@
 //
 // Compares the candidate against the baseline cell-by-cell (matched on the
 // full cell identity: kernel, backend, scale, storage, stage format,
-// fast-path, source, algorithm, CSR form, metric) and flags a regression
+// source, algorithm, CSR form, metric) and flags a regression
 // only when the median change exceeds a band derived from both documents'
 // recorded MADs — run-to-run jitter inside the band is reported but never
 // fails. The check is direction-aware: seconds cells regress when slower,
@@ -16,7 +16,8 @@
 //   bench_diff BENCH_kernels.json BENCH_new.json [--json verdict.json]
 //
 // Exit status: 0 when no cell regressed, 1 on regression, 2 on usage or
-// I/O errors — so CI can gate on the code and archive the JSON verdict.
+// I/O errors or a document that repeats a cell — so CI can gate on the
+// code and archive the JSON verdict.
 #include <cstdio>
 
 #include "io/file_stream.hpp"
