@@ -232,7 +232,7 @@ TEST(CsrCompressedTest, VecMatBitIdenticalToPlain) {
 
 TEST(CsrCompressedSpmvTest, BitIdenticalAcrossBlockWidthsAndScales) {
   util::ThreadPool pool(4);
-  for (const int scale : {9, 10, 11}) {
+  for (const int scale : {9, 11}) {
     const std::uint64_t n = std::uint64_t{1} << scale;
     const CsrMatrix at = kronecker_matrix(scale).transpose();
     const CompressedCsrMatrix cat = CompressedCsrMatrix::from_csr(at);
@@ -247,13 +247,33 @@ TEST(CsrCompressedSpmvTest, BitIdenticalAcrossBlockWidthsAndScales) {
     // must reproduce the exact bits of the plain reference loop.
     for (const std::uint64_t block :
          {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{17},
-          std::uint64_t{64}, std::uint64_t{256}, n / 2, n}) {
+          std::uint64_t{256}, n / 2, n}) {
       perf::transposed_spmv_compressed(cat, r, y, pool, block);
       ASSERT_EQ(y.size(), expected.size());
       EXPECT_EQ(0, std::memcmp(y.data(), expected.data(),
                                y.size() * sizeof(double)))
           << "scale " << scale << " block width " << block;
     }
+  }
+}
+
+// The blocked compressed loop against the plain per-row loop kernel 3
+// runs on the uncompressed matrix, at a cache-sized and a single block.
+TEST(CsrCompressedSpmvTest, MatchesBlockedPlainSpmvBitForBit) {
+  util::ThreadPool pool(4);
+  const CsrMatrix at = kronecker_matrix(10).transpose();
+  const CompressedCsrMatrix cat = CompressedCsrMatrix::from_csr(at);
+  std::vector<double> r(at.cols());
+  rnd::Xoshiro256 rng(7);
+  for (auto& x : r) x = rng.next_double();
+  const std::vector<double> plain = reference_transposed_spmv(at, r);
+  std::vector<double> compressed;
+  for (const std::uint64_t block : {std::uint64_t{64}, at.cols()}) {
+    perf::transposed_spmv_compressed(cat, r, compressed, pool, block);
+    ASSERT_EQ(compressed.size(), plain.size());
+    EXPECT_EQ(0, std::memcmp(compressed.data(), plain.data(),
+                             plain.size() * sizeof(double)))
+        << "block width " << block;
   }
 }
 

@@ -1,6 +1,6 @@
 // Golden conformance vectors — committed checksums (tests/data/
-// golden_checksums.json) that every backend × stage codec × store
-// combination must reproduce, and that pin the pipeline's
+// golden_checksums.json) that every backend × stage codec × store ×
+// CSR form combination must reproduce, and that pin the pipeline's
 // numerical output across refactors. All recorded digests are
 // representation-independent by design: rank digests quantize before
 // hashing, stage checksums hash decoded records, so one golden value per
@@ -130,23 +130,29 @@ void expect_matches(const GoldenEntry& actual, const GoldenEntry& golden,
 
 // ---- full combination matrix at scale 8 ------------------------------------
 
-using ComboParam = std::tuple<std::string, std::string, std::string>;
+// The last axis is the kernel-3 CSR form: false runs the plain form, true
+// the delta-varint compressed form, which must reproduce the same digests.
+// Its name suffixes, "ref" and "fast", keep the test IDs of the retired
+// --fast-path axis this one replaced.
+using ComboParam = std::tuple<std::string, std::string, std::string, bool>;
 
 std::string combo_name(const ::testing::TestParamInfo<ComboParam>& info) {
   return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_" +
-         std::get<2>(info.param);
+         std::get<2>(info.param) + "_" +
+         (std::get<3>(info.param) ? "fast" : "ref");
 }
 
 class GoldenComboTest : public ::testing::TestWithParam<ComboParam> {};
 
 TEST_P(GoldenComboTest, ReproducesCommittedChecksums) {
-  const auto& [backend_name, format, storage] = GetParam();
+  const auto& [backend_name, format, storage, compressed] = GetParam();
   const auto golden = load_golden(8);
   ASSERT_TRUE(golden.has_value()) << "no scale_8 entry in " << kGoldenPath;
 
   PipelineConfig config = golden_config(8);
   config.stage_format = format;
   config.storage = storage;
+  config.csr = compressed ? "compressed" : "plain";
   std::optional<util::TempDir> work;
   if (storage == "dir") {
     work.emplace("prpb-golden");
@@ -161,7 +167,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("native", "parallel", "graphblas",
                                          "arraylang", "dataframe"),
                        ::testing::Values("tsv", "binary"),
-                       ::testing::Values("mem", "dir")),
+                       ::testing::Values("mem", "dir"),
+                       ::testing::Values(false, true)),
     combo_name);
 
 // ---- scale sweep 9..12 (reduced combination set) ---------------------------
@@ -178,7 +185,9 @@ TEST_P(GoldenScaleTest, NativeTsvReproducesCommittedChecksums) {
                  "native/tsv/mem scale " + std::to_string(scale));
 }
 
-TEST_P(GoldenScaleTest, ParallelBinaryReproducesCommittedChecksums) {
+// Named for the retired --fast-path schedule, which is now the parallel
+// backend's only one.
+TEST_P(GoldenScaleTest, ParallelBinaryFastPathReproducesCommittedChecksums) {
   const int scale = GetParam();
   const auto golden = load_golden(scale);
   ASSERT_TRUE(golden.has_value())

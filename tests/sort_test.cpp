@@ -14,6 +14,7 @@
 #include "sort/external_sort.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/threadpool.hpp"
 
 namespace prpb::sort {
 namespace {
@@ -159,6 +160,121 @@ TEST(RadixTest, KroneckerGraphSorts) {
   radix_sort(edges);
   EXPECT_TRUE(is_sorted_edges(edges, SortKey::kStartEnd));
   EXPECT_EQ(edges.size(), 16u << 12);
+}
+
+// ---- radix sort over a pool: the partitioned passes -------------------------
+
+struct RadixCase {
+  const char* name;
+  EdgeList edges;
+};
+
+std::vector<RadixCase> radix_cases() {
+  std::vector<RadixCase> cases;
+  cases.push_back({"Empty", {}});
+  cases.push_back({"Single", {{5, 3}}});
+  cases.push_back({"Uniform", random_edges(10000, 1 << 12)});
+  cases.push_back({"Kronecker", [] {
+                     gen::KroneckerParams params;
+                     params.scale = 12;
+                     return gen::KroneckerGenerator(params).generate_all();
+                   }()});
+  // Adversarial skew: every start vertex identical — the u passes are all
+  // constant bytes, only the v passes move data.
+  {
+    EdgeList same_u = random_edges(5000, 1 << 20, 11);
+    for (auto& e : same_u) e.u = 42;
+    cases.push_back({"AllSameStart", std::move(same_u)});
+  }
+  // High bits only: exercises the varying-byte mask skipping the low
+  // passes entirely.
+  {
+    EdgeList high = random_edges(5000, 1 << 8, 13);
+    for (auto& e : high) {
+      e.u <<= 48;
+      e.v <<= 48;
+    }
+    cases.push_back({"HighBits", std::move(high)});
+  }
+  {
+    EdgeList sorted = random_edges(5000, 1 << 12, 17);
+    std::sort(sorted.begin(), sorted.end());
+    cases.push_back({"PreSorted", sorted});
+    std::reverse(sorted.begin(), sorted.end());
+    cases.push_back({"Reversed", std::move(sorted)});
+  }
+  // Two-value keys with distinct payloads pin stability: equal keys must
+  // keep input order.
+  {
+    EdgeList ties;
+    for (std::uint64_t i = 0; i < 4096; ++i) ties.push_back({i % 2, i});
+    cases.push_back({"StabilityTies", std::move(ties)});
+  }
+  return cases;
+}
+
+TEST(RadixPartitionTest, MatchesStableReferenceOnAllCases) {
+  util::ThreadPool pool(4);
+  for (const auto& test_case : radix_cases()) {
+    for (const auto key : {SortKey::kStartEnd, SortKey::kStart}) {
+      EdgeList edges = test_case.edges;
+      radix_sort(edges, key, &pool);
+      EXPECT_EQ(edges, stable_sorted(test_case.edges, key))
+          << test_case.name
+          << (key == SortKey::kStart ? " (kStart)" : " (kStartEnd)");
+    }
+  }
+}
+
+TEST(RadixPartitionTest, AgreesWithSerialRadixEngine) {
+  util::ThreadPool pool(3);
+  EdgeList a = random_edges(65536, 1 << 16, 23);
+  EdgeList b = a;
+  radix_sort(a, SortKey::kStartEnd, &pool);
+  radix_sort(b);
+  EXPECT_EQ(a, b);
+}
+
+TEST(RadixPartitionTest, SingleThreadPoolWorks) {
+  util::ThreadPool pool(1);
+  EdgeList edges = random_edges(10000, 1 << 10, 29);
+  const EdgeList expected = stable_sorted(edges, SortKey::kStartEnd);
+  radix_sort(edges, SortKey::kStartEnd, &pool);
+  EXPECT_EQ(edges, expected);
+}
+
+// Kernel 1's output shards are byte-for-byte those of a stable comparison
+// sort, however many chunks the pool split the passes into.
+TEST(RadixPartitionTest, ReencodedShardsAreByteIdentical) {
+  gen::KroneckerParams params;
+  params.scale = 12;
+  const EdgeList input = gen::KroneckerGenerator(params).generate_all();
+  util::ThreadPool pool(4);
+
+  EdgeList partitioned = input;
+  radix_sort(partitioned, SortKey::kStartEnd, &pool);
+  const EdgeList reference = stable_sorted(input, SortKey::kStartEnd);
+
+  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
+  io::MemStageStore store;
+  io::write_edge_list(store, "partitioned", partitioned, 4, codec);
+  io::write_edge_list(store, "reference", reference, 4, codec);
+  const auto shards = store.list("partitioned");
+  ASSERT_EQ(shards, store.list("reference"));
+  const auto read_bytes = [&store](const std::string& stage,
+                                   const std::string& shard) {
+    std::string bytes;
+    for (auto reader = store.open_read(stage, shard);;) {
+      const auto chunk = reader->read_chunk();
+      if (chunk.empty()) break;
+      bytes.append(chunk);
+    }
+    return bytes;
+  };
+  for (const auto& shard : shards) {
+    EXPECT_EQ(read_bytes("partitioned", shard), read_bytes("reference", shard))
+        << shard;
+  }
 }
 
 // ---- is_sorted ----------------------------------------------------------------
