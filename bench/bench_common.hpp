@@ -52,7 +52,6 @@ struct SweepOptions {
   std::vector<std::string> algorithms = {"pagerank"};
   std::string storage = "dir";       ///< stage store kind: dir | mem
   std::string stage_format = "tsv";  ///< stage encoding: tsv | binary
-  std::string csr = "plain";  ///< kernel-3 CSR form: plain | compressed
   std::string trace_out;  ///< when set, write a Chrome trace of the sweep
   std::string json_path;  ///< when set, the series is also written as JSON
 };
@@ -84,9 +83,6 @@ inline bool parse_sweep_options(int argc, char** argv, const char* name,
   args.add_option("storage", "stage store: dir (disk) | mem (in-memory)",
                   "dir");
   args.add_option("stage-format", "stage encoding: tsv | binary", "tsv");
-  args.add_option("csr",
-                  "kernel-3 CSR form: plain (8-byte indices) | compressed "
-                  "(delta-varint groups)", "plain");
   args.add_option("trace-out",
                   "write a Chrome trace_event JSON trace of the sweep", "");
   args.add_option("json",
@@ -112,9 +108,6 @@ inline bool parse_sweep_options(int argc, char** argv, const char* name,
   }
   options.storage = args.get("storage");
   options.stage_format = args.get("stage-format");
-  options.csr = args.get("csr");
-  util::require(options.csr == "plain" || options.csr == "compressed",
-                "--csr must be plain or compressed");
   options.trace_out = args.get("trace-out");
   options.json_path = args.get("json");
   util::require(options.trials >= 1, "--trials must be >= 1");
@@ -186,7 +179,6 @@ inline core::PipelineConfig cell_config(const util::TempDir& work,
   config.algorithms = options.algorithms;
   config.storage = options.storage;
   config.stage_format = options.stage_format;
-  config.csr = options.csr;
   config.work_dir = work.path();
   return config;
 }
@@ -360,21 +352,7 @@ inline std::vector<SeriesPoint> sweep_kernel(
       point.storage = config.storage;
       point.stage_format = config.stage_format;
       point.source = config.source;
-      if (kernel == 3) {
-        point.algorithm = algorithm;
-        point.csr = config.csr;
-        // Structural bytes per edge of the form the cell iterated —
-        // measured, so the compression ratio lands next to the timings.
-        if (matrix.nnz() > 0) {
-          point.bytes_per_edge =
-              config.csr == "compressed"
-                  ? static_cast<double>(
-                        sparse::CompressedCsrMatrix::encoded_column_bytes(
-                            matrix)) /
-                        static_cast<double>(matrix.nnz())
-                  : 8.0;
-        }
-      }
+      if (kernel == 3) point.algorithm = algorithm;
       if (median_trial.perf.any()) {
         point.has_perf = true;
         point.cycles = median_trial.perf.get(obs::PerfEvent::kCycles);

@@ -5,9 +5,7 @@
 // over {stage_format tsv|binary} x {storage dir|mem} so the document
 // carries the codec and store ablation; kernel 3 runs on the CLI-selected
 // combo only, since the compute kernel's cost does not depend on stage
-// encoding — instead it is swept over {csr plain|compressed} so the
-// document carries the index-compression ablation (bytes_per_edge per
-// cell). This is the artifact CI and the ablation docs consume; the
+// encoding. This is the artifact CI and the ablation docs consume; the
 // human-readable figure benches (bench_fig4..7) stay the per-kernel
 // narrative views.
 //
@@ -59,18 +57,12 @@ int main(int argc, char** argv) {
     }
     cell_options.stage_format = options.stage_format;
     cell_options.storage = options.storage;
-    // Kernel 3 sweeps the CSR form too — the compressed delta-varint
-    // layout's bytes/edge and time land next to the plain cells so the
-    // document carries the index-traffic ablation.
-    for (const char* csr : {"plain", "compressed"}) {
-      cell_options.csr = csr;
-      for (const auto& algorithm : cell_options.algorithms) {
-        std::fprintf(stderr, "[bench_kernels] kernel 3/%s, csr %s\n",
-                     algorithm.c_str(), csr);
-        const auto points =
-            bench::sweep_kernel(cell_options, 3, algorithm, trace);
-        cells.insert(cells.end(), points.begin(), points.end());
-      }
+    for (const auto& algorithm : cell_options.algorithms) {
+      std::fprintf(stderr, "[bench_kernels] kernel 3/%s\n",
+                   algorithm.c_str());
+      const auto points =
+          bench::sweep_kernel(cell_options, 3, algorithm, trace);
+      cells.insert(cells.end(), points.begin(), points.end());
     }
 
     io::write_file(options.json_path, bench::kernels_json(cells) + "\n");

@@ -218,7 +218,6 @@ int main(int argc, char** argv) {
   args.add_option("iterations", "PageRank iterations", "20");
   args.add_option("damping", "PageRank damping factor c", "0.85");
   args.add_option("seed", "graph generator seed", "20160205");
-  args.add_option("csr", "warm CSR form: plain | compressed", "plain");
   args.add_option("threads", "server worker threads", "4");
   args.add_option("queue-depth", "server request queue bound", "1024");
   // Load flags.
@@ -250,7 +249,6 @@ int main(int argc, char** argv) {
 
     const int scale = static_cast<int>(args.get_int("scale"));
     const std::string backend_name = args.get("backend");
-    const std::string csr = args.get("csr");
 
     LoadOptions load;
     load.clients = static_cast<int>(args.get_int("clients"));
@@ -282,11 +280,10 @@ int main(int argc, char** argv) {
       config.damping = args.get_double("damping");
       config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
       config.storage = "mem";
-      config.csr = csr;
       const auto backend = core::make_backend(backend_name);
       std::fprintf(stderr,
-                   "[bench_serving] pipeline: backend=%s scale=%d csr=%s\n",
-                   backend_name.c_str(), scale, csr.c_str());
+                   "[bench_serving] pipeline: backend=%s scale=%d\n",
+                   backend_name.c_str(), scale);
       core::PipelineResult result =
           core::run_pipeline(config, *backend, core::RunOptions{});
       util::require(!result.ranks.empty(),
@@ -295,7 +292,6 @@ int main(int argc, char** argv) {
       service_options.iterations = config.iterations;
       service_options.damping = config.damping;
       service_options.seed = config.seed;
-      service_options.csr = csr;
       service.emplace(std::move(result.matrix), std::move(result.ranks),
                       service_options);
       serve::ServerOptions server_options;
@@ -406,7 +402,6 @@ int main(int argc, char** argv) {
       cell.storage = "mem";
       cell.stage_format = "tsv";
       cell.algorithm = name;
-      cell.csr = csr;
       cell.repeats = repeats;
       cell.metric = "qps";
       return cell;

@@ -57,9 +57,6 @@ int main(int argc, char** argv) {
                   "tsv");
   args.add_option("memory-budget",
                   "kernel-1 RAM budget in bytes; 0 = unlimited", "0");
-  args.add_option("csr",
-                  "kernel-3 CSR form: plain (8-byte indices) | compressed "
-                  "(delta-varint groups)", "plain");
   args.add_option("faults",
                   "fault-injection plan, e.g. "
                   "'read_error@k1_sorted#2;bit_flip@k0_edges' "
@@ -109,7 +106,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("memory-budget"));
   config.storage = args.get("storage");
   config.stage_format = args.get("stage-format");
-  config.csr = args.get("csr");
   if (args.get_flag("sort-start-only"))
     config.sort_key = sort::SortKey::kStart;
 

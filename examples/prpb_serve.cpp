@@ -1,12 +1,12 @@
 // prpb-serve — PageRank-as-a-service.
 //
-// Runs the pipeline once (any backend, any scale, plain or compressed
-// CSR), then keeps the kernel-2 matrix and kernel-3 ranks warm behind a
-// concurrent loopback TCP query server: topk, rank, weighted neighbors,
-// and per-request personalized PageRank. Examples:
+// Runs the pipeline once (any backend, any scale), then keeps the
+// kernel-2 matrix and kernel-3 ranks warm behind a concurrent loopback TCP
+// query server: topk, rank, weighted neighbors, and per-request
+// personalized PageRank. Examples:
 //
 //   prpb-serve --scale 16 --port 7070
-//   prpb-serve --scale 14 --backend parallel --csr compressed --threads 8
+//   prpb-serve --scale 14 --backend parallel --threads 8
 //   prpb-serve --scale 10 --port 0          # ephemeral; port is printed
 //
 // Protocol and overload semantics: DESIGN.md §13. Stop with SIGINT or
@@ -65,9 +65,6 @@ int main(int argc, char** argv) {
                   "stage store: dir (disk) | mem (in-memory)", "mem");
   args.add_option("stage-format",
                   "stage encoding: tsv | binary", "tsv");
-  args.add_option("csr",
-                  "warm CSR form: plain | compressed (delta-varint)",
-                  "plain");
   // Serving flags.
   args.add_option("port", "TCP port on 127.0.0.1 (0 = ephemeral)", "0");
   args.add_option("threads", "query worker threads", "4");
@@ -99,7 +96,6 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   config.storage = args.get("storage");
   config.stage_format = args.get("stage-format");
-  config.csr = args.get("csr");
 
   std::optional<util::TempDir> temp;
   if (!args.get("work-dir").empty()) {
@@ -111,9 +107,8 @@ int main(int argc, char** argv) {
 
   try {
     const auto backend = core::make_backend(args.get("backend"));
-    std::printf("prpb-serve: running pipeline (backend=%s scale=%d "
-                "csr=%s)...\n",
-                backend->name().c_str(), config.scale, config.csr.c_str());
+    std::printf("prpb-serve: running pipeline (backend=%s scale=%d)...\n",
+                backend->name().c_str(), config.scale);
     std::fflush(stdout);
     core::PipelineResult result =
         core::run_pipeline(config, *backend, core::RunOptions{});
@@ -124,7 +119,6 @@ int main(int argc, char** argv) {
     service_options.iterations = config.iterations;
     service_options.damping = config.damping;
     service_options.seed = config.seed;
-    service_options.csr = config.csr;
     const serve::RankService service(std::move(result.matrix),
                                      std::move(result.ranks),
                                      service_options);

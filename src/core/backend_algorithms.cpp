@@ -11,7 +11,6 @@
 #include "core/backend.hpp"
 #include "core/checksum.hpp"
 #include "sparse/algorithms.hpp"
-#include "sparse/csr_compressed.hpp"
 #include "util/error.hpp"
 
 namespace prpb::core {
@@ -31,17 +30,6 @@ AlgorithmResult PipelineBackend::run_algorithm(const KernelContext& ctx,
                                                const std::string& algorithm) {
   AlgorithmResult result;
   result.algorithm = algorithm;
-  // --csr compressed: the reference algorithms run on the matrix
-  // round-tripped through the delta-varint form. Encode → decode is exact,
-  // so levels/labels/ranks (and their checksums) are unchanged while the
-  // codec still sits on the pipeline path for every configured algorithm.
-  // The "pagerank" branch compresses inside the backend's kernel3 instead.
-  sparse::CsrMatrix roundtrip;
-  const sparse::CsrMatrix& m =
-      ctx.config.csr == "compressed" && algorithm != "pagerank"
-          ? (roundtrip =
-                 sparse::CompressedCsrMatrix::from_csr(matrix).to_csr())
-          : matrix;
   if (algorithm == "pagerank") {
     result.implementation = name() + "-kernel3";
     result.ranks = kernel3(ctx, matrix);
@@ -55,7 +43,7 @@ AlgorithmResult PipelineBackend::run_algorithm(const KernelContext& ctx,
     pr.seed = ctx.config.seed;
     sparse::DirectionStats stats;
     result.implementation = "reference-pushpull";
-    result.ranks = sparse::pagerank_push_pull(m, pr,
+    result.ranks = sparse::pagerank_push_pull(matrix, pr,
                                               sparse::SpmvDirection::kAuto,
                                               &stats);
     result.iterations = stats.push_iterations + stats.pull_iterations;
@@ -63,17 +51,17 @@ AlgorithmResult PipelineBackend::run_algorithm(const KernelContext& ctx,
                         ctx.config.num_edges();
   } else if (algorithm == "bfs") {
     result.implementation = "reference-csr";
-    if (m.rows() > 0) {
-      result.bfs_source = sparse::bfs_default_source(m);
-      result.levels = sparse::bfs_levels(m, result.bfs_source);
+    if (matrix.rows() > 0) {
+      result.bfs_source = sparse::bfs_default_source(matrix);
+      result.levels = sparse::bfs_levels(matrix, result.bfs_source);
       result.iterations = bfs_depth(result.levels);
     }
-    result.work_edges = m.nnz();
+    result.work_edges = matrix.nnz();
   } else if (algorithm == "cc") {
     result.implementation = "reference-unionfind";
-    result.labels = sparse::connected_components(m);
+    result.labels = sparse::connected_components(matrix);
     result.iterations = 1;
-    result.work_edges = m.nnz();
+    result.work_edges = matrix.nnz();
   } else {
     std::string valid;
     for (const auto& known : algorithm_names()) {

@@ -79,17 +79,6 @@ std::vector<double> NativeBackend::kernel3(const KernelContext& ctx,
   pr.damping = config.damping;
   pr.seed = config.seed;
   pr.observer = ctx.k3_observer();
-  if (config.csr == "compressed") {
-    // Delta-varint column stream (DESIGN.md §12); the compressed vec_mat
-    // replays the plain scatter's addition order, so ranks are
-    // bit-identical to the plain form.
-    sparse::CompressedCsrMatrix compressed;
-    {
-      const obs::Span span = ctx.span("k3/compress");
-      compressed = sparse::CompressedCsrMatrix::from_csr(matrix);
-    }
-    return sparse::pagerank(compressed, pr);
-  }
   return sparse::pagerank(matrix, pr);
 }
 

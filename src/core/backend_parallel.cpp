@@ -1,13 +1,11 @@
 #include "core/backend_parallel.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "gen/generator.hpp"
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
 #include "io/tsv.hpp"
-#include "perf/spmv_compressed.hpp"
 #include "rand/rng.hpp"
 #include "sort/edge_sort.hpp"
 #include "sparse/filter.hpp"
@@ -109,17 +107,7 @@ std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,
 
   // y = r·A computed as y[j] = Σ Aᵀ(j, i) · r[i]: each output entry owned by
   // exactly one task, so rows of Aᵀ partition the work with no atomics.
-  sparse::CsrMatrix at = matrix.transpose();
-  // --csr compressed: re-encode Aᵀ's column indices as delta-varint groups
-  // and release the 8-byte-per-edge plain index array; the iteration loop
-  // then streams the compressed form, unblocked like the plain loop
-  // (bit-identical accumulation order either way).
-  std::optional<sparse::CompressedCsrMatrix> cat;
-  if (config.csr == "compressed") {
-    const obs::Span span = ctx.span("k3/compress");
-    cat.emplace(sparse::CompressedCsrMatrix::from_csr(at));
-    at = sparse::CsrMatrix();
-  }
+  const sparse::CsrMatrix at = matrix.transpose();
   std::vector<double> r =
       sparse::pagerank_initial_vector(matrix.rows(), config.seed);
   std::vector<double> y(matrix.cols(), 0.0);
@@ -136,22 +124,17 @@ std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,
     }
     double r_sum = 0.0;
     for (const double x : r) r_sum += x;
-    if (cat) {
-      perf::transposed_spmv_compressed(
-          *cat, r, y, pool(), std::max<std::uint64_t>(1, matrix.cols()));
-    } else {
-      util::parallel_for_chunks(
-          pool(), 0, at.rows(), [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t j = lo; j < hi; ++j) {
-              double acc = 0.0;
-              for (std::uint64_t k = at.row_ptr()[j]; k < at.row_ptr()[j + 1];
-                   ++k) {
-                acc += at.values()[k] * r[at.col_idx()[k]];
-              }
-              y[j] = acc;
+    util::parallel_for_chunks(
+        pool(), 0, at.rows(), [&](std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t j = lo; j < hi; ++j) {
+            double acc = 0.0;
+            for (std::uint64_t k = at.row_ptr()[j]; k < at.row_ptr()[j + 1];
+                 ++k) {
+              acc += at.values()[k] * r[at.col_idx()[k]];
             }
-          });
-    }
+            y[j] = acc;
+          }
+        });
     const double add = (1.0 - c) * r_sum / n;
     for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
 

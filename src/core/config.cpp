@@ -40,10 +40,6 @@ void PipelineConfig::validate() const {
                               "' (valid values: " + valid + ")");
     }
   }
-  if (csr != "plain" && csr != "compressed") {
-    throw util::ConfigError("pipeline: unknown csr form '" + csr +
-                            "' (valid values: plain, compressed)");
-  }
   if (storage != "dir" && storage != "mem") {
     throw util::ConfigError("pipeline: unknown storage '" + storage +
                             "' (valid values: dir, mem)");
@@ -86,7 +82,7 @@ std::uint64_t stage_config_fingerprint(const PipelineConfig& config) {
   // The source determines stage bytes too. Appended only for non-default
   // sources so generator fingerprints — and therefore every previously
   // persisted checkpoint manifest — are unchanged. The K3 algorithm list
-  // and csr form are deliberately excluded: they produce no stage bytes.
+  // is deliberately excluded: it produces no stage bytes.
   if (config.source != "generator") {
     canon += ";source=" + config.source +
              ";input=" + config.input_path.string();

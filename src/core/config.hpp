@@ -49,12 +49,6 @@ struct PipelineConfig {
   /// RAM budget for kernel 1; 0 means unlimited (always in-memory).
   /// When the in-memory sort would exceed it, the external sort runs.
   std::uint64_t memory_budget_bytes = 0;
-  /// Kernel-3 CSR storage form: "plain" streams 8-byte column indices,
-  /// "compressed" re-encodes them as delta-varint groups
-  /// (sparse::CompressedCsrMatrix, DESIGN.md §12) before the iteration
-  /// loop, shrinking per-edge index traffic ~4-7x. Results are
-  /// bit-identical either way; interpreted-stack backends ignore it.
-  std::string csr = "plain";
   /// True graph size of an external source, filled by the runner once the
   /// source materializes (or resumes) its stages — unknown before that,
   /// because N is the number of distinct vertex ids in the input file.

@@ -59,7 +59,6 @@ std::string run_report_json(const PipelineConfig& config,
   json.field("num_edges", result.num_edges);
   json.field("storage", config.storage);
   json.field("stage_format", config.stage_format);
-  json.field("csr", config.csr);
   json.end_object();
 
   if (!result.graph.source.empty()) {
@@ -94,10 +93,6 @@ std::string run_report_json(const PipelineConfig& config,
   if (!result.storage.empty()) json.field("storage", result.storage);
   if (!result.stage_format.empty()) {
     json.field("stage_format", result.stage_format);
-  }
-  if (!result.csr.empty()) json.field("csr", result.csr);
-  if (result.csr_bytes_per_edge > 0.0) {
-    json.field("csr_bytes_per_edge", result.csr_bytes_per_edge);
   }
 
   json.field("wall_seconds_total", result.wall_seconds_total);

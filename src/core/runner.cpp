@@ -124,7 +124,6 @@ PipelineResult run_pipeline(const PipelineConfig& config,
   result.backend = backend.name();
   result.storage = store.kind();
   result.stage_format = config.stage_format;
-  result.csr = config.csr;
 
   util::Stopwatch wall;
   obs::Span pipeline_span(hooks.trace, "pipeline");
@@ -295,19 +294,6 @@ PipelineResult run_pipeline(const PipelineConfig& config,
     result.k2.edges_processed = m;
     fold_io(result.k2, io_delta(), *hooks.metrics, "k2");
     util::log_info("kernel2[", backend.name(), "] ", result.k2.seconds, "s");
-  }
-
-  // Structural bytes per edge of the matrix kernel 3 will iterate over —
-  // measured (not re-encoded) for the compressed form, so the report can
-  // attribute K3 DRAM-traffic differences to the CSR layout.
-  if (result.matrix.nnz() > 0) {
-    result.csr_bytes_per_edge =
-        work.csr == "compressed"
-            ? static_cast<double>(
-                  sparse::CompressedCsrMatrix::encoded_column_bytes(
-                      result.matrix)) /
-                  static_cast<double>(result.matrix.nnz())
-            : 8.0;
   }
 
   // Kernel 3 — the algorithm stage: every configured algorithm runs over

@@ -87,7 +87,6 @@ struct PipelineResult {
   std::string backend;
   std::string storage;       ///< store kind the run used ("dir" | "mem")
   std::string stage_format;  ///< stage encoding ("tsv" | "binary")
-  std::string csr;           ///< K3 CSR form ("plain" | "compressed")
   std::uint64_t num_vertices = 0;
   std::uint64_t num_edges = 0;
   /// What kernel 0's graph source produced: true N and M plus, for
@@ -98,10 +97,6 @@ struct PipelineResult {
   KernelMetrics k2;
   KernelMetrics k3;  ///< the pagerank algorithm's row (zero when not run)
   sparse::CsrMatrix matrix;     ///< kernel-2 output
-  /// Column-index bytes per edge of the kernel-2 matrix in the configured
-  /// CSR form: 8.0 for plain, the measured delta-varint group encoding
-  /// size for compressed (0 when the matrix is empty).
-  double csr_bytes_per_edge = 0.0;
   /// Kernel-3 PageRank output. Populated iff "pagerank" is configured,
   /// mirroring algorithms[i].output.ranks for backward compatibility.
   std::vector<double> ranks;

@@ -17,40 +17,47 @@ Cluster::Cluster(std::size_t ranks) : ranks_(ranks) {
 void Cluster::barrier_wait() {
   std::unique_lock<std::mutex> lock(mutex_);
   const std::uint64_t my_generation = generation_;
-  if (++arrived_ == ranks_) {
+  if (!first_error_ && ++arrived_ == ranks_) {
     arrived_ = 0;
     ++generation_;
     cv_.notify_all();
     return;
   }
   cv_.wait(lock, [this, my_generation] {
-    return generation_ != my_generation;
+    return generation_ != my_generation || first_error_;
   });
+  // A barrier that completed before the abort still counts; one that
+  // never will (a rank has left) throws instead of waiting forever.
+  if (generation_ == my_generation) {
+    throw util::PipelineError("cluster aborted: another rank failed");
+  }
+}
+
+void Cluster::abort(std::exception_ptr error) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!first_error_) first_error_ = std::move(error);
+  cv_.notify_all();
 }
 
 void Cluster::run(const std::function<void(Communicator&)>& body) {
   stats_.assign(ranks_, CommStats{});
+  arrived_ = 0;
+  first_error_ = nullptr;
   std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(ranks_);
   threads.reserve(ranks_);
   for (std::size_t r = 0; r < ranks_; ++r) {
-    threads.emplace_back([this, &body, &errors, r] {
+    threads.emplace_back([this, &body, r] {
       Communicator comm(*this, r);
       try {
         body(comm);
       } catch (...) {
-        errors[r] = std::current_exception();
-        // Keep participating in nothing further; other ranks may deadlock
-        // if the failure happens mid-collective — acceptable for a test
-        // substrate where bodies either all throw or none do.
+        abort(std::current_exception());
       }
       stats_[r] = comm.stats();
     });
   }
   for (auto& thread : threads) thread.join();
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  if (first_error_) std::rethrow_exception(first_error_);
 }
 
 std::uint64_t Cluster::total_bytes() const {

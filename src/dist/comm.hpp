@@ -13,6 +13,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -72,8 +73,12 @@ class Cluster {
   [[nodiscard]] std::size_t size() const { return ranks_; }
 
   /// Runs `body(comm)` on every rank concurrently; returns when all ranks
-  /// finish. Rethrows the first rank exception. Per-rank stats from the
-  /// run are available via last_stats() afterwards.
+  /// finish. A rank that throws aborts the cluster: every collective on
+  /// the other ranks, pending or later, throws util::PipelineError
+  /// instead of waiting for the failed rank. Rethrows the first rank
+  /// exception (the original failure, never the aborts it caused).
+  /// Per-rank stats from the run are available via last_stats()
+  /// afterwards.
   void run(const std::function<void(Communicator&)>& body);
 
   [[nodiscard]] const std::vector<CommStats>& last_stats() const {
@@ -86,6 +91,8 @@ class Cluster {
   friend class Communicator;
 
   void barrier_wait();
+  /// Marks the cluster aborted and wakes every barrier waiter.
+  void abort(std::exception_ptr error);
 
   std::size_t ranks_;
   // generation-counted barrier
@@ -93,6 +100,7 @@ class Cluster {
   std::condition_variable cv_;
   std::size_t arrived_ = 0;
   std::uint64_t generation_ = 0;
+  std::exception_ptr first_error_;  ///< set once per run; aborts the rest
   // collective scratch (valid between the surrounding barriers)
   std::vector<std::vector<double>*> reduce_slots_;
   std::vector<double> reduce_accumulator_;

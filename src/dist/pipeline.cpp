@@ -61,7 +61,6 @@ obs::Span comm_span(const obs::Hooks& hooks, const char* name,
 DistResult run_distributed(const DistConfig& config, std::size_t ranks) {
   util::require(ranks >= 1, "run_distributed: need at least one rank");
   const std::uint64_t n = config.num_vertices();
-  const std::uint64_t m = config.num_edges();
 
   Cluster cluster(ranks);
   std::vector<RankScratch> scratch(ranks);
@@ -202,7 +201,6 @@ DistResult run_distributed(const DistConfig& config, std::size_t ranks) {
   }
   util::ensure(result.ranks.size() == n,
                "distributed pipeline: bad rank vector size");
-  (void)m;
   return result;
 }
 

@@ -1,8 +1,8 @@
 #include "io/binary_run.hpp"
 
+#include <algorithm>
 #include <cstring>
 
-#include "io/file_stream.hpp"
 #include "util/error.hpp"
 
 namespace prpb::io {
@@ -23,9 +23,6 @@ gen::Edge decode(const char* in) {
 }
 }  // namespace
 
-BinaryRunWriter::BinaryRunWriter(const std::filesystem::path& path)
-    : writer_(std::make_unique<FileWriter>(path)) {}
-
 BinaryRunWriter::BinaryRunWriter(std::unique_ptr<StageWriter> writer)
     : writer_(std::move(writer)) {}
 
@@ -41,9 +38,6 @@ void BinaryRunWriter::write_all(const gen::EdgeList& edges) {
 }
 
 void BinaryRunWriter::close() { writer_->close(); }
-
-BinaryRunReader::BinaryRunReader(const std::filesystem::path& path)
-    : reader_(std::make_unique<FileReader>(path)) {}
 
 BinaryRunReader::BinaryRunReader(std::unique_ptr<StageReader> reader)
     : reader_(std::move(reader)) {}

@@ -3,12 +3,10 @@
 // the benchmark's visible stages go through a StageCodec
 // (src/io/stage_codec.*). Runs are written through the StageWriter /
 // StageReader seam so spills can live in any StageStore (and get counted
-// with the rest of the kernel's traffic); the path constructors remain
-// for stand-alone use.
+// with the rest of the kernel's traffic).
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 
@@ -20,7 +18,6 @@ namespace prpb::io {
 /// Writes Edge records as raw bytes.
 class BinaryRunWriter {
  public:
-  explicit BinaryRunWriter(const std::filesystem::path& path);
   explicit BinaryRunWriter(std::unique_ptr<StageWriter> writer);
 
   void write(const gen::Edge& edge);
@@ -36,7 +33,6 @@ class BinaryRunWriter {
 /// Streams Edge records back; `next()` returns nullopt at EOF.
 class BinaryRunReader {
  public:
-  explicit BinaryRunReader(const std::filesystem::path& path);
   explicit BinaryRunReader(std::unique_ptr<StageReader> reader);
 
   std::optional<gen::Edge> next();

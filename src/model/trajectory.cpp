@@ -39,7 +39,6 @@ void write_key_fields(util::JsonWriter& json, const BenchCell& cell) {
   json.field("stage_format", cell.stage_format);
   json.field("source", cell.source.empty() ? "generator" : cell.source);
   if (!cell.algorithm.empty()) json.field("algorithm", cell.algorithm);
-  if (cell.csr == "compressed") json.field("csr", cell.csr);
   if (cell.metric != "seconds") json.field("metric", cell.metric);
 }
 
@@ -65,9 +64,8 @@ std::string BenchCell::key() const {
                     stage_format + "|" +
                     (source.empty() ? "generator" : source) + "|" +
                     algorithm;
-  // Appended only for the non-default form so cells measured before the
+  // Appended only for the non-default metric so cells measured before the
   // axis existed keep their keys (old baselines still match).
-  if (csr == "compressed") key += "|csr=compressed";
   if (metric != "seconds") key += "|metric=" + metric;
   return key;
 }
@@ -98,10 +96,6 @@ std::string cells_json(const std::vector<BenchCell>& cells,
     json.field("stage_format", cell.stage_format);
     json.field("source", cell.source.empty() ? "generator" : cell.source);
     if (!cell.algorithm.empty()) json.field("algorithm", cell.algorithm);
-    if (cell.csr == "compressed") json.field("csr", cell.csr);
-    if (cell.bytes_per_edge > 0) {
-      json.field("bytes_per_edge", cell.bytes_per_edge);
-    }
     if (cell.metric != "seconds") json.field("metric", cell.metric);
     if (cell.metric == "qps") {
       json.field("qps", cell.qps);
@@ -163,8 +157,6 @@ std::vector<BenchCell> parse_cells(const util::JsonValue& document) {
     cell.stage_format = string_or(node, "stage_format", "");
     cell.source = string_or(node, "source", "generator");
     cell.algorithm = string_or(node, "algorithm", "");
-    cell.csr = string_or(node, "csr", "plain");
-    cell.bytes_per_edge = number_or(node, "bytes_per_edge", 0);
     cell.metric = string_or(node, "metric", "seconds");
     cell.qps = number_or(node, "qps", 0);
     cell.qps_mad = number_or(node, "qps_mad", 0);
@@ -319,7 +311,7 @@ std::string diff_json(const DiffReport& report, const std::string& base_name,
   json.field("added", static_cast<std::int64_t>(report.added));
   json.field("removed", static_cast<std::int64_t>(report.removed));
   // Head-only cells spelled out so CI logs show which configurations a
-  // change introduced (e.g. a new config axis like csr=compressed) —
+  // change introduced (e.g. a new scale or backend) —
   // they extend the matrix rather than failing the gate.
   json.begin_array("added_cells");
   for (const CellDiff& diff : report.cells) {

@@ -54,15 +54,6 @@ struct BenchCell {
   std::string stage_format;
   std::string source;     ///< graph source the cell ran on
   std::string algorithm;  ///< kernel-3 cells: the algorithm measured
-  /// Kernel-3 CSR form ("plain" | "compressed"). Part of the identity key
-  /// only when compressed, so every pre-existing cell keeps its key and a
-  /// baseline without the axis diffs clean (compressed cells show up as
-  /// "added", never as false regressions).
-  std::string csr = "plain";
-  /// Structural (column-index) bytes per edge of the measured form: 8.0
-  /// plain, the delta-varint encoding size when compressed. 0 when the
-  /// cell predates the axis or is not a K3 cell.
-  double bytes_per_edge = 0;
   // Hardware-counter attribution (has_perf gates serialization; absent on
   // hosts without perf_event_open).
   bool has_perf = false;

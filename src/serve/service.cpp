@@ -12,27 +12,17 @@ namespace prpb::serve {
 RankService::RankService(sparse::CsrMatrix matrix, std::vector<double> ranks,
                          const ServiceOptions& options)
     : options_(options),
-      num_vertices_(matrix.rows()),
-      nnz_(matrix.nnz()),
+      matrix_(std::move(matrix)),
+      num_vertices_(matrix_.rows()),
       ranks_(std::move(ranks)) {
-  util::require(matrix.rows() == matrix.cols(),
+  util::require(matrix_.rows() == matrix_.cols(),
                 "serve: kernel-2 matrix must be square");
-  util::require(ranks_.size() == matrix.rows(),
+  util::require(ranks_.size() == num_vertices_,
                 "serve: rank vector size must equal the vertex count");
   util::require(options_.iterations >= 0,
                 "serve: iterations must be >= 0");
   util::require(options_.damping >= 0.0 && options_.damping <= 1.0,
                 "serve: damping must be in [0, 1]");
-  util::require(options_.csr == "plain" || options_.csr == "compressed",
-                "serve: csr must be 'plain' or 'compressed'");
-  compressed_ = options_.csr == "compressed";
-  if (compressed_) {
-    compressed_matrix_ = sparse::CompressedCsrMatrix::from_csr(matrix);
-    // The plain copy is released; row lookups decode on demand.
-    matrix = sparse::CsrMatrix();
-  } else {
-    matrix_ = std::move(matrix);
-  }
   initial_ = sparse::pagerank_initial_vector(
       std::max<std::uint64_t>(num_vertices_, 1), options_.seed);
   if (num_vertices_ == 0) initial_.clear();
@@ -62,19 +52,6 @@ double RankService::rank(std::uint64_t vertex) const {
 
 std::vector<RankEntry> RankService::neighbors(std::uint64_t vertex) const {
   std::vector<RankEntry> entries;
-  if (compressed_) {
-    const auto& entry_ptr = compressed_matrix_.entry_ptr();
-    std::vector<std::uint64_t> cols;
-    compressed_matrix_.decode_row(vertex, cols);
-    const std::uint64_t begin = entry_ptr[vertex];
-    entries.reserve(cols.size());
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      const std::uint64_t u = cols[i];
-      entries.push_back(
-          {u, compressed_matrix_.values()[begin + i] * ranks_[u]});
-    }
-    return entries;
-  }
   const std::uint64_t begin = matrix_.row_ptr()[vertex];
   const std::uint64_t end = matrix_.row_ptr()[vertex + 1];
   entries.reserve(end - begin);
@@ -85,9 +62,7 @@ std::vector<RankEntry> RankService::neighbors(std::uint64_t vertex) const {
   return entries;
 }
 
-template <typename Matrix>
-PprResult RankService::ppr_full(const Matrix& matrix,
-                                const PprRequest& request) const {
+PprResult RankService::ppr_full(const PprRequest& request) const {
   const double c = options_.damping;
   const double n = static_cast<double>(num_vertices_);
 
@@ -100,7 +75,7 @@ PprResult RankService::ppr_full(const Matrix& matrix,
     double r_sum = 0.0;
     for (const double x : r) r_sum += x;
 
-    matrix.vec_mat(r, y);
+    matrix_.vec_mat(r, y);
 
     // This evaluates the reference update's exact expression
     // ((1-c)·sum(r)/N added everywhere), so full-restart ppr is
@@ -123,9 +98,7 @@ PprResult RankService::ppr_full(const Matrix& matrix,
   return result;
 }
 
-template <typename Matrix>
-PprResult RankService::ppr_subset(const Matrix& matrix,
-                                  const PprRequest& request,
+PprResult RankService::ppr_subset(const PprRequest& request,
                                   std::vector<std::uint64_t> restart) const {
   const double c = options_.damping;
   const double restart_size = static_cast<double>(restart.size());
@@ -149,7 +122,7 @@ PprResult RankService::ppr_subset(const Matrix& matrix,
     double r_sum = 0.0;
     for (const double x : r) r_sum += x;
 
-    matrix.vec_mat(r, y);
+    matrix_.vec_mat(r, y);
 
     // Teleport mass goes to the restart set only.
     const double add = (1.0 - c) * r_sum / restart_size;
@@ -198,12 +171,7 @@ PprResult RankService::ppr(const PprRequest& request) const {
   std::sort(restart.begin(), restart.end());
   restart.erase(std::unique(restart.begin(), restart.end()), restart.end());
   const bool full = restart.empty() || restart.size() == num_vertices_;
-  if (compressed_) {
-    return full ? ppr_full(compressed_matrix_, request)
-                : ppr_subset(compressed_matrix_, request, std::move(restart));
-  }
-  return full ? ppr_full(matrix_, request)
-              : ppr_subset(matrix_, request, std::move(restart));
+  return full ? ppr_full(request) : ppr_subset(request, std::move(restart));
 }
 
 std::string RankService::handle(const Request& request) const {
@@ -214,7 +182,7 @@ std::string RankService::handle(const Request& request) const {
       case Opcode::kInfo: {
         InfoReply info;
         info.vertices = num_vertices_;
-        info.nnz = nnz_;
+        info.nnz = matrix_.nnz();
         info.iterations = static_cast<std::uint32_t>(options_.iterations);
         info.damping = options_.damping;
         return encode_info_reply(request.id, info);

@@ -1,9 +1,8 @@
 // RankService: the query engine behind the rank server (DESIGN.md §13).
 //
-// Holds the kernel-2 CSR (plain, or the delta-varint compressed form when
-// the pipeline ran with --csr compressed) and the kernel-3 rank vector in
-// memory, plus a rank-descending vertex order precomputed at load so
-// top-k answers are O(k). All queries are const over that warm state, so
+// Holds the kernel-2 CSR and the kernel-3 rank vector in memory, plus a
+// rank-descending vertex order precomputed at load so top-k answers are
+// O(k). All queries are const over that warm state, so
 // any number of server workers can execute them concurrently without
 // locking; per-request scratch (ppr vectors, restart masks) is allocated
 // on the handling thread.
@@ -29,7 +28,6 @@
 
 #include "serve/protocol.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/csr_compressed.hpp"
 
 namespace prpb::serve {
 
@@ -37,11 +35,6 @@ struct ServiceOptions {
   int iterations = 20;    ///< kernel-3 iteration count the ranks came from
   double damping = 0.85;  ///< c
   std::uint64_t seed = 20160205;  ///< pipeline seed (ppr initial vector)
-  /// CSR form to keep warm: "plain" stores the CsrMatrix as-is,
-  /// "compressed" re-encodes it (sparse::CompressedCsrMatrix) and frees
-  /// the plain copy — ppr then iterates the compressed form
-  /// (bit-identical) and neighbors decode single rows on demand.
-  std::string csr = "plain";
 };
 
 /// Result of one ppr evaluation (the service-level form of PprReply).
@@ -61,7 +54,7 @@ class RankService {
               const ServiceOptions& options);
 
   [[nodiscard]] std::uint64_t vertices() const { return num_vertices_; }
-  [[nodiscard]] std::uint64_t nnz() const { return nnz_; }
+  [[nodiscard]] std::uint64_t nnz() const { return matrix_.nnz(); }
   [[nodiscard]] const std::vector<double>& ranks() const { return ranks_; }
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
 
@@ -97,24 +90,19 @@ class RankService {
  private:
   /// Dense reference iteration for the full restart set (bit-identical to
   /// kernel 3 at the configured iteration count).
-  template <typename Matrix>
-  PprResult ppr_full(const Matrix& matrix, const PprRequest& request) const;
+  PprResult ppr_full(const PprRequest& request) const;
   /// Iteration for proper subsets: starts from the sparse e_S/|S| vector,
   /// so early sweeps only traverse the restart set's expanding
   /// out-neighborhood. `restart` is sorted and distinct.
-  template <typename Matrix>
-  PprResult ppr_subset(const Matrix& matrix, const PprRequest& request,
+  PprResult ppr_subset(const PprRequest& request,
                        std::vector<std::uint64_t> restart) const;
   /// Shared tail: digest + top-k extraction from the final rank vector.
   void finish_ppr(const std::vector<double>& r, std::uint32_t topk,
                   PprResult& result) const;
 
   ServiceOptions options_;
+  sparse::CsrMatrix matrix_;
   std::uint64_t num_vertices_ = 0;
-  std::uint64_t nnz_ = 0;
-  bool compressed_ = false;
-  sparse::CsrMatrix matrix_;                 ///< plain form (csr == "plain")
-  sparse::CompressedCsrMatrix compressed_matrix_;  ///< csr == "compressed"
   std::vector<double> ranks_;
   std::vector<double> initial_;     ///< kernel-3 seed-derived start vector
   std::vector<std::uint64_t> by_rank_;  ///< vertex ids, rank-descending

@@ -32,14 +32,8 @@ std::vector<double> pagerank_initial_vector(std::uint64_t n,
   return r;
 }
 
-namespace {
-
-// One loop body for both matrix representations: each provides rows(),
-// cols(), vec_mat() and row_sums() with identical floating-point behavior,
-// so the instantiations produce bit-identical ranks.
-template <typename Matrix>
-void pagerank_iterate_impl(const Matrix& a, std::vector<double>& r,
-                           const PageRankConfig& config) {
+void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
+                      const PageRankConfig& config) {
   config.validate();
   util::require(a.rows() == a.cols(), "pagerank: matrix must be square");
   util::require(r.size() == a.rows(), "pagerank: r size must equal N");
@@ -93,26 +87,7 @@ void pagerank_iterate_impl(const Matrix& a, std::vector<double>& r,
   }
 }
 
-}  // namespace
-
-void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
-                      const PageRankConfig& config) {
-  pagerank_iterate_impl(a, r, config);
-}
-
-void pagerank_iterate(const CompressedCsrMatrix& a, std::vector<double>& r,
-                      const PageRankConfig& config) {
-  pagerank_iterate_impl(a, r, config);
-}
-
 std::vector<double> pagerank(const CsrMatrix& a,
-                             const PageRankConfig& config) {
-  std::vector<double> r = pagerank_initial_vector(a.rows(), config.seed);
-  pagerank_iterate(a, r, config);
-  return r;
-}
-
-std::vector<double> pagerank(const CompressedCsrMatrix& a,
                              const PageRankConfig& config) {
   std::vector<double> r = pagerank_initial_vector(a.rows(), config.seed);
   pagerank_iterate(a, r, config);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "sparse/csr.hpp"
-#include "sparse/csr_compressed.hpp"
 
 namespace prpb::sparse {
 
@@ -53,14 +52,6 @@ void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
 
 /// Convenience: initial vector + iterations.
 std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config);
-
-/// Same update loop over the delta-varint compressed matrix (--csr
-/// compressed). The compressed vec_mat replays the plain scatter's exact
-/// addition order, so ranks are bit-identical to the CsrMatrix overloads.
-void pagerank_iterate(const CompressedCsrMatrix& a, std::vector<double>& r,
-                      const PageRankConfig& config);
-std::vector<double> pagerank(const CompressedCsrMatrix& a,
-                             const PageRankConfig& config);
 
 /// Convergence-mode PageRank — the "real application" variant the paper
 /// describes before fixing the iteration count: iterate until the L1 norm

@@ -90,7 +90,9 @@ TEST(BenchCell, JsonRoundTripsIncludingPerf) {
 }
 
 TEST(BenchCell, OldDocumentsParseWithDefaults) {
-  // Pre-PR-8 document: no repeats, MAD, CPU, io, or perf fields.
+  // Pre-PR-8 document: no repeats, MAD, CPU, io, or perf fields. The
+  // second cell carries the retired kernel-3 CSR-form fields, which parse
+  // and stay out of the key.
   const std::string old_doc = R"({
     "benchmark": "prpb-kernels",
     "cells": [{
@@ -98,15 +100,22 @@ TEST(BenchCell, OldDocumentsParseWithDefaults) {
       "seconds": 2.5, "edges_per_second": 419430.4,
       "peak_rss_bytes": 104857600, "storage": "dir",
       "stage_format": "tsv", "fast_path": false, "source": "generator"
+    }, {
+      "kernel": 3, "backend": "native", "scale": 16, "edges": 1048576,
+      "seconds": 0.5, "storage": "dir", "stage_format": "tsv",
+      "source": "generator", "algorithm": "pagerank",
+      "csr": "plain", "bytes_per_edge": 8
     }]
   })";
   const auto cells = model::parse_cells_text(old_doc);
-  ASSERT_EQ(cells.size(), 1u);
+  ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[0].repeats, 1);
   EXPECT_DOUBLE_EQ(cells[0].seconds_mad, 0.0);
   EXPECT_DOUBLE_EQ(cells[0].cpu_seconds, 0.0);
   EXPECT_FALSE(cells[0].has_perf);
   EXPECT_EQ(cells[0].key(), "k1|native|16|dir|tsv|generator|");
+  EXPECT_DOUBLE_EQ(cells[1].seconds, 0.5);
+  EXPECT_EQ(cells[1].key(), "k3|native|16|dir|tsv|generator|pagerank");
 }
 
 TEST(BenchDiff, DuplicateKeysAreATypedError) {
@@ -190,44 +199,14 @@ TEST(BenchDiff, ImprovementAddedRemoved) {
   EXPECT_EQ(report.cells[0].verdict, model::CellVerdict::kImprovement);
   EXPECT_EQ(report.cells[1].verdict, model::CellVerdict::kAdded);
   EXPECT_EQ(report.cells[2].verdict, model::CellVerdict::kRemoved);
-}
 
-TEST(BenchDiff, CompressedCsrCellsExtendTheMatrix) {
-  // A head document that grows the csr axis: the compressed twin keys
-  // differently, so against a pre-axis baseline it diffs as "added" and
-  // the plain cell still matches its old key — no spurious removals.
-  auto plain = make_cell(3, "native", 1.0, 0.001);
-  plain.algorithm = "pagerank";
-  auto compressed = plain;
-  compressed.csr = "compressed";
-  compressed.bytes_per_edge = 1.3;
-  EXPECT_NE(compressed.key(), plain.key());
-  EXPECT_NE(compressed.key().find("csr=compressed"), std::string::npos);
-
-  const model::DiffReport report =
-      model::diff_cells({plain}, {plain, compressed});
-  EXPECT_FALSE(report.regressed());
-  EXPECT_EQ(report.added, 1);
-  EXPECT_EQ(report.removed, 0);
-
-  // The verdict JSON lists the new cell so CI logs say what grew.
+  // The verdict JSON lists the added cell so CI logs say what grew.
   const util::JsonValue parsed = util::JsonValue::parse(
       model::diff_json(report, "base.json", "head.json"));
   const util::JsonValue* added = parsed.find("summary")->find("added_cells");
   ASSERT_NE(added, nullptr);
   ASSERT_EQ(added->array().size(), 1u);
-  EXPECT_EQ(added->array()[0].string(), compressed.key());
-
-  // Round trip: csr + bytes_per_edge survive the kernels document, and
-  // plain cells serialize without the csr field (old-key compatible).
-  const auto cells =
-      model::parse_cells_text(model::cells_json({plain, compressed}));
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].csr, "plain");
-  EXPECT_DOUBLE_EQ(cells[0].bytes_per_edge, 0.0);
-  EXPECT_EQ(cells[1].csr, "compressed");
-  EXPECT_DOUBLE_EQ(cells[1].bytes_per_edge, 1.3);
-  EXPECT_EQ(cells[1].key(), compressed.key());
+  EXPECT_EQ(added->array()[0].string(), head[1].key());
 }
 
 TEST(BenchDiff, SingleShotCellsUseTheFloor) {

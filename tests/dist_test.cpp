@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <numeric>
 
 #include "core/backend_native.hpp"
@@ -10,11 +14,27 @@
 #include "core/validate.hpp"
 #include "dist/comm.hpp"
 #include "dist/pipeline.hpp"
+#include "fault/inject.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 
 namespace prpb::dist {
 namespace {
+
+// Runs `body` under a watchdog. A cluster whose ranks deadlock can never
+// be joined, so on timeout the test fails and the process exits instead
+// of hanging the suite.
+template <typename Body>
+void within_deadline(Body body) {
+  constexpr auto kDeadline = std::chrono::seconds(30);
+  std::future<void> done = std::async(std::launch::async, std::move(body));
+  if (done.wait_for(kDeadline) != std::future_status::ready) {
+    ADD_FAILURE() << "cluster still running after 30 s: deadlock";
+    std::fflush(stdout);
+    std::_Exit(EXIT_FAILURE);
+  }
+  done.get();
+}
 
 // ---- collectives ---------------------------------------------------------------
 
@@ -129,6 +149,30 @@ TEST(CommTest, ExceptionsPropagateFromRanks) {
                  throw util::InvariantError("rank failure");
                }),
                util::InvariantError);
+}
+
+TEST(CommTest, OneRankThrowingBeforeACollectiveAbortsTheOthers) {
+  within_deadline([] {
+    Cluster cluster(4);
+    // Rank 2 fails before the exchange the other ranks wait in; they must
+    // be released, and run() must report rank 2's error, not the aborts.
+    EXPECT_THROW(cluster.run([](Communicator& comm) {
+                   if (comm.rank() == 2) {
+                     throw util::TransientIoError("rank 2 failed");
+                   }
+                   (void)comm.alltoallv(
+                       std::vector<gen::EdgeList>(comm.size()));
+                   comm.barrier();
+                 }),
+                 util::TransientIoError);
+    // The next run starts clean.
+    std::atomic<int> finished{0};
+    cluster.run([&finished](Communicator& comm) {
+      comm.barrier();
+      ++finished;
+    });
+    EXPECT_EQ(finished.load(), 4);
+  });
 }
 
 TEST(CommTest, ZeroRanksRejected) {
@@ -251,6 +295,17 @@ TEST(DistPipelineTest, StageBarrierDoesNotChangeResults) {
     EXPECT_EQ(result.stage_bytes_read, result.stage_bytes_written) << kind;
     EXPECT_EQ(staged.stage_store->list(staged.stage).size(), 4u) << kind;
   }
+}
+
+TEST(DistPipelineTest, StageReadFaultOnOneRankFailsTheRun) {
+  within_deadline([] {
+    io::MemStageStore mem;
+    fault::FaultInjectingStageStore faulty(
+        mem, fault::FaultPlan::parse("read_error@k0_edges#1", 1));
+    DistConfig config = small_config();
+    config.stage_store = &faulty;
+    EXPECT_THROW(run_distributed(config, 4), util::TransientIoError);
+  });
 }
 
 TEST(DistPipelineTest, NoStageStoreMeansNoStageTraffic) {

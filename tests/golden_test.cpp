@@ -1,6 +1,6 @@
 // Golden conformance vectors — committed checksums (tests/data/
-// golden_checksums.json) that every backend × stage codec × store ×
-// CSR form combination must reproduce, and that pin the pipeline's
+// golden_checksums.json) that every backend × stage codec × store
+// combination must reproduce, and that pin the pipeline's
 // numerical output across refactors. All recorded digests are
 // representation-independent by design: rank digests quantize before
 // hashing, stage checksums hash decoded records, so one golden value per
@@ -55,11 +55,6 @@ PipelineConfig golden_config(int scale) {
   config.num_files = 2;
   config.storage = "mem";
   config.algorithms = {"pagerank", "bfs", "cc"};
-  // PRPB_CSR=compressed runs the whole suite over the delta-varint CSR
-  // form (CI's sanitizer jobs set it): every committed checksum must
-  // reproduce unchanged, pinning the form's bit-identity end to end.
-  const char* csr = std::getenv("PRPB_CSR");
-  if (csr != nullptr && *csr != '\0') config.csr = csr;
   return config;
 }
 
@@ -130,29 +125,25 @@ void expect_matches(const GoldenEntry& actual, const GoldenEntry& golden,
 
 // ---- full combination matrix at scale 8 ------------------------------------
 
-// The last axis is the kernel-3 CSR form: false runs the plain form, true
-// the delta-varint compressed form, which must reproduce the same digests.
-// Its name suffixes, "ref" and "fast", keep the test IDs of the retired
-// --fast-path axis this one replaced.
-using ComboParam = std::tuple<std::string, std::string, std::string, bool>;
+// The "_ref" name suffix keeps the test IDs of the retired --fast-path
+// axis, whose reference schedule is the one every backend now runs.
+using ComboParam = std::tuple<std::string, std::string, std::string>;
 
 std::string combo_name(const ::testing::TestParamInfo<ComboParam>& info) {
   return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_" +
-         std::get<2>(info.param) + "_" +
-         (std::get<3>(info.param) ? "fast" : "ref");
+         std::get<2>(info.param) + "_ref";
 }
 
 class GoldenComboTest : public ::testing::TestWithParam<ComboParam> {};
 
 TEST_P(GoldenComboTest, ReproducesCommittedChecksums) {
-  const auto& [backend_name, format, storage, compressed] = GetParam();
+  const auto& [backend_name, format, storage] = GetParam();
   const auto golden = load_golden(8);
   ASSERT_TRUE(golden.has_value()) << "no scale_8 entry in " << kGoldenPath;
 
   PipelineConfig config = golden_config(8);
   config.stage_format = format;
   config.storage = storage;
-  config.csr = compressed ? "compressed" : "plain";
   std::optional<util::TempDir> work;
   if (storage == "dir") {
     work.emplace("prpb-golden");
@@ -167,8 +158,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("native", "parallel", "graphblas",
                                          "arraylang", "dataframe"),
                        ::testing::Values("tsv", "binary"),
-                       ::testing::Values("mem", "dir"),
-                       ::testing::Values(false, true)),
+                       ::testing::Values("mem", "dir")),
     combo_name);
 
 // ---- scale sweep 9..12 (reduced combination set) ---------------------------

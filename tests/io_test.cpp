@@ -694,17 +694,20 @@ TEST(MmapTest, BinaryShardDecodesOverMapping) {
 
 // ---- binary runs ------------------------------------------------------------
 
+// Spill runs live as shards of a stage, as the external sort writes them.
+constexpr const char* kRunStage = "runs";
+
 TEST(BinaryRunTest, RoundTrip) {
   util::TempDir dir("prpb-io");
-  const auto path = dir.sub("run.bin");
+  DirStageStore store(dir.path());
   const EdgeList edges = {{1, 2}, {3, 4}, {~0ULL, 0}};
   {
-    BinaryRunWriter writer(path);
+    BinaryRunWriter writer(store.open_write(kRunStage, "run.bin"));
     writer.write_all(edges);
     writer.close();
     EXPECT_EQ(writer.records_written(), 3u);
   }
-  BinaryRunReader reader(path);
+  BinaryRunReader reader(store.open_read(kRunStage, "run.bin"));
   EdgeList got;
   while (auto edge = reader.next()) got.push_back(*edge);
   EXPECT_EQ(got, edges);
@@ -712,13 +715,13 @@ TEST(BinaryRunTest, RoundTrip) {
 
 TEST(BinaryRunTest, NextBatchLimitsCount) {
   util::TempDir dir("prpb-io");
-  const auto path = dir.sub("run.bin");
+  DirStageStore store(dir.path());
   {
-    BinaryRunWriter writer(path);
+    BinaryRunWriter writer(store.open_write(kRunStage, "run.bin"));
     for (std::uint64_t i = 0; i < 100; ++i) writer.write({i, i + 1});
     writer.close();
   }
-  BinaryRunReader reader(path);
+  BinaryRunReader reader(store.open_read(kRunStage, "run.bin"));
   EdgeList batch;
   EXPECT_EQ(reader.next_batch(batch, 30), 30u);
   EXPECT_EQ(reader.next_batch(batch, 1000), 70u);
@@ -728,33 +731,37 @@ TEST(BinaryRunTest, NextBatchLimitsCount) {
 
 TEST(BinaryRunTest, EmptyRun) {
   util::TempDir dir("prpb-io");
-  const auto path = dir.sub("empty.bin");
-  BinaryRunWriter writer(path);
+  DirStageStore store(dir.path());
+  BinaryRunWriter writer(store.open_write(kRunStage, "empty.bin"));
   writer.close();
-  BinaryRunReader reader(path);
+  BinaryRunReader reader(store.open_read(kRunStage, "empty.bin"));
   EXPECT_FALSE(reader.next().has_value());
 }
 
 TEST(BinaryRunTest, CorruptTrailingBytesDetected) {
   util::TempDir dir("prpb-io");
-  const auto path = dir.sub("corrupt.bin");
-  write_file(path, std::string(20, 'x'));  // 16 + 4 stray bytes
-  BinaryRunReader reader(path);
+  DirStageStore store(dir.path());
+  {
+    const auto raw = store.open_write(kRunStage, "corrupt.bin");
+    raw->write(std::string(20, 'x'));  // 16 + 4 stray bytes
+    raw->close();
+  }
+  BinaryRunReader reader(store.open_read(kRunStage, "corrupt.bin"));
   EXPECT_TRUE(reader.next().has_value());
   EXPECT_THROW(reader.next(), util::IoError);
 }
 
 TEST(BinaryRunTest, LargeRunSurvivesChunkBoundaries) {
   util::TempDir dir("prpb-io");
-  const auto path = dir.sub("large.bin");
+  DirStageStore store(dir.path());
   EdgeList edges;
   for (std::uint64_t i = 0; i < 100000; ++i) edges.push_back({i, i * 2});
   {
-    BinaryRunWriter writer(path);
+    BinaryRunWriter writer(store.open_write(kRunStage, "large.bin"));
     writer.write_all(edges);
     writer.close();
   }
-  BinaryRunReader reader(path);
+  BinaryRunReader reader(store.open_read(kRunStage, "large.bin"));
   EdgeList got;
   got.reserve(edges.size());
   while (auto edge = reader.next()) got.push_back(*edge);

@@ -5,12 +5,10 @@
 // CSR lookups, and a full-restart personalized PageRank at the configured
 // iteration count must reproduce the committed kernel-3 rank digest bit
 // for bit — on every backend, through the service API and through the
-// wire. PRPB_CSR=compressed (set by the sanitizer CI lanes) runs the
-// whole suite over the delta-varint warm form.
+// wire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,27 +40,20 @@ std::string golden_rank_digest(int scale) {
   return entry->at("rank_digest").string();
 }
 
-std::string csr_form() {
-  const char* csr = std::getenv("PRPB_CSR");
-  return (csr != nullptr && *csr != '\0') ? csr : "plain";
-}
-
 /// The pipeline run behind every test: the golden config (two shards,
-/// in-memory store), keeping a plain copy of the matrix and ranks next to
+/// in-memory store), keeping a copy of the matrix and ranks next to
 /// the service so tests can compare against the raw data.
 struct Loaded {
   std::unique_ptr<RankService> service;
-  sparse::CsrMatrix matrix;  ///< plain form, for direct lookups
+  sparse::CsrMatrix matrix;  ///< copy for direct lookups
   std::vector<double> ranks;
 };
 
-Loaded load(int scale, const std::string& backend_name,
-            const std::string& csr) {
+Loaded load(int scale, const std::string& backend_name = "native") {
   core::PipelineConfig config;
   config.scale = scale;
   config.num_files = 2;
   config.storage = "mem";
-  config.csr = csr;
   const auto backend = core::make_backend(backend_name);
   core::PipelineResult result =
       core::run_pipeline(config, *backend, core::RunOptions{});
@@ -73,14 +64,9 @@ Loaded load(int scale, const std::string& backend_name,
   options.iterations = config.iterations;
   options.damping = config.damping;
   options.seed = config.seed;
-  options.csr = csr;
   loaded.service = std::make_unique<RankService>(
       std::move(result.matrix), std::move(result.ranks), options);
   return loaded;
-}
-
-Loaded load(int scale, const std::string& backend_name = "native") {
-  return load(scale, backend_name, csr_form());
 }
 
 // ---- topk vs full sort over scales 8..12 -----------------------------------
@@ -210,28 +196,6 @@ INSTANTIATE_TEST_SUITE_P(Scales, ServingPprScaleTest,
                            return "scale_" + std::to_string(scale.param);
                          });
 
-TEST(ServingPprTest, CompressedWarmFormIsBitIdenticalToPlain) {
-  const std::string golden = golden_rank_digest(8);
-  const Loaded plain = load(8, "native", "plain");
-  const Loaded compressed = load(8, "native", "compressed");
-  PprRequest full;
-  full.iterations = 20;
-  const std::uint64_t plain_digest = plain.service->ppr(full).digest;
-  EXPECT_EQ(compressed.service->ppr(full).digest, plain_digest);
-  EXPECT_EQ(core::digest_hex(plain_digest), golden);
-  // Neighbors decode from the compressed rows must match the plain slices.
-  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{7},
-                                plain.service->vertices() - 1}) {
-    const auto a = plain.service->neighbors(v);
-    const auto b = compressed.service->neighbors(v);
-    ASSERT_EQ(a.size(), b.size()) << "v=" << v;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].vertex, b[i].vertex);
-      EXPECT_EQ(a[i].rank, b[i].rank);
-    }
-  }
-}
-
 TEST(ServingPprTest, ExplicitFullSetAndEmptyShorthandAgree) {
   const Loaded loaded = load(8);
   PprRequest shorthand;
@@ -289,9 +253,9 @@ TEST(ServingServiceTest, RejectsMismatchedRanksAndBadOptions) {
                                   result.ranks.end() - 1);
   EXPECT_THROW(RankService(result.matrix, short_ranks, ServiceOptions{}),
                util::ConfigError);
-  ServiceOptions bad_csr;
-  bad_csr.csr = "zstd";
-  EXPECT_THROW(RankService(result.matrix, result.ranks, bad_csr),
+  ServiceOptions bad_damping;
+  bad_damping.damping = 1.5;
+  EXPECT_THROW(RankService(result.matrix, result.ranks, bad_damping),
                util::ConfigError);
 }
 

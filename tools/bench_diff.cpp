@@ -3,15 +3,14 @@
 //
 // Compares the candidate against the baseline cell-by-cell (matched on the
 // full cell identity: kernel, backend, scale, storage, stage format,
-// source, algorithm, CSR form, metric) and flags a regression
+// source, algorithm, metric) and flags a regression
 // only when the median change exceeds a band derived from both documents'
 // recorded MADs — run-to-run jitter inside the band is reported but never
 // fails. The check is direction-aware: seconds cells regress when slower,
 // qps (serving throughput) cells regress when throughput drops.
-// Cells present only in the candidate (a freshly added config axis, e.g.
-// csr=compressed against a pre-axis baseline) are "added": they extend the
-// matrix, never fail the gate, and are listed in the --json verdict's
-// summary.added_cells.
+// Cells present only in the candidate (e.g. a newly swept scale or
+// backend) are "added": they extend the matrix, never fail the gate, and
+// are listed in the --json verdict's summary.added_cells.
 //
 //   bench_diff BENCH_kernels.json BENCH_new.json [--json verdict.json]
 //
