@@ -1,18 +1,14 @@
 #include "core/backend_parallel.hpp"
 
-#include <cmath>
-
 #include "gen/generator.hpp"
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
 #include "io/tsv.hpp"
-#include "rand/rng.hpp"
 #include "sort/edge_sort.hpp"
 #include "sparse/filter.hpp"
 #include "sparse/pagerank.hpp"
 #include "util/error.hpp"
 #include "util/threadpool.hpp"
-#include "util/timer.hpp"
 
 namespace prpb::core {
 
@@ -97,59 +93,14 @@ sparse::CsrMatrix ParallelBackend::kernel2(const KernelContext& ctx) {
 std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,
                                              const sparse::CsrMatrix& matrix) {
   const PipelineConfig& config = ctx.config;
+  util::require(matrix.rows() == config.num_vertices(),
+                "kernel3: matrix size does not match N = 2^scale");
   sparse::PageRankConfig pr;
   pr.iterations = config.iterations;
   pr.damping = config.damping;
   pr.seed = config.seed;
-  pr.validate();
-  util::require(matrix.rows() == matrix.cols(),
-                "kernel3: matrix must be square");
-
-  // y = r·A computed as y[j] = Σ Aᵀ(j, i) · r[i]: each output entry owned by
-  // exactly one task, so rows of Aᵀ partition the work with no atomics.
-  const sparse::CsrMatrix at = matrix.transpose();
-  std::vector<double> r =
-      sparse::pagerank_initial_vector(matrix.rows(), config.seed);
-  std::vector<double> y(matrix.cols(), 0.0);
-  const double c = config.damping;
-  const auto n = static_cast<double>(matrix.rows());
-
-  const sparse::IterationObserver observer = ctx.k3_observer();
-  std::vector<double> previous;
-  util::Stopwatch iter_watch;
-  for (int it = 0; it < config.iterations; ++it) {
-    if (observer) {
-      previous = r;
-      iter_watch.restart();
-    }
-    double r_sum = 0.0;
-    for (const double x : r) r_sum += x;
-    util::parallel_for_chunks(
-        pool(), 0, at.rows(), [&](std::uint64_t lo, std::uint64_t hi) {
-          for (std::uint64_t j = lo; j < hi; ++j) {
-            double acc = 0.0;
-            for (std::uint64_t k = at.row_ptr()[j]; k < at.row_ptr()[j + 1];
-                 ++k) {
-              acc += at.values()[k] * r[at.col_idx()[k]];
-            }
-            y[j] = acc;
-          }
-        });
-    const double add = (1.0 - c) * r_sum / n;
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
-
-    if (observer) {
-      sparse::IterationStats stats;
-      stats.iteration = it;
-      stats.seconds = iter_watch.seconds();
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        stats.residual_l1 += std::abs(r[i] - previous[i]);
-        stats.rank_sum += r[i];
-      }
-      observer(stats);
-    }
-  }
-  return r;
+  pr.observer = ctx.k3_observer();
+  return sparse::pagerank(matrix, pr, &pool());
 }
 
 }  // namespace prpb::core

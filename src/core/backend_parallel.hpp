@@ -12,9 +12,10 @@ namespace prpb::core {
 /// ("each processor holds a set of rows"). Kernel 0 generates shards
 /// concurrently (the counter-based generator needs no communication),
 /// kernel 1 runs the chunk-parallel radix sort, kernel 2 parses shards
-/// concurrently, kernel 3 partitions the SpMV by output entry via the
-/// transposed matrix. Results are bit-identical to `native` for kernels
-/// 0-2 and fp-identical for kernel 3's additions within each output entry.
+/// concurrently, kernel 3 runs `sparse::pagerank` on the pool, which
+/// partitions the SpMV by output entry via the transposed matrix. Results
+/// are bit-identical to `native` for every kernel and thread count: each
+/// output entry is still summed in serial row order.
 /// DESIGN.md "Kernel schedules" records why each kernel runs the schedule
 /// it does.
 class ParallelBackend final : public PipelineBackend {

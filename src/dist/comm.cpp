@@ -98,24 +98,6 @@ void Communicator::allreduce_sum(std::vector<double>& data) {
   cluster_->barrier_wait();  // everyone copied before scratch reuse
 }
 
-double Communicator::allreduce_sum(double value) {
-  std::vector<double> one{value};
-  allreduce_sum(one);
-  return one[0];
-}
-
-void Communicator::broadcast(std::vector<double>& data, std::size_t root) {
-  ++stats_.collective_calls;
-  if (rank_ == root) {
-    stats_.bytes_sent += data.size() * sizeof(double) * (size() - 1);
-    const std::lock_guard<std::mutex> lock(cluster_->mutex_);
-    cluster_->reduce_accumulator_ = data;
-  }
-  cluster_->barrier_wait();
-  data = cluster_->reduce_accumulator_;
-  cluster_->barrier_wait();
-}
-
 gen::EdgeList Communicator::alltoallv(std::vector<gen::EdgeList> outboxes) {
   ++stats_.collective_calls;
   util::require(outboxes.size() == size(),

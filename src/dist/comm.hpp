@@ -6,9 +6,9 @@
 // own value of r that would be summed across all processors and broadcast
 // back"). We do not have a cluster, so we simulate one: P ranks run as
 // threads against a Communicator offering the MPI-shaped collectives those
-// decompositions need — barrier, allreduce, broadcast, alltoallv — with
-// per-rank byte accounting so the communication volume the paper reasons
-// about is measurable.
+// decompositions need — barrier, allreduce, alltoallv — with per-rank byte
+// accounting so the communication volume the paper reasons about is
+// measurable.
 #pragma once
 
 #include <condition_variable>
@@ -41,12 +41,6 @@ class Communicator {
   /// Element-wise sum across ranks; every rank ends with the global sum.
   /// Vectors must have identical sizes on all ranks.
   void allreduce_sum(std::vector<double>& data);
-
-  /// Scalar convenience allreduce.
-  double allreduce_sum(double value);
-
-  /// Root's data replaces everyone else's.
-  void broadcast(std::vector<double>& data, std::size_t root);
 
   /// Personalized all-to-all: outboxes[r] is sent to rank r; the return
   /// value concatenates every rank's box addressed to this rank, ordered

@@ -1,6 +1,5 @@
 #include "dist/pipeline.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 
@@ -9,6 +8,7 @@
 #include "io/edge_files.hpp"
 #include "io/tsv.hpp"
 #include "sort/edge_sort.hpp"
+#include "sparse/filter.hpp"
 #include "sparse/pagerank.hpp"
 #include "util/error.hpp"
 
@@ -38,21 +38,18 @@ namespace {
 
 struct RankScratch {
   std::vector<double> ranks;
-  CommStats stats;
   std::uint64_t k1_bytes = 0;
   std::uint64_t k3_bytes = 0;
 };
-
-std::string rank_args(std::size_t rank) {
-  return "{\"rank\":" + std::to_string(rank) + "}";
-}
 
 /// Opens a communication-phase span tagged with the rank; inert when
 /// tracing is off.
 obs::Span comm_span(const obs::Hooks& hooks, const char* name,
                     std::size_t rank) {
   obs::Span span(hooks.trace, name);
-  if (span.active()) span.set_args(rank_args(rank));
+  if (span.active()) {
+    span.set_args("{\"rank\":" + std::to_string(rank) + "}");
+  }
   return span;
 }
 
@@ -60,6 +57,10 @@ obs::Span comm_span(const obs::Hooks& hooks, const char* name,
 
 DistResult run_distributed(const DistConfig& config, std::size_t ranks) {
   util::require(ranks >= 1, "run_distributed: need at least one rank");
+  sparse::PageRankConfig pr;
+  pr.iterations = config.iterations;
+  pr.damping = config.damping;
+  pr.validate();
   const std::uint64_t n = config.num_vertices();
 
   Cluster cluster(ranks);
@@ -102,14 +103,13 @@ DistResult run_distributed(const DistConfig& config, std::size_t ranks) {
       local = io::read_edge_shard(*staging, config.stage, shard, codec);
     }
 
-    // ---- Kernel 1: route edges to the owner of their start vertex, then
-    // sort locally — the concatenation over ranks is globally sorted.
+    // ---- Kernel 1: route each edge to the owner of its end vertex — the
+    // rank that computes that entry of r·A — then sort locally.
     std::vector<gen::EdgeList> outboxes(p);
     for (const auto& edge : local) {
-      outboxes[owner_of(edge.u, n, p)].push_back(edge);
+      outboxes[owner_of(edge.v, n, p)].push_back(edge);
     }
-    local.clear();
-    local.shrink_to_fit();
+    local = {};
     const std::uint64_t bytes_before_k1 = comm.stats().bytes_sent;
     gen::EdgeList owned;
     {
@@ -119,62 +119,33 @@ DistResult run_distributed(const DistConfig& config, std::size_t ranks) {
     scratch[rank].k1_bytes = comm.stats().bytes_sent - bytes_before_k1;
     sort::radix_sort(owned);
 
-    // ---- Kernel 2: local row-block CSR + aggregated in-degree filter -----
-    const std::uint64_t row_lo = block_begin(rank, n, p);
-    const std::uint64_t row_hi = block_begin(rank + 1, n, p);
-    gen::EdgeList shifted = owned;
-    for (auto& edge : shifted) {
-      util::ensure(edge.u >= row_lo && edge.u < row_hi,
-                   "distributed kernel 2: edge routed to wrong rank");
-      edge.u -= row_lo;
-    }
-    sparse::CsrMatrix block =
-        sparse::CsrMatrix::from_edges(shifted, row_hi - row_lo, n);
-
+    // ---- Kernel 2: this rank's column block of A. Every column has one
+    // contributing rank and the row sums are integer counts, so both
+    // allreduces are exact and the block equals the serial matrix's columns.
+    sparse::CsrMatrix block = sparse::CsrMatrix::from_edges(owned, n, n);
+    owned = {};
+    const auto allreduce = [&](std::vector<double>& data) {
+      const obs::Span span = comm_span(config.hooks, "dist/allreduce", rank);
+      comm.allreduce_sum(data);
+    };
     // "the in-degree info will need to be aggregated"
     std::vector<double> din = block.col_sums();
-    {
-      const obs::Span span = comm_span(config.hooks, "dist/allreduce", rank);
-      comm.allreduce_sum(din);
-    }
-    const double max_din =
-        din.empty() ? 0.0 : *std::max_element(din.begin(), din.end());
-    std::vector<bool> mask(n, false);
-    for (std::size_t c = 0; c < din.size(); ++c) {
-      if ((max_din > 0.0 && din[c] == max_din) || din[c] == 1.0) {
-        mask[c] = true;
-      }
-    }
-    block.zero_columns(mask);
-    block.scale_rows_inverse(block.row_sums());
+    allreduce(din);
+    block.zero_columns(sparse::elimination_mask(din));
+    std::vector<double> dout = block.row_sums();
+    allreduce(dout);
+    block.scale_rows_inverse(dout);
 
-    // ---- Kernel 3: partial r·A per rank, allreduce, repeat ----------------
+    // ---- Kernel 3: this rank's entries of r·A, summed across ranks —
+    // "summed across all processors and broadcast back". The other ranks
+    // add exact zeros to each entry, so y equals the serial product.
     std::vector<double> r = sparse::pagerank_initial_vector(n, config.seed);
-    const double c = config.damping;
-    std::vector<double> y(n);
+    std::vector<double> y;
     const std::uint64_t bytes_before_k3 = comm.stats().bytes_sent;
     for (int it = 0; it < config.iterations; ++it) {
-      double r_sum = 0.0;
-      for (const double x : r) r_sum += x;
-      // partial y from this rank's rows
-      std::fill(y.begin(), y.end(), 0.0);
-      for (std::uint64_t local_row = 0; local_row < block.rows();
-           ++local_row) {
-        const double xr = r[row_lo + local_row];
-        if (xr == 0.0) continue;
-        for (std::uint64_t k = block.row_ptr()[local_row];
-             k < block.row_ptr()[local_row + 1]; ++k) {
-          y[block.col_idx()[k]] += xr * block.values()[k];
-        }
-      }
-      // "summed across all processors and broadcast back"
-      {
-        const obs::Span span =
-            comm_span(config.hooks, "dist/allreduce", rank);
-        comm.allreduce_sum(y);
-      }
-      const double add = (1.0 - c) * r_sum / static_cast<double>(n);
-      for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
+      block.vec_mat(r, y);
+      allreduce(y);
+      sparse::pagerank_update(r, y, config.damping);
     }
     scratch[rank].k3_bytes = comm.stats().bytes_sent - bytes_before_k3;
     scratch[rank].ranks = std::move(r);

@@ -4,18 +4,23 @@
 //   K0  each rank generates its contiguous slice of edge indices — the
 //       counter-based generator needs no communication (the Graph500
 //       property the paper cites);
-//   K1  bucket exchange: edges are routed to the rank owning their start
-//       vertex (block distribution of the vertex space) via alltoallv,
-//       then sorted locally — concatenation across ranks is globally
-//       sorted ("this would correspond to how the files have been sorted");
-//   K2  each rank builds the CSR of its row block; local in-degree partial
-//       sums are allreduced ("the in-degree info will need to be
-//       aggregated"), the elimination mask follows deterministically on
-//       every rank ("the selected vertices for elimination broadcast"
-//       becomes implicit), columns are zeroed and rows normalized locally;
-//   K3  each rank computes its rows' contribution to r·A and the partial
-//       vectors are allreduced ("summed across all processors and
-//       broadcast back to every processor").
+//   K1  bucket exchange: edges are routed via alltoallv to the rank owning
+//       their end vertex (block distribution of the vertex space), then
+//       sorted locally — each rank holds the edges of its column block;
+//   K2  each rank builds the CSR of its column block with the shared
+//       `CsrMatrix`; in-degrees are allreduced ("the in-degree info will
+//       need to be aggregated"), the elimination mask follows
+//       deterministically on every rank from `sparse::elimination_mask`
+//       ("the selected vertices for elimination broadcast" becomes
+//       implicit), columns are zeroed, and the out-degree partials are
+//       allreduced before rows are normalized;
+//   K3  each rank computes its columns of r·A and the partial vectors are
+//       allreduced ("summed across all processors and broadcast back to
+//       every processor").
+//
+// Owner-computes on columns keeps every sum in serial order: a column has
+// one contributing rank, so the allreduces add exact zeros, and the ranks
+// come out bit-identical to the serial pipeline for every rank count.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +82,9 @@ std::uint64_t block_begin(std::size_t rank, std::uint64_t n,
 
 /// Runs the full distributed pipeline on `ranks` simulated processors and
 /// returns the rank vector plus communication statistics. The result is
-/// numerically equal (within summation-order fp tolerance) to the serial
-/// pipeline's kernel-3 output for the same configuration.
+/// bit-identical to the serial pipeline's kernel-3 output for the same
+/// configuration. Throws ConfigError for an invalid PageRank configuration
+/// (damping outside [0, 1], negative iterations) before the cluster starts.
 DistResult run_distributed(const DistConfig& config, std::size_t ranks);
 
 }  // namespace prpb::dist

@@ -31,13 +31,11 @@ CsrMatrix with_diagonal_on_empty_rows(const CsrMatrix& a) {
 }
 }  // namespace
 
-void apply_filter(CsrMatrix& a, FilterReport* report,
-                  const FilterOptions& options) {
-  const std::vector<double> din = a.col_sums();
+std::vector<bool> elimination_mask(const std::vector<double>& din,
+                                   FilterReport* report) {
   const double max_din =
       din.empty() ? 0.0 : *std::max_element(din.begin(), din.end());
-
-  std::vector<bool> mask(a.cols(), false);
+  std::vector<bool> mask(din.size(), false);
   std::uint64_t supernodes = 0;
   std::uint64_t leaves = 0;
   for (std::size_t c = 0; c < din.size(); ++c) {
@@ -51,9 +49,18 @@ void apply_filter(CsrMatrix& a, FilterReport* report,
       ++leaves;
     }
   }
+  if (report != nullptr) {
+    report->max_in_degree = max_din;
+    report->supernode_columns = supernodes;
+    report->leaf_columns = leaves;
+  }
+  return mask;
+}
 
+void apply_filter(CsrMatrix& a, FilterReport* report,
+                  const FilterOptions& options) {
   const std::uint64_t nnz_before = a.nnz();
-  a.zero_columns(mask);
+  a.zero_columns(elimination_mask(a.col_sums(), report));
   const std::uint64_t nnz_after = a.nnz();
 
   if (options.diagonal_for_empty_rows) {
@@ -66,9 +73,6 @@ void apply_filter(CsrMatrix& a, FilterReport* report,
   if (report != nullptr) {
     report->nnz_before = nnz_before;
     report->nnz_after = nnz_after;
-    report->max_in_degree = max_din;
-    report->supernode_columns = supernodes;
-    report->leaf_columns = leaves;
     report->dangling_rows = static_cast<std::uint64_t>(
         std::count(dout.begin(), dout.end(), 0.0));
   }

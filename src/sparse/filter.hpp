@@ -36,6 +36,13 @@ struct FilterOptions {
   bool diagonal_for_empty_rows = false;
 };
 
+/// The column-elimination rule on the in-degrees `din = sum(A, 1)`: marks
+/// the super-node columns (din == max(din) > 0) and the leaf columns
+/// (din == 1). When `report` is set, fills its max_in_degree,
+/// supernode_columns and leaf_columns.
+std::vector<bool> elimination_mask(const std::vector<double>& din,
+                                   FilterReport* report = nullptr);
+
 /// Runs the full kernel-2 filter on an edge list, producing the normalized
 /// adjacency matrix consumed by kernel 3. Each nonzero row of the result
 /// sums to 1 (dangling rows stay all-zero; the paper deliberately leaves

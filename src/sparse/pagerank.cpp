@@ -32,23 +32,48 @@ std::vector<double> pagerank_initial_vector(std::uint64_t n,
   return r;
 }
 
+void pagerank_update(std::vector<double>& r, const std::vector<double>& y,
+                     double damping, double dangling_mass) {
+  const double c = damping;
+  const auto n = static_cast<double>(r.size());
+  double r_sum = 0.0;
+  for (const double x : r) r_sum += x;
+  const double add = (1.0 - c) * r_sum / n + c * dangling_mass / n;
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
+}
+
 void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
-                      const PageRankConfig& config) {
+                      const PageRankConfig& config, util::ThreadPool* pool) {
   config.validate();
   util::require(a.rows() == a.cols(), "pagerank: matrix must be square");
   util::require(r.size() == a.rows(), "pagerank: r size must equal N");
-  const double c = config.damping;
-  const auto n = static_cast<double>(a.rows());
 
+  // y = r·A as y[j] = Σ Aᵀ(j, i) · r[i]: each output entry is owned by one
+  // task, so rows of Aᵀ partition the work with no atomics.
+  const bool pooled = pool != nullptr && pool->size() > 1;
+  const CsrMatrix at = pooled ? a.transpose() : CsrMatrix();
   std::vector<double> y(a.cols());
-  std::vector<double> dangling_template;
-  if (config.redistribute_dangling) {
-    // Precompute the dangling-row indicator (rows with no out-edges).
-    const auto dout = a.row_sums();
-    dangling_template.resize(dout.size());
-    for (std::size_t i = 0; i < dout.size(); ++i)
-      dangling_template[i] = dout[i] == 0.0 ? 1.0 : 0.0;
-  }
+  const auto spmv = [&] {
+    if (!pooled) {
+      a.vec_mat(r, y);
+      return;
+    }
+    util::parallel_for_chunks(
+        *pool, 0, at.rows(), [&](std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t j = lo; j < hi; ++j) {
+            double acc = 0.0;
+            for (std::uint64_t k = at.row_ptr()[j]; k < at.row_ptr()[j + 1];
+                 ++k) {
+              acc += r[at.col_idx()[k]] * at.values()[k];
+            }
+            y[j] = acc;
+          }
+        });
+  };
+
+  // Dangling rows (no out-edges) are those with a zero row sum.
+  const std::vector<double> dout =
+      config.redistribute_dangling ? a.row_sums() : std::vector<double>();
 
   std::vector<double> previous;
   util::Stopwatch iter_watch;
@@ -57,22 +82,14 @@ void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
       previous = r;
       iter_watch.restart();
     }
-    double r_sum = 0.0;
-    for (const double x : r) r_sum += x;
-
-    a.vec_mat(r, y);
+    spmv();
 
     double dangling_mass = 0.0;
     if (config.redistribute_dangling) {
       for (std::size_t i = 0; i < r.size(); ++i)
-        dangling_mass += r[i] * dangling_template[i];
+        if (dout[i] == 0.0) dangling_mass += r[i];
     }
-
-    // r = c*(r*A) + (1-c)/N*sum(r) [+ c*dangling_mass/N with redistribution].
-    // The per-entry additive term uses the paper's damping vector
-    // a = ones(1,N) .* (1-c) ./ N, i.e. the /N is included (appendix form).
-    const double add = (1.0 - c) * r_sum / n + c * dangling_mass / n;
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
+    pagerank_update(r, y, config.damping, dangling_mass);
 
     if (config.observer) {
       IterationStats stats;
@@ -87,10 +104,10 @@ void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
   }
 }
 
-std::vector<double> pagerank(const CsrMatrix& a,
-                             const PageRankConfig& config) {
+std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config,
+                             util::ThreadPool* pool) {
   std::vector<double> r = pagerank_initial_vector(a.rows(), config.seed);
-  pagerank_iterate(a, r, config);
+  pagerank_iterate(a, r, config, pool);
   return r;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sparse/csr.hpp"
+#include "util/threadpool.hpp"
 
 namespace prpb::sparse {
 
@@ -47,11 +48,25 @@ std::vector<double> pagerank_initial_vector(std::uint64_t n,
                                             std::uint64_t seed);
 
 /// Runs `config.iterations` updates starting from `r` (modified in place).
+///
+/// With a pool of more than one thread, the SpMV runs over the transposed
+/// matrix, one task per chunk of output entries: each y[j] is still summed
+/// over rows in ascending order, so the ranks are bit-identical to the
+/// serial `vec_mat` used with no pool or a one-thread pool.
 void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
-                      const PageRankConfig& config);
+                      const PageRankConfig& config,
+                      util::ThreadPool* pool = nullptr);
 
 /// Convenience: initial vector + iterations.
-std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config);
+std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config,
+                             util::ThreadPool* pool = nullptr);
+
+/// One update given y = r·A, in place:
+///   r = c*y + (1-c)/N*sum(r) + c*dangling_mass/N.
+/// The additive term uses the paper's damping vector
+/// a = ones(1,N) .* (1-c) ./ N, i.e. the /N is included (appendix form).
+void pagerank_update(std::vector<double>& r, const std::vector<double>& y,
+                     double damping, double dangling_mass = 0.0);
 
 /// Convergence-mode PageRank — the "real application" variant the paper
 /// describes before fixing the iteration count: iterate until the L1 norm

@@ -20,6 +20,7 @@
 #include "core/backend_parallel.hpp"
 #include "core/checksum.hpp"
 #include "core/runner.hpp"
+#include "dist/pipeline.hpp"
 #include "io/file_stream.hpp"
 #include "io/stage_store.hpp"
 #include "util/error.hpp"
@@ -189,6 +190,26 @@ TEST_P(GoldenScaleTest, ParallelBinaryFastPathReproducesCommittedChecksums) {
   ParallelBackend backend(4);
   expect_matches(measure(config, backend), *golden,
                  "parallel(4)/binary scale " + std::to_string(scale));
+}
+
+// The simulated cluster's column decomposition on three ranks (uneven
+// blocks) must land on the same kernel-3 digest as the serial pipeline.
+TEST_P(GoldenScaleTest, DistributedThreeRanksReproducesRankDigest) {
+  const int scale = GetParam();
+  const auto golden = load_golden(scale);
+  ASSERT_TRUE(golden.has_value())
+      << "no scale_" << scale << " entry in " << kGoldenPath;
+  const PipelineConfig serial = golden_config(scale);
+  dist::DistConfig config;
+  config.scale = serial.scale;
+  config.edge_factor = serial.edge_factor;
+  config.seed = serial.seed;
+  config.generator = serial.generator;
+  config.iterations = serial.iterations;
+  config.damping = serial.damping;
+  const dist::DistResult result = dist::run_distributed(config, 3);
+  EXPECT_EQ(digest_hex(rank_digest(result.ranks)), golden->rank_digest)
+      << "dist(3) scale " << scale;
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, GoldenScaleTest,
