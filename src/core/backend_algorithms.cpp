@@ -37,13 +37,10 @@ AlgorithmResult PipelineBackend::run_algorithm(const KernelContext& ctx,
     result.work_edges = static_cast<std::uint64_t>(ctx.config.iterations) *
                         ctx.config.num_edges();
   } else if (algorithm == "pagerank_dopt") {
-    sparse::PageRankConfig pr;
-    pr.iterations = ctx.config.iterations;
-    pr.damping = ctx.config.damping;
-    pr.seed = ctx.config.seed;
     sparse::DirectionStats stats;
     result.implementation = "reference-pushpull";
-    result.ranks = sparse::pagerank_push_pull(matrix, pr,
+    result.ranks = sparse::pagerank_push_pull(matrix,
+                                              ctx.config.pagerank_config(),
                                               sparse::SpmvDirection::kAuto,
                                               &stats);
     result.iterations = stats.push_iterations + stats.pull_iterations;

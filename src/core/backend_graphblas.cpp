@@ -1,7 +1,5 @@
 #include "core/backend_graphblas.hpp"
 
-#include <cmath>
-
 #include "core/backend_native.hpp"
 #include "core/checksum.hpp"
 #include "grb/algorithms.hpp"
@@ -10,7 +8,6 @@
 #include "sparse/algorithms.hpp"
 #include "sparse/pagerank.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace prpb::core {
 
@@ -61,40 +58,20 @@ sparse::CsrMatrix GraphBlasBackend::kernel2(const KernelContext& ctx) {
 
 std::vector<double> GraphBlasBackend::kernel3(const KernelContext& ctx,
                                               const sparse::CsrMatrix& matrix) {
-  const PipelineConfig& config = ctx.config;
-  util::require(matrix.rows() == config.num_vertices(),
+  util::require(matrix.rows() == ctx.config.num_vertices(),
                 "kernel3: matrix size does not match N = 2^scale");
   const std::uint64_t n = matrix.rows();
   const grb::Matrix a{matrix};
-  grb::Vector r{sparse::pagerank_initial_vector(n, config.seed)};
-  const double c = config.damping;
-
-  const sparse::IterationObserver observer = ctx.k3_observer();
-  std::vector<double> previous;
-  util::Stopwatch iter_watch;
-  for (int it = 0; it < config.iterations; ++it) {
-    if (observer) {
-      previous = r.data();
-      iter_watch.restart();
-    }
+  const sparse::PageRankConfig pr = ctx.k3_config();
+  grb::Vector r{sparse::pagerank_initial_vector(n, pr.seed)};
+  const double c = pr.damping;
+  sparse::run_pagerank_steps(pr, r.data(), [&] {
     // r = c * (r vxm A) + (1-c)/N * reduce(r, plus)
     const double r_sum = grb::reduce<grb::Plus>(r);
     grb::Vector y = grb::vxm<grb::PlusTimes>(r, a);
     const double add = (1.0 - c) * r_sum / static_cast<double>(n);
     r = grb::apply(y, [c, add](double x) { return c * x + add; });
-
-    if (observer) {
-      sparse::IterationStats stats;
-      stats.iteration = it;
-      stats.seconds = iter_watch.seconds();
-      const std::vector<double>& current = r.data();
-      for (std::size_t i = 0; i < current.size(); ++i) {
-        stats.residual_l1 += std::abs(current[i] - previous[i]);
-        stats.rank_sum += current[i];
-      }
-      observer(stats);
-    }
-  }
+  });
   return r.data();
 }
 

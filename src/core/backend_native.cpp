@@ -71,15 +71,9 @@ sparse::CsrMatrix NativeBackend::kernel2(const KernelContext& ctx) {
 
 std::vector<double> NativeBackend::kernel3(const KernelContext& ctx,
                                            const sparse::CsrMatrix& matrix) {
-  const PipelineConfig& config = ctx.config;
-  util::require(matrix.rows() == config.num_vertices(),
+  util::require(matrix.rows() == ctx.config.num_vertices(),
                 "kernel3: matrix size does not match N = 2^scale");
-  sparse::PageRankConfig pr;
-  pr.iterations = config.iterations;
-  pr.damping = config.damping;
-  pr.seed = config.seed;
-  pr.observer = ctx.k3_observer();
-  return sparse::pagerank(matrix, pr);
+  return sparse::pagerank(matrix, ctx.k3_config());
 }
 
 }  // namespace prpb::core

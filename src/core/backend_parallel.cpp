@@ -92,15 +92,9 @@ sparse::CsrMatrix ParallelBackend::kernel2(const KernelContext& ctx) {
 
 std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,
                                              const sparse::CsrMatrix& matrix) {
-  const PipelineConfig& config = ctx.config;
-  util::require(matrix.rows() == config.num_vertices(),
+  util::require(matrix.rows() == ctx.config.num_vertices(),
                 "kernel3: matrix size does not match N = 2^scale");
-  sparse::PageRankConfig pr;
-  pr.iterations = config.iterations;
-  pr.damping = config.damping;
-  pr.seed = config.seed;
-  pr.observer = ctx.k3_observer();
-  return sparse::pagerank(matrix, pr, &pool());
+  return sparse::pagerank(matrix, ctx.k3_config(), &pool());
 }
 
 }  // namespace prpb::core

@@ -95,6 +95,14 @@ std::uint64_t stage_config_fingerprint(const PipelineConfig& config) {
   return hash;
 }
 
+sparse::PageRankConfig PipelineConfig::pagerank_config() const {
+  sparse::PageRankConfig pr;
+  pr.iterations = iterations;
+  pr.damping = damping;
+  pr.seed = seed;
+  return pr;
+}
+
 RunSize run_size(int scale, int edge_factor) {
   util::require(scale >= 1 && scale <= 40, "run_size: scale in [1, 40]");
   RunSize size;

@@ -15,6 +15,7 @@
 #include "io/stage_store.hpp"
 #include "io/tsv.hpp"
 #include "sort/edge_sort.hpp"
+#include "sparse/pagerank.hpp"
 
 namespace prpb::core {
 
@@ -68,6 +69,10 @@ struct PipelineConfig {
                ? external_edges
                : static_cast<std::uint64_t>(edge_factor) * num_vertices();
   }
+
+  /// The kernel-3 PageRank parameters (iterations, damping, seed); every
+  /// backend's pagerank takes them from here. No observer is attached.
+  [[nodiscard]] sparse::PageRankConfig pagerank_config() const;
 
   /// Throws ConfigError on invalid values.
   void validate() const;

@@ -105,6 +105,14 @@ struct KernelContext {
     };
   }
 
+  /// The configured PageRank parameters with k3_observer() attached — what
+  /// every backend's kernel 3 iterates with.
+  [[nodiscard]] sparse::PageRankConfig k3_config() const {
+    sparse::PageRankConfig pr = config.pagerank_config();
+    pr.observer = k3_observer();
+    return pr;
+  }
+
   /// The stage codec this pipeline is configured with. `flavor` picks the
   /// TSV parse/format flavor (interpreted-stack backends pass kGeneric).
   [[nodiscard]] const io::StageCodec& codec(

@@ -1,5 +1,6 @@
 #include "core/runner.hpp"
 
+#include <chrono>
 #include <memory>
 #include <optional>
 
@@ -7,7 +8,6 @@
 #include "core/graph_source.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/inject.hpp"
-#include "io/traced_store.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -84,8 +84,9 @@ PipelineResult run_pipeline(const PipelineConfig& config,
   // Storage decorator stack, innermost first. The fault injector sits
   // directly on the base store (it simulates the medium itself); the
   // digest layer sits above it so as-written fingerprints describe what
-  // kernels intended before any injected corruption; counting and tracing
-  // stay outermost so kernel I/O accounting covers retried attempts too.
+  // kernels intended before any injected corruption; the shard-accounting
+  // decorator stays outermost so kernel I/O accounting (counters, and shard
+  // spans when tracing) covers retried attempts too.
   std::optional<fault::FaultInjectingStageStore> faulty;
   io::StageStore* lower = base;
   if (!options.fault_plan.empty()) {
@@ -98,14 +99,8 @@ PipelineResult run_pipeline(const PipelineConfig& config,
     digests.emplace(*lower);
     lower = &*digests;
   }
-  io::CountingStageStore counting(*lower);
-  std::optional<io::TracedStageStore> traced;
-  io::StageStore* active = &counting;
-  if (hooks.tracing()) {
-    traced.emplace(counting, hooks);
-    active = &*traced;
-  }
-  io::StageStore& store = *active;
+  io::CountingStageStore counting(*lower, hooks);
+  io::StageStore& store = counting;
 
   // Checkpoint verification reads go through the digest store, so they
   // traverse the (possibly faulty) layers below without perturbing the
@@ -142,18 +137,29 @@ PipelineResult run_pipeline(const PipelineConfig& config,
     return delta;
   };
 
-  // Runs one kernel attempt loop. Transient I/O faults consume a retry
-  // (after clearing the kernel's partial output and spill scratch, so a
-  // re-run starts from a clean slate); every other error — ConfigError,
-  // detected corruption, invariant violations — rethrows immediately.
-  const auto with_retry = [&](const char* kernel, KernelMetrics& metrics,
-                              const std::vector<std::string>& out_stages,
-                              const auto& body) {
+  // Runs one timed kernel: the attempt loop, then its accounting. Transient
+  // I/O faults consume a retry (after clearing the kernel's partial output
+  // and spill scratch, so a re-run starts from a clean slate); every other
+  // error — ConfigError, detected corruption, invariant violations —
+  // rethrows immediately. KernelMetrics.seconds and the kernel's span come
+  // from the same two clock readings, so the report and the trace agree;
+  // the perf sample and the stage-I/O delta cover the same interval, all
+  // attempts included. `kernel` keys the retry counter, `prefix` the I/O
+  // counters, `label` the log line.
+  const auto timed_kernel = [&](const char* kernel, const std::string& prefix,
+                                const std::string& span_name,
+                                const std::string& label,
+                                KernelMetrics& metrics,
+                                const std::vector<std::string>& out_stages,
+                                const auto& body) {
+    using Clock = obs::TraceRecorder::Clock;
+    obs::PerfScope perf(hooks.perf);
+    const Clock::time_point start = Clock::now();
     for (int attempt = 1;; ++attempt) {
       metrics.attempts = attempt;
       try {
         body();
-        return;
+        break;
       } catch (const std::exception& error) {
         if (attempt >= retry.max_attempts || !fault::is_retryable(error)) {
           throw;
@@ -171,6 +177,17 @@ PipelineResult run_pipeline(const PipelineConfig& config,
         fault::backoff_sleep(retry.delay_ms(attempt));
       }
     }
+    const Clock::time_point end = Clock::now();
+    metrics.seconds = std::chrono::duration<double>(end - start).count();
+    metrics.perf = perf.sample();
+    if (hooks.tracing()) {
+      const std::uint64_t ts = hooks.trace->us_at(start);
+      hooks.trace->record_complete(span_name, ts,
+                                   hooks.trace->us_at(end) - ts,
+                                   metrics.perf.args_json(metrics.seconds));
+    }
+    fold_io(metrics, io_delta(), *hooks.metrics, prefix.c_str());
+    util::log_info(label, "[", backend.name(), "] ", metrics.seconds, "s");
   };
 
   // Resume: a stage whose persisted manifest validates against this
@@ -218,24 +235,17 @@ PipelineResult run_pipeline(const PipelineConfig& config,
         checkpoints->invalidate(stage);
       }
     }
-    obs::Span span(hooks.trace, "k0/generate");
-    obs::PerfScope perf(hooks.perf);
-    util::Stopwatch watch;
-    with_retry("k0", result.k0, source_stages, [&] {
-      const KernelContext ctx = context("", stages::kStage0);
-      result.graph = source->materialize(ctx, backend);
-      if (checkpoints) {
-        for (const std::string& stage : source_stages) {
-          checkpoints->commit(stage);
-        }
-      }
-    });
-    result.k0.seconds = watch.seconds();
-    result.k0.perf = perf.sample();
-    span.set_args(result.k0.perf.args_json(result.k0.seconds));
+    timed_kernel("k0", "k0", "k0/generate", "kernel0", result.k0,
+                 source_stages, [&] {
+                   const KernelContext ctx = context("", stages::kStage0);
+                   result.graph = source->materialize(ctx, backend);
+                   if (checkpoints) {
+                     for (const std::string& stage : source_stages) {
+                       checkpoints->commit(stage);
+                     }
+                   }
+                 });
     result.k0.edges_processed = result.graph.edges;
-    fold_io(result.k0, io_delta(), *hooks.metrics, "k0");
-    util::log_info("kernel0[", backend.name(), "] ", result.k0.seconds, "s");
   } else {
     for (const std::string& stage : source_stages) {
       require_stage(store, stage.c_str(),
@@ -262,39 +272,20 @@ PipelineResult run_pipeline(const PipelineConfig& config,
     util::log_info("kernel1[", backend.name(), "] resumed from checkpoint");
   } else {
     if (checkpoints) checkpoints->invalidate(stages::kStage1);
-    obs::Span span(hooks.trace, "k1/sort");
-    obs::PerfScope perf(hooks.perf);
-    util::Stopwatch watch;
-    with_retry("k1", result.k1, {stages::kStage1}, [&] {
-      const KernelContext ctx = context(stages::kStage0, stages::kStage1);
-      backend.kernel1(ctx);
-      if (checkpoints) checkpoints->commit(stages::kStage1);
-    });
-    result.k1.seconds = watch.seconds();
-    result.k1.perf = perf.sample();
-    span.set_args(result.k1.perf.args_json(result.k1.seconds));
+    timed_kernel("k1", "k1", "k1/sort", "kernel1", result.k1,
+                 {stages::kStage1}, [&] {
+                   backend.kernel1(context(stages::kStage0, stages::kStage1));
+                   if (checkpoints) checkpoints->commit(stages::kStage1);
+                 });
     result.k1.edges_processed = m;
-    fold_io(result.k1, io_delta(), *hooks.metrics, "k1");
-    util::log_info("kernel1[", backend.name(), "] ", result.k1.seconds, "s");
   }
 
   // Kernel 2 — filter (timed; M edges). Output is in-memory, so a retry
   // only has spill scratch to clean up.
-  {
-    obs::Span span(hooks.trace, "k2/filter");
-    obs::PerfScope perf(hooks.perf);
-    util::Stopwatch watch;
-    with_retry("k2", result.k2, {}, [&] {
-      const KernelContext ctx = context(stages::kStage1, "");
-      result.matrix = backend.kernel2(ctx);
-    });
-    result.k2.seconds = watch.seconds();
-    result.k2.perf = perf.sample();
-    span.set_args(result.k2.perf.args_json(result.k2.seconds));
-    result.k2.edges_processed = m;
-    fold_io(result.k2, io_delta(), *hooks.metrics, "k2");
-    util::log_info("kernel2[", backend.name(), "] ", result.k2.seconds, "s");
-  }
+  timed_kernel("k2", "k2", "k2/filter", "kernel2", result.k2, {}, [&] {
+    result.matrix = backend.kernel2(context(stages::kStage1, ""));
+  });
+  result.k2.edges_processed = m;
 
   // Kernel 3 — the algorithm stage: every configured algorithm runs over
   // the shared kernel-2 matrix, in order (timed per algorithm; pagerank
@@ -303,29 +294,22 @@ PipelineResult run_pipeline(const PipelineConfig& config,
   // k3/ranks fields, so the fixed pipeline's results read unchanged.
   for (const std::string& algorithm : work.algorithms) {
     AlgorithmRun run;
-    const std::string span_name = "k3/" + algorithm;
-    obs::Span span(hooks.trace, span_name.c_str());
-    obs::PerfScope perf(hooks.perf);
-    util::Stopwatch watch;
-    with_retry("k3", run.metrics, {}, [&] {
-      if (algorithm == "pagerank") {
-        result.k3_iterations.clear();  // drop telemetry of a failed attempt
-      }
-      const KernelContext ctx = context("", "");
-      run.output = backend.run_algorithm(ctx, result.matrix, algorithm);
-    });
-    run.metrics.seconds = watch.seconds();
-    run.metrics.perf = perf.sample();
-    span.set_args(run.metrics.perf.args_json(run.metrics.seconds));
-    run.metrics.edges_processed = run.output.work_edges;
     // The pagerank run keeps the historical "k3/..." metric keys; other
     // algorithms get their own prefix so rows never collide.
     const std::string prefix =
         algorithm == "pagerank" ? "k3" : "k3_" + algorithm;
-    fold_io(run.metrics, io_delta(), *hooks.metrics, prefix.c_str());
+    timed_kernel("k3", prefix, "k3/" + algorithm, "kernel3/" + algorithm,
+                 run.metrics, {}, [&] {
+                   if (algorithm == "pagerank") {
+                     // drop telemetry of a failed attempt
+                     result.k3_iterations.clear();
+                   }
+                   run.output = backend.run_algorithm(context("", ""),
+                                                      result.matrix,
+                                                      algorithm);
+                 });
+    run.metrics.edges_processed = run.output.work_edges;
     run.output.checksum = algorithm_checksum(run.output);
-    util::log_info("kernel3/", algorithm, "[", backend.name(), "] ",
-                   run.metrics.seconds, "s");
     if (algorithm == "pagerank") {
       result.k3 = run.metrics;
       result.ranks = run.output.ranks;

@@ -7,8 +7,14 @@
 //
 // The runner owns the stage-naming scheme (stages::*) and the storage
 // wiring: it builds the store from config.storage (or takes an injected
-// one), wraps it in an I/O-counting decorator, and hands kernels a
-// KernelContext. Kernels never see paths.
+// one), wraps it in the shard-accounting decorator (io::CountingStageStore),
+// and hands kernels a KernelContext. Kernels never see paths.
+//
+// One reading per quantity: a kernel's seconds and its trace span come from
+// the same two clock reads, its stage bytes and files from the decorator's
+// counters (whose shard spans, when traced, carry the same bytes), and the
+// K3 iteration telemetry from the single observer that also emits the
+// k3/iter spans. The report and the trace are two views of one run.
 #pragma once
 
 #include <algorithm>
@@ -45,9 +51,11 @@ struct KernelMetrics {
   /// of silently reporting 0 (which plots as a missing point in sweeps).
   static constexpr double kMinMeasurableSeconds = 1e-9;
 
+  /// Wall time over all attempts; the kernel's trace span has the same
+  /// endpoints.
   double seconds = 0.0;
   std::uint64_t edges_processed = 0;  ///< M, or iterations·M for kernel 3
-  // Stage traffic recorded by the runner's counting store.
+  // Stage traffic recorded by the runner's shard-accounting store.
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   std::uint64_t files_read = 0;     ///< shards opened for reading
@@ -127,8 +135,9 @@ struct RunOptions {
   io::StageStore* store = nullptr;
   /// Observability hooks threaded into every kernel and I/O layer. When
   /// metrics is null the runner builds a run-local registry (the result
-  /// snapshot is populated either way); when trace is set and enabled,
-  /// stage I/O is additionally routed through a tracing store decorator.
+  /// snapshot is populated either way); when trace is set and enabled, the
+  /// kernel spans are recorded and the shard-accounting store also emits a
+  /// span and a latency observation per shard.
   obs::Hooks hooks;
   /// Non-empty: wrap the store in a FaultInjectingStageStore interpreting
   /// this plan (deterministic from plan.seed).

@@ -4,8 +4,10 @@
 #include <cstdio>
 
 #include "io/file_stream.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/json.hpp"
 
 namespace prpb::io {
 
@@ -259,23 +261,68 @@ bool MemStageStore::empty(const std::string& stage) const {
 
 namespace {
 
-class CountingReaderImpl final : public StageReader {
+/// One shard's span, live only when tracing was on at open: started before
+/// the inner open, recorded by the reader/writer wrapper's destructor with
+/// the bytes that wrapper counted.
+class ShardSpan {
  public:
-  CountingReaderImpl(std::unique_ptr<StageReader> inner,
-                     std::atomic<std::uint64_t>& bytes)
-      : inner_(std::move(inner)), bytes_(bytes) {}
+  ShardSpan(const obs::Hooks& hooks, obs::Histogram* latency_ms,
+            const char* name, const std::string& stage,
+            const std::string& shard)
+      : trace_(hooks.tracing() ? hooks.trace : nullptr),
+        latency_ms_(latency_ms),
+        name_(name) {
+    if (trace_ == nullptr) return;
+    start_ = trace_->now_us();
+    stage_ = stage;
+    shard_ = shard;
+  }
+
+  void finish(std::uint64_t bytes) {
+    if (trace_ == nullptr) return;
+    const std::uint64_t elapsed_us = trace_->now_us() - start_;
+    util::JsonWriter args;
+    args.begin_object();
+    args.field("stage", stage_);
+    args.field("shard", shard_);
+    args.field("bytes", bytes);
+    args.end_object();
+    trace_->record_complete(name_, start_, elapsed_us, args.str());
+    if (latency_ms_ != nullptr) {
+      latency_ms_->observe(static_cast<double>(elapsed_us) / 1e3);
+    }
+  }
+
+ private:
+  obs::TraceRecorder* trace_;
+  obs::Histogram* latency_ms_;
+  const char* name_;
+  std::uint64_t start_ = 0;
+  std::string stage_;
+  std::string shard_;
+};
+
+class CountingReader final : public StageReader {
+ public:
+  CountingReader(ShardSpan span, std::unique_ptr<StageReader> inner,
+                 std::atomic<std::uint64_t>& total)
+      : span_(std::move(span)), inner_(std::move(inner)), total_(total) {}
+  ~CountingReader() override {
+    inner_.reset();  // the span covers the inner reader's close
+    span_.finish(bytes_);
+  }
 
   std::string_view read_chunk() override {
     const auto chunk = inner_->read_chunk();
-    bytes_.fetch_add(chunk.size(), std::memory_order_relaxed);
+    count(chunk.size());
     return chunk;
   }
 
   std::unique_ptr<ReadView> view() override {
     // Forward so the inner store's zero-copy view survives the decorator;
-    // the whole span is counted as read in one step.
+    // the whole view is counted as read in one step.
     auto view = inner_->view();
-    bytes_.fetch_add(view->size(), std::memory_order_relaxed);
+    count(view->size());
     return view;
   }
 
@@ -284,21 +331,30 @@ class CountingReaderImpl final : public StageReader {
   }
 
  private:
+  void count(std::uint64_t bytes) {
+    bytes_ += bytes;
+    total_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+
+  ShardSpan span_;
   std::unique_ptr<StageReader> inner_;
-  std::atomic<std::uint64_t>& bytes_;
+  std::atomic<std::uint64_t>& total_;
+  std::uint64_t bytes_ = 0;
 };
 
-class CountingWriterImpl final : public StageWriter {
+class CountingWriter final : public StageWriter {
  public:
-  CountingWriterImpl(std::unique_ptr<StageWriter> inner,
-                     std::atomic<std::uint64_t>& bytes)
-      : inner_(std::move(inner)), bytes_(bytes) {}
-  ~CountingWriterImpl() override {
+  CountingWriter(ShardSpan span, std::unique_ptr<StageWriter> inner,
+                 std::atomic<std::uint64_t>& total)
+      : span_(std::move(span)), inner_(std::move(inner)), total_(total) {}
+  ~CountingWriter() override {
     try {
       close();
     } catch (...) {
       // destructor must not throw; the underlying writer handles cleanup
     }
+    inner_.reset();
+    span_.finish(bytes_);
   }
 
   std::string& buffer() override { return inner_->buffer(); }
@@ -307,7 +363,8 @@ class CountingWriterImpl final : public StageWriter {
     inner_->close();
     if (!counted_) {
       counted_ = true;
-      bytes_.fetch_add(inner_->bytes_written(), std::memory_order_relaxed);
+      bytes_ = inner_->bytes_written();
+      total_.fetch_add(bytes_, std::memory_order_relaxed);
     }
   }
   [[nodiscard]] std::uint64_t bytes_written() const override {
@@ -315,26 +372,42 @@ class CountingWriterImpl final : public StageWriter {
   }
 
  private:
+  ShardSpan span_;
   std::unique_ptr<StageWriter> inner_;
-  std::atomic<std::uint64_t>& bytes_;
+  std::atomic<std::uint64_t>& total_;
+  std::uint64_t bytes_ = 0;
   bool counted_ = false;
 };
 
 }  // namespace
 
+CountingStageStore::CountingStageStore(StageStore& inner, obs::Hooks hooks)
+    : inner_(inner), hooks_(hooks) {
+  if (hooks_.tracing() && hooks_.metrics != nullptr) {
+    read_latency_ms_ = &hooks_.metrics->histogram("store/shard_read_ms",
+                                                  obs::latency_buckets_ms());
+    write_latency_ms_ = &hooks_.metrics->histogram(
+        "store/shard_write_ms", obs::latency_buckets_ms());
+  }
+}
+
 std::unique_ptr<StageReader> CountingStageStore::open_read(
     const std::string& stage, const std::string& shard) {
+  ShardSpan span(hooks_, read_latency_ms_, "store/read_shard", stage, shard);
   auto inner = inner_.open_read(stage, shard);
   files_read_.fetch_add(1, std::memory_order_relaxed);
-  return std::make_unique<CountingReaderImpl>(std::move(inner), bytes_read_);
+  return std::make_unique<CountingReader>(std::move(span), std::move(inner),
+                                          bytes_read_);
 }
 
 std::unique_ptr<StageWriter> CountingStageStore::open_write(
     const std::string& stage, const std::string& shard) {
+  ShardSpan span(hooks_, write_latency_ms_, "store/write_shard", stage,
+                 shard);
   auto inner = inner_.open_write(stage, shard);
   files_written_.fetch_add(1, std::memory_order_relaxed);
-  return std::make_unique<CountingWriterImpl>(std::move(inner),
-                                              bytes_written_);
+  return std::make_unique<CountingWriter>(std::move(span), std::move(inner),
+                                          bytes_written_);
 }
 
 StageIoCounters CountingStageStore::snapshot() const {

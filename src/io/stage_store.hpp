@@ -11,7 +11,8 @@
 //                         to the historical on-disk layout)
 //   MemStageStore       — shard buffers in memory, thread-safe
 //   CountingStageStore  — decorator recording bytes/files read and written
-//                         (the runner diffs it around each kernel)
+//                         (the runner diffs it around each kernel) and,
+//                         when tracing, a span per shard
 #pragma once
 
 #include <atomic>
@@ -24,6 +25,11 @@
 #include <vector>
 
 #include "io/stage_stream.hpp"
+#include "obs/trace.hpp"
+
+namespace prpb::obs {
+class Histogram;
+}  // namespace prpb::obs
 
 namespace prpb::io {
 
@@ -165,12 +171,21 @@ struct StageIoCounters {
   }
 };
 
-/// Decorator that forwards to an inner store and counts traffic. Counters
-/// are cumulative; callers snapshot() before/after a kernel and subtract.
-/// Thread-safe (atomic counters).
+/// The shard-accounting decorator: forwards to an inner store and accounts
+/// for every shard opened through it, from one reading per shard.
+///   * Always: counts bytes and files read and written. Counters are
+///     cumulative; callers snapshot() before/after a kernel and subtract.
+///     Thread-safe (atomic counters).
+///   * When `hooks` is tracing at open: the shard also becomes a
+///     "store/read_shard" or "store/write_shard" span covering the open,
+///     the reads or writes, and close-on-destroy, with args
+///     {stage, shard, bytes} — `bytes` being exactly what the counters
+///     added for that shard. With a metrics registry the span's latency
+///     also feeds the "store/shard_{read,write}_ms" histograms.
 class CountingStageStore final : public StageStore {
  public:
-  explicit CountingStageStore(StageStore& inner) : inner_(inner) {}
+  /// `inner` is not owned.
+  explicit CountingStageStore(StageStore& inner, obs::Hooks hooks = {});
 
   [[nodiscard]] std::string kind() const override { return inner_.kind(); }
   std::unique_ptr<StageReader> open_read(const std::string& stage,
@@ -206,10 +221,10 @@ class CountingStageStore final : public StageStore {
   [[nodiscard]] StageIoCounters snapshot() const;
 
  private:
-  friend class CountingReader;
-  friend class CountingWriter;
-
   StageStore& inner_;
+  obs::Hooks hooks_;
+  obs::Histogram* read_latency_ms_ = nullptr;  // null unless traced + metrics
+  obs::Histogram* write_latency_ms_ = nullptr;
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> files_read_{0};

@@ -10,10 +10,11 @@
 //  * view() — the whole remaining shard as ONE contiguous immutable span.
 //    This is the zero-copy read path: DirStageStore serves it from a
 //    memory mapping, MemStageStore from the shard buffer itself, and any
-//    reader that cannot (counting/fault/traced decorators, mid-stream
-//    readers) falls back to draining read_chunk() into an owned buffer,
-//    so every decorator composes unchanged — counted bytes still count,
-//    injected faults still fire.
+//    reader that cannot (the fault decorator, mid-stream readers) falls
+//    back to draining read_chunk() into an owned buffer, so every
+//    decorator composes unchanged — counted bytes still count, injected
+//    faults still fire. The counting decorator forwards view(), so the
+//    zero-copy path survives it.
 #pragma once
 
 #include <cstddef>

@@ -52,10 +52,14 @@ class TraceRecorder {
   }
 
   /// Microseconds since the recorder epoch (monotonic).
-  [[nodiscard]] std::uint64_t now_us() const {
+  [[nodiscard]] std::uint64_t now_us() const { return us_at(Clock::now()); }
+
+  /// Microseconds from the recorder epoch to `t`, a reading of Clock taken
+  /// after the recorder was constructed. Lets a caller that already read
+  /// the clock for its own timing record a span from the same readings.
+  [[nodiscard]] std::uint64_t us_at(Clock::time_point t) const {
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              epoch_)
+        std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
             .count());
   }
 

@@ -42,6 +42,30 @@ void pagerank_update(std::vector<double>& r, const std::vector<double>& y,
   for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
 }
 
+void run_pagerank_steps(const PageRankConfig& config,
+                        const std::vector<double>& r,
+                        const std::function<void()>& step) {
+  if (!config.observer) {
+    for (int it = 0; it < config.iterations; ++it) step();
+    return;
+  }
+  std::vector<double> previous;
+  util::Stopwatch iter_watch;
+  for (int it = 0; it < config.iterations; ++it) {
+    previous = r;
+    iter_watch.restart();
+    step();
+    IterationStats stats;
+    stats.iteration = it;
+    stats.seconds = iter_watch.seconds();
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      stats.residual_l1 += std::abs(r[i] - previous[i]);
+      stats.rank_sum += r[i];
+    }
+    config.observer(stats);
+  }
+}
+
 void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
                       const PageRankConfig& config, util::ThreadPool* pool) {
   config.validate();
@@ -75,33 +99,15 @@ void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
   const std::vector<double> dout =
       config.redistribute_dangling ? a.row_sums() : std::vector<double>();
 
-  std::vector<double> previous;
-  util::Stopwatch iter_watch;
-  for (int it = 0; it < config.iterations; ++it) {
-    if (config.observer) {
-      previous = r;
-      iter_watch.restart();
-    }
+  run_pagerank_steps(config, r, [&] {
     spmv();
-
     double dangling_mass = 0.0;
     if (config.redistribute_dangling) {
       for (std::size_t i = 0; i < r.size(); ++i)
         if (dout[i] == 0.0) dangling_mass += r[i];
     }
     pagerank_update(r, y, config.damping, dangling_mass);
-
-    if (config.observer) {
-      IterationStats stats;
-      stats.iteration = it;
-      stats.seconds = iter_watch.seconds();
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        stats.residual_l1 += std::abs(r[i] - previous[i]);
-        stats.rank_sum += r[i];
-      }
-      config.observer(stats);
-    }
-  }
+  });
 }
 
 std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config,
@@ -109,39 +115,6 @@ std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config,
   std::vector<double> r = pagerank_initial_vector(a.rows(), config.seed);
   pagerank_iterate(a, r, config, pool);
   return r;
-}
-
-ConvergenceResult pagerank_until_converged(const CsrMatrix& a,
-                                           const PageRankConfig& config,
-                                           double tolerance,
-                                           int max_iterations) {
-  util::require(tolerance > 0.0, "pagerank: tolerance must be positive");
-  util::require(max_iterations >= 1,
-                "pagerank: max_iterations must be >= 1");
-  ConvergenceResult result;
-  result.ranks = pagerank_initial_vector(a.rows(), config.seed);
-
-  PageRankConfig step = config;
-  step.iterations = 1;
-  // The convergence loop computes its own residual; running the observer on
-  // each single-iteration step would double the work and mislabel the
-  // iteration numbers, so drop it here.
-  step.observer = nullptr;
-  std::vector<double> previous;
-  for (int it = 0; it < max_iterations; ++it) {
-    previous = result.ranks;
-    pagerank_iterate(a, result.ranks, step);
-    double residual = 0.0;
-    for (std::size_t i = 0; i < previous.size(); ++i)
-      residual += std::abs(result.ranks[i] - previous[i]);
-    result.iterations = it + 1;
-    result.residual = residual;
-    if (residual < tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
 }
 
 double norm1(const std::vector<double>& v) {

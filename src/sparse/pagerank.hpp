@@ -61,27 +61,22 @@ void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
 std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config,
                              util::ThreadPool* pool = nullptr);
 
+/// The K3 iteration producer every PageRank loop shares: calls `step`
+/// `config.iterations` times, each call advancing the iterate that `r`
+/// refers to by one update (in place, or by reassigning the object that
+/// owns `r`). When config.observer is set, it copies the previous iterate,
+/// times the step, and reports {iteration, residual_l1, rank_sum, seconds}
+/// to the observer; without one it only runs the steps.
+void run_pagerank_steps(const PageRankConfig& config,
+                        const std::vector<double>& r,
+                        const std::function<void()>& step);
+
 /// One update given y = r·A, in place:
 ///   r = c*y + (1-c)/N*sum(r) + c*dangling_mass/N.
 /// The additive term uses the paper's damping vector
 /// a = ones(1,N) .* (1-c) ./ N, i.e. the /N is included (appendix form).
 void pagerank_update(std::vector<double>& r, const std::vector<double>& y,
                      double damping, double dangling_mass = 0.0);
-
-/// Convergence-mode PageRank — the "real application" variant the paper
-/// describes before fixing the iteration count: iterate until the L1 norm
-/// of successive differences drops below `tolerance` (or `max_iterations`).
-struct ConvergenceResult {
-  std::vector<double> ranks;
-  int iterations = 0;       ///< iterations actually executed
-  double residual = 0.0;    ///< final ||r_k - r_{k-1}||_1
-  bool converged = false;
-};
-
-ConvergenceResult pagerank_until_converged(const CsrMatrix& a,
-                                           const PageRankConfig& config,
-                                           double tolerance,
-                                           int max_iterations = 1000);
 
 /// L1 norm.
 double norm1(const std::vector<double>& v);

@@ -243,62 +243,5 @@ TEST(PageRankTest, PooledRunIsBitIdenticalToSerial) {
   }
 }
 
-// ---- convergence mode (paper: the "real application" variant) -------------------
-
-TEST(ConvergenceTest, ConvergesOnSmallGraph) {
-  const auto generator = gen::make_generator("kronecker", 8, 16, 3);
-  const CsrMatrix a =
-      filter_edges(generator->generate_all(), generator->num_vertices());
-  PageRankConfig config;
-  const auto result = pagerank_until_converged(a, config, 1e-10);
-  EXPECT_TRUE(result.converged);
-  EXPECT_LT(result.residual, 1e-10);
-  EXPECT_GT(result.iterations, 1);
-  EXPECT_LT(result.iterations, 1000);
-}
-
-TEST(ConvergenceTest, ConvergedVectorMatchesManyFixedIterations) {
-  const auto generator = gen::make_generator("kronecker", 8, 16, 3);
-  const CsrMatrix a =
-      filter_edges(generator->generate_all(), generator->num_vertices());
-  PageRankConfig config;
-  const auto converged = pagerank_until_converged(a, config, 1e-13);
-  config.iterations = 200;
-  const auto fixed_run = normalized1(pagerank(a, config));
-  const auto conv_norm = normalized1(converged.ranks);
-  for (std::size_t i = 0; i < fixed_run.size(); ++i) {
-    EXPECT_NEAR(conv_norm[i], fixed_run[i], 1e-9);
-  }
-}
-
-TEST(ConvergenceTest, TighterToleranceNeedsMoreIterations) {
-  const auto generator = gen::make_generator("kronecker", 8, 16, 3);
-  const CsrMatrix a =
-      filter_edges(generator->generate_all(), generator->num_vertices());
-  PageRankConfig config;
-  const auto loose = pagerank_until_converged(a, config, 1e-4);
-  const auto tight = pagerank_until_converged(a, config, 1e-12);
-  EXPECT_LT(loose.iterations, tight.iterations);
-}
-
-TEST(ConvergenceTest, MaxIterationsCapRespected) {
-  const CsrMatrix a = two_cycle();
-  PageRankConfig config;
-  // The pure 2-cycle oscillates slowly toward uniform; a huge tolerance
-  // converges instantly, an impossible one stops at the cap.
-  const auto capped =
-      pagerank_until_converged(a, config, 1e-300, /*max_iterations=*/5);
-  EXPECT_FALSE(capped.converged);
-  EXPECT_EQ(capped.iterations, 5);
-}
-
-TEST(ConvergenceTest, InvalidArgumentsThrow) {
-  const CsrMatrix a = two_cycle();
-  EXPECT_THROW(pagerank_until_converged(a, PageRankConfig{}, 0.0),
-               util::ConfigError);
-  EXPECT_THROW(pagerank_until_converged(a, PageRankConfig{}, 1e-6, 0),
-               util::ConfigError);
-}
-
 }  // namespace
 }  // namespace prpb::sparse

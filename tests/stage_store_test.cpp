@@ -1,20 +1,28 @@
 // Tests for the StageStore abstraction (src/io/stage_store.*): dir/mem
-// behavioral parity, the I/O-counting decorator, and the cross-backend
+// behavioral parity, the shard-accounting decorator (counts always, spans
+// and latency histograms when traced), and the cross-backend
 // guarantee that swapping storage never changes pipeline results.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/backend.hpp"
 #include "core/checksum.hpp"
 #include "core/runner.hpp"
 #include "core/validate.hpp"
+#include "io/file_stream.hpp"
 #include "io/stage_store.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/json.hpp"
 
 namespace prpb::io {
 namespace {
@@ -201,6 +209,134 @@ TEST(CountingStageStoreTest, ForwardsKindAndRoot) {
   EXPECT_EQ(store.kind(), "dir");
   ASSERT_NE(store.root_dir(), nullptr);
   EXPECT_EQ(*store.root_dir(), dir.path());
+}
+
+/// A traced CountingStageStore over a memory store, plus what it recorded.
+struct TracedCounting {
+  MemStageStore inner;
+  obs::TraceRecorder recorder;
+  obs::MetricsRegistry registry;
+  CountingStageStore store{inner, obs::Hooks{&recorder, &registry, nullptr}};
+
+  void put(const std::string& shard, const std::string& data) {
+    const auto writer = store.open_write("s", shard);
+    writer->write(data);
+    writer->close();
+  }
+
+  /// Every recorded span as {name, parsed args}.
+  [[nodiscard]] std::vector<std::pair<std::string, util::JsonValue>> spans()
+      const {
+    std::vector<std::pair<std::string, util::JsonValue>> out;
+    for (const obs::TraceEvent& event : recorder.events()) {
+      out.emplace_back(event.name, util::JsonValue::parse(event.args));
+    }
+    return out;
+  }
+};
+
+TEST(CountingStageStoreTest, TracedShardsBecomeSpansWithStageShardAndBytes) {
+  TracedCounting traced;
+  traced.put(shard_name(0), "0123456789");
+  {
+    const auto reader = traced.store.open_read("s", shard_name(0));
+    while (!reader->read_chunk().empty()) {
+    }
+  }
+  const auto spans = traced.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].first, "store/write_shard");
+  EXPECT_EQ(spans[1].first, "store/read_shard");
+  for (const auto& [name, args] : spans) {
+    EXPECT_EQ(args.at("stage").string(), "s") << name;
+    EXPECT_EQ(args.at("shard").string(), shard_name(0)) << name;
+    EXPECT_EQ(args.at("bytes").number(), 10.0) << name;
+  }
+  const auto snapshot = traced.registry.snapshot();
+  EXPECT_EQ(snapshot.histograms.at("store/shard_write_ms").count, 1u);
+  EXPECT_EQ(snapshot.histograms.at("store/shard_read_ms").count, 1u);
+}
+
+TEST(CountingStageStoreTest, ChunkAndViewPathsCountBytesOnce) {
+  TracedCounting traced;
+  const std::string payload(2 * kDefaultBufferBytes + 7, 'x');
+  traced.put("chunked", payload);
+  traced.put("viewed", payload);
+  traced.put("mixed", payload);
+  const StageIoCounters before = traced.store.snapshot();
+  {
+    const auto reader = traced.store.open_read("s", "chunked");
+    while (!reader->read_chunk().empty()) {
+    }
+  }
+  EXPECT_EQ(traced.store.snapshot().bytes_read - before.bytes_read,
+            payload.size());
+  {
+    const auto view = traced.store.open_read("s", "viewed")->view();
+    EXPECT_EQ(view->size(), payload.size());
+  }
+  EXPECT_EQ(traced.store.snapshot().bytes_read - before.bytes_read,
+            2 * payload.size());
+  {
+    // A partial chunked read, then the remainder as a view.
+    const auto reader = traced.store.open_read("s", "mixed");
+    EXPECT_EQ(reader->read_chunk().size(), kDefaultBufferBytes);
+    EXPECT_EQ(reader->view()->size(), payload.size() - kDefaultBufferBytes);
+  }
+  const StageIoCounters delta = traced.store.snapshot() - before;
+  EXPECT_EQ(delta.bytes_read, 3 * payload.size());
+  EXPECT_EQ(delta.files_read, 3u);
+
+  std::map<std::string, double> span_bytes;
+  for (const auto& [name, args] : traced.spans()) {
+    if (name == "store/read_shard") {
+      span_bytes[args.at("shard").string()] += args.at("bytes").number();
+    }
+  }
+  const auto size = static_cast<double>(payload.size());
+  EXPECT_EQ(span_bytes, (std::map<std::string, double>{
+                            {"chunked", size}, {"mixed", size},
+                            {"viewed", size}}));
+}
+
+TEST(CountingStageStoreTest, WriterDroppedWithoutCloseIsCountedAndSpannedOnce) {
+  TracedCounting traced;
+  {
+    const auto writer = traced.store.open_write("s", shard_name(0));
+    writer->write("abandoned");
+  }
+  const StageIoCounters counters = traced.store.snapshot();
+  EXPECT_EQ(counters.bytes_written, 9u);
+  EXPECT_EQ(counters.files_written, 1u);
+  const auto spans = traced.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].first, "store/write_shard");
+  EXPECT_EQ(spans[0].second.at("bytes").number(), 9.0);
+  EXPECT_EQ(traced.registry.snapshot().histograms.at("store/shard_write_ms")
+                .count,
+            1u);
+}
+
+TEST(CountingStageStoreTest, MetricsWithoutLiveTraceOnlyCount) {
+  MemStageStore inner;
+  obs::TraceRecorder recorder(false);
+  obs::MetricsRegistry registry;
+  CountingStageStore store(inner, obs::Hooks{&recorder, &registry, nullptr});
+  {
+    const auto writer = store.open_write("s", shard_name(0));
+    writer->write("0123456789");
+    writer->close();
+  }
+  {
+    const auto view = store.open_read("s", shard_name(0))->view();
+  }
+  const StageIoCounters counters = store.snapshot();
+  EXPECT_EQ(counters.bytes_written, 10u);
+  EXPECT_EQ(counters.bytes_read, 10u);
+  EXPECT_EQ(counters.files_written, 1u);
+  EXPECT_EQ(counters.files_read, 1u);
+  EXPECT_TRUE(registry.snapshot().histograms.empty());
+  EXPECT_EQ(recorder.event_count(), 0u);
 }
 
 // ---- cross-backend storage parity ------------------------------------------

@@ -1,18 +1,21 @@
 // Tests for the observability subsystem: TraceRecorder/Span semantics,
 // the disabled-path cost contract (no allocation, no events), the
-// resource sampler, and the golden structure of a full traced pipeline
-// run (span taxonomy, nesting, per-iteration kernel-3 telemetry).
+// resource sampler, the golden structure of a full traced pipeline run
+// (span taxonomy, nesting, per-iteration kernel-3 telemetry), and that the
+// run report and the trace are two views of one reading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -294,7 +297,7 @@ TEST(PipelineTraceTest, GoldenStructureAtScale8) {
     }
   }
 
-  // Tracing routed stage I/O through the tracing store decorator, so the
+  // Tracing made the shard-accounting store span every shard, so the
   // shard-latency histograms must have fills.
   const auto snapshot = registry.snapshot();
   ASSERT_TRUE(snapshot.histograms.count("store/shard_read_ms"));
@@ -345,6 +348,115 @@ TEST(PipelineTraceTest, IterationTelemetryConverges) {
   // Power iteration contracts: the residual must shrink over the run.
   EXPECT_LT(result.k3_iterations.back().residual_l1,
             result.k3_iterations.front().residual_l1);
+}
+
+// ---- one reading behind the report and the trace --------------------------------
+
+std::uint64_t bytes_arg(const obs::TraceEvent& event) {
+  return static_cast<std::uint64_t>(
+      util::JsonValue::parse(event.args).at("bytes").number());
+}
+
+TEST(PipelineTraceTest, ReportAndTraceComeFromOneReading) {
+  util::TempDir work("prpb-trace");
+  core::PipelineConfig config;
+  config.scale = 8;
+  config.num_files = 2;
+  config.work_dir = work.path();
+  const auto backend = core::make_backend("native");
+
+  obs::TraceRecorder recorder;
+  core::RunOptions options;
+  options.hooks.trace = &recorder;
+  const auto result = core::run_pipeline(config, *backend, options);
+  const std::vector<obs::TraceEvent> events = recorder.events();
+
+  const std::pair<const char*, const core::KernelMetrics*> kernels[] = {
+      {"k0/generate", &result.k0},
+      {"k1/sort", &result.k1},
+      {"k2/filter", &result.k2},
+      {"k3/pagerank", &result.k3}};
+  for (const auto& [name, metrics] : kernels) {
+    const auto named = [name = std::string(name)](const obs::TraceEvent& e) {
+      return e.name == name;
+    };
+    ASSERT_EQ(std::count_if(events.begin(), events.end(), named), 1) << name;
+    const obs::TraceEvent& span =
+        *std::find_if(events.begin(), events.end(), named);
+    // The span and KernelMetrics.seconds share their clock readings; the
+    // span's whole-microsecond endpoints cost at most 1 us of rounding.
+    const long long expected_us = std::llround(metrics->seconds * 1e6);
+    EXPECT_LE(std::llabs(static_cast<long long>(span.dur) - expected_us), 1)
+        << name << " span " << span.dur << " us, report "
+        << metrics->seconds << " s";
+
+    // The shard spans inside the kernel carry exactly its stage bytes.
+    std::uint64_t read = 0;
+    std::uint64_t written = 0;
+    std::uint64_t read_shards = 0;
+    std::uint64_t written_shards = 0;
+    for (const obs::TraceEvent& event : events) {
+      if (event.ts < span.ts || event.ts + event.dur > span.ts + span.dur) {
+        continue;
+      }
+      if (event.name == "store/read_shard") {
+        read += bytes_arg(event);
+        ++read_shards;
+      } else if (event.name == "store/write_shard") {
+        written += bytes_arg(event);
+        ++written_shards;
+      }
+    }
+    EXPECT_EQ(read + written, metrics->bytes_read + metrics->bytes_written)
+        << name;
+    EXPECT_EQ(read, metrics->bytes_read) << name;
+    EXPECT_EQ(written, metrics->bytes_written) << name;
+    EXPECT_EQ(read_shards, metrics->files_read) << name;
+    EXPECT_EQ(written_shards, metrics->files_written) << name;
+  }
+  EXPECT_GT(result.k0.bytes_written, 0u);
+  EXPECT_GT(result.k1.bytes_read, 0u);
+
+  // The k3/iter spans and the report's k3_iterations are the same records.
+  std::vector<const obs::TraceEvent*> iterations;
+  for (const obs::TraceEvent& event : events) {
+    if (event.name == "k3/iter") iterations.push_back(&event);
+  }
+  ASSERT_EQ(iterations.size(), result.k3_iterations.size());
+  ASSERT_EQ(iterations.size(), static_cast<std::size_t>(config.iterations));
+  for (std::size_t i = 0; i < iterations.size(); ++i) {
+    const sparse::IterationStats& stats = result.k3_iterations[i];
+    const auto args = util::JsonValue::parse(iterations[i]->args);
+    EXPECT_EQ(args.at("iteration").number(), stats.iteration);
+    EXPECT_EQ(args.at("residual_l1").number(), stats.residual_l1) << i;
+    EXPECT_EQ(args.at("rank_sum").number(), stats.rank_sum) << i;
+    EXPECT_EQ(iterations[i]->dur,
+              static_cast<std::uint64_t>(stats.seconds * 1e6))
+        << i;
+  }
+}
+
+TEST(PipelineTraceTest, K3TelemetryIsIdenticalAcrossBackends) {
+  core::PipelineConfig config;
+  config.scale = 8;
+  config.storage = "mem";
+  const auto native = core::run_pipeline(config, *core::make_backend("native"));
+  ASSERT_EQ(native.k3_iterations.size(),
+            static_cast<std::size_t>(config.iterations));
+  for (const char* name : {"parallel", "dataframe", "graphblas"}) {
+    const auto result = core::run_pipeline(config, *core::make_backend(name));
+    ASSERT_EQ(result.k3_iterations.size(), native.k3_iterations.size())
+        << name;
+    for (std::size_t i = 0; i < native.k3_iterations.size(); ++i) {
+      EXPECT_EQ(result.k3_iterations[i].iteration, static_cast<int>(i));
+      EXPECT_EQ(result.k3_iterations[i].residual_l1,
+                native.k3_iterations[i].residual_l1)
+          << name << " iteration " << i;
+      EXPECT_EQ(result.k3_iterations[i].rank_sum,
+                native.k3_iterations[i].rank_sum)
+          << name << " iteration " << i;
+    }
+  }
 }
 
 }  // namespace
