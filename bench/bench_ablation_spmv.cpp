@@ -1,11 +1,13 @@
 // Ablation: kernel 3's SpMV formulation (google-benchmark).
 // r·A via row-major CSR traversal (native), via the transposed matrix with
 // output partitioning (parallel backend's formulation), via grb::vxm with
-// the plus-times semiring, and the full 20-iteration kernel.
+// the plus-times semiring, and the full 20-iteration kernel. Also kernel 2's
+// CSR build alone, from kernel 1's sorted edges.
 #include <benchmark/benchmark.h>
 
 #include "gen/kronecker.hpp"
 #include "grb/ops.hpp"
+#include "sort/edge_sort.hpp"
 #include "sparse/filter.hpp"
 #include "sparse/pagerank.hpp"
 
@@ -13,11 +15,29 @@ namespace {
 
 using namespace prpb;
 
-sparse::CsrMatrix matrix_at_scale(int scale) {
+/// Kernel 1's output: the generated edges, sorted by (u, v).
+gen::EdgeList sorted_edges_at_scale(int scale) {
   gen::KroneckerParams params;
   params.scale = scale;
-  const auto edges = gen::KroneckerGenerator(params).generate_all();
-  return sparse::filter_edges(edges, 1ULL << scale);
+  auto edges = gen::KroneckerGenerator(params).generate_all();
+  sort::radix_sort(edges);
+  return edges;
+}
+
+sparse::CsrMatrix matrix_at_scale(int scale) {
+  return sparse::filter_edges(sorted_edges_at_scale(scale), 1ULL << scale);
+}
+
+void BM_CsrFromSortedEdges(benchmark::State& state) {
+  const int scale = static_cast<int>(state.range(0));
+  const auto edges = sorted_edges_at_scale(scale);
+  for (auto _ : state) {
+    const auto a = sparse::CsrMatrix::from_edges(edges, 1ULL << scale,
+                                                 1ULL << scale);
+    benchmark::DoNotOptimize(a.nnz());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(edges.size()) *
+                          state.iterations());
 }
 
 void BM_SpmvCsrRowMajor(benchmark::State& state) {
@@ -72,6 +92,8 @@ void BM_PageRank20Iterations(benchmark::State& state) {
                           state.iterations());
 }
 
+BENCHMARK(BM_CsrFromSortedEdges)->DenseRange(16, 20)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SpmvCsrRowMajor)->Arg(12)->Arg(14)->Arg(16);
 BENCHMARK(BM_SpmvTransposed)->Arg(12)->Arg(14)->Arg(16);
 BENCHMARK(BM_SpmvGrbVxm)->Arg(12)->Arg(14)->Arg(16);

@@ -2,147 +2,172 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace prpb::sort {
 
 namespace {
 
-using Histogram = std::array<std::size_t, 256>;
+/// Widest digit of one pass: 2^11 cursors per chunk stay cache-resident.
+constexpr unsigned kMaxDigitBits = 11;
 
-/// Runs body(t) for every chunk t in [0, chunks): inline for one chunk,
-/// otherwise one pool task per chunk (chunks never exceeds the pool size).
-/// Blocks until all have finished.
-template <typename Body>
-void for_each_chunk(util::ThreadPool* pool, std::size_t chunks,
-                    const Body& body) {
-  if (chunks == 1) {
-    body(std::size_t{0});
-    return;
+/// The bits [lo, lo + bits) of one field that vary across the input. The
+/// bits outside that range are equal in every edge; `fixed` holds them.
+struct FieldBits {
+  unsigned lo = 0;
+  unsigned bits = 0;
+  std::uint64_t mask = 0;  ///< the low `bits` bits
+  std::uint64_t fixed;     ///< AND over the field
+
+  FieldBits(std::uint64_t all_or, std::uint64_t all_and) : fixed(all_and) {
+    const std::uint64_t varying = all_or ^ all_and;
+    if (varying == 0) return;
+    lo = static_cast<unsigned>(std::countr_zero(varying));
+    bits = 64 - lo - static_cast<unsigned>(std::countl_zero(varying));
+    mask = ~0ULL >> (64 - bits);
   }
-  util::parallel_for(*pool, 0, chunks, [&body](std::uint64_t t) {
-    body(static_cast<std::size_t>(t));
+  std::uint64_t pack(std::uint64_t x) const { return (x >> lo) & mask; }
+  std::uint64_t unpack(std::uint64_t x) const {
+    return ((x & mask) << lo) | fixed;
+  }
+};
+
+/// Contiguous input chunks, one per pool task.
+struct Chunks {
+  util::ThreadPool* pool;
+  std::vector<std::size_t> bounds;  ///< chunk t is [bounds[t], bounds[t+1])
+
+  [[nodiscard]] std::size_t count() const { return bounds.size() - 1; }
+
+  /// Runs body(t, begin, end) for every chunk t: inline for one chunk,
+  /// otherwise one pool task per chunk (never more chunks than threads).
+  /// Blocks until all have finished.
+  template <typename Body>
+  void run(const Body& body) const {
+    if (count() == 1) return body(std::size_t{0}, bounds[0], bounds[1]);
+    util::parallel_for(*pool, 0, count(), [&](std::uint64_t t) {
+      body(static_cast<std::size_t>(t), bounds[t], bounds[t + 1]);
+    });
+  }
+};
+
+/// The varying bits of u and of v; each chunk folds its own OR/AND.
+std::pair<FieldBits, FieldBits> varying_bits(const Chunks& chunks,
+                                             const gen::EdgeList& edges) {
+  using Fold = std::array<std::uint64_t, 4>;  // OR u, OR v, AND u, AND v
+  std::vector<Fold> folds(chunks.count(), Fold{0, 0, ~0ULL, ~0ULL});
+  chunks.run([&](std::size_t t, std::size_t begin, std::size_t end) {
+    Fold f = folds[t];
+    for (std::size_t i = begin; i < end; ++i) {
+      const gen::Edge& e = edges[i];
+      f = {f[0] | e.u, f[1] | e.v, f[2] & e.u, f[3] & e.v};
+    }
+    folds[t] = f;
+  });
+  Fold all = folds[0];
+  for (const Fold& f : folds) {
+    all = {all[0] | f[0], all[1] | f[1], all[2] & f[2], all[3] & f[3]};
+  }
+  return {{all[0], all[2]}, {all[1], all[3]}};
+}
+
+/// One stable counting pass over key bits [shift, shift + digit_bits):
+/// per-chunk histogram, serial bucket-major offset scan, per-chunk scatter
+/// into disjoint destination ranges through store(position, key).
+template <typename Store>
+void pass(const Chunks& chunks, const std::uint64_t* src, unsigned shift,
+          unsigned digit_bits, const Store& store) {
+  const std::size_t radix = std::size_t{1} << digit_bits;
+  // Chunk-major counts, then the scatter cursors.
+  std::vector<std::size_t> hist(chunks.count() * radix, 0);
+  chunks.run([&](std::size_t t, std::size_t begin, std::size_t end) {
+    std::size_t* counts = hist.data() + t * radix;
+    for (std::size_t i = begin; i < end; ++i) {
+      ++counts[(src[i] >> shift) & (radix - 1)];
+    }
+  });
+  // Exclusive scan, bucket-major then chunk order: chunk t's bucket-b run
+  // lands after every lower bucket and after bucket b of chunks < t,
+  // which is exactly the stable ordering.
+  std::size_t acc = 0;
+  for (std::size_t b = 0; b < radix; ++b) {
+    for (std::size_t t = 0; t < chunks.count(); ++t) {
+      acc += std::exchange(hist[t * radix + b], acc);
+    }
+  }
+  chunks.run([&](std::size_t t, std::size_t begin, std::size_t end) {
+    std::size_t* cursor = hist.data() + t * radix;
+    for (std::size_t i = begin; i < end; ++i) {
+      store(cursor[(src[i] >> shift) & (radix - 1)]++, src[i]);
+    }
   });
 }
 
-/// Sorts with a fixed set of contiguous input chunks, one per task.
-class RadixSorter {
- public:
-  RadixSorter(util::ThreadPool* pool, std::size_t total, std::size_t chunks)
-      : pool_(pool), bounds_(chunks + 1), hist_(chunks) {
-    for (std::size_t i = 0; i <= chunks; ++i) {
-      bounds_[i] = total * i / chunks;
-    }
-  }
-
-  /// Runs the passes for every varying byte of the selected field,
-  /// ping-ponging between *src and *dst (swapped after each pass).
-  void sort_field(gen::EdgeList*& src, gen::EdgeList*& dst, bool use_v) {
-    const unsigned mask = varying_bytes(*src, use_v);
-    for (int byte = 0; byte < 8; ++byte) {
-      if (!(mask & (1u << byte))) continue;  // constant byte: skip the pass
-      pass(*src, *dst, 8 * byte, use_v);
-      std::swap(src, dst);
-    }
-  }
-
- private:
-  [[nodiscard]] std::size_t chunks() const { return hist_.size(); }
-
-  /// Bitmask of byte positions (0..7) that vary across the selected field;
-  /// each chunk folds its own OR/AND.
-  unsigned varying_bytes(const gen::EdgeList& edges, bool use_v) {
-    std::vector<std::uint64_t> ors(chunks(), 0);
-    std::vector<std::uint64_t> ands(chunks(), ~0ULL);
-    for_each_chunk(pool_, chunks(), [&](std::size_t t) {
-      std::uint64_t all_or = 0;
-      std::uint64_t all_and = ~0ULL;
-      for (std::size_t i = bounds_[t]; i < bounds_[t + 1]; ++i) {
-        const std::uint64_t field = use_v ? edges[i].v : edges[i].u;
-        all_or |= field;
-        all_and &= field;
-      }
-      ors[t] = all_or;
-      ands[t] = all_and;
-    });
-    std::uint64_t all_or = 0;
-    std::uint64_t all_and = ~0ULL;
-    for (std::size_t t = 0; t < chunks(); ++t) {
-      all_or |= ors[t];
-      all_and &= ands[t];
-    }
-    const std::uint64_t varying = all_or ^ all_and;
-    unsigned mask = 0;
-    for (int byte = 0; byte < 8; ++byte) {
-      if ((varying >> (8 * byte)) & 0xff) mask |= 1u << byte;
-    }
-    return mask;
-  }
-
-  /// One stable counting pass over byte `shift/8` of the selected field:
-  /// per-chunk histogram, serial bucket-major offset scan, per-chunk
-  /// scatter into disjoint destination ranges. src -> dst.
-  void pass(const gen::EdgeList& src, gen::EdgeList& dst, int shift,
-            bool use_v) {
-    for_each_chunk(pool_, chunks(), [&](std::size_t t) {
-      Histogram& hist = hist_[t];
-      hist.fill(0);
-      for (std::size_t i = bounds_[t]; i < bounds_[t + 1]; ++i) {
-        const std::uint64_t field = use_v ? src[i].v : src[i].u;
-        ++hist[(field >> shift) & 0xff];
-      }
-    });
-    // Exclusive scan, bucket-major then chunk order: chunk t's bucket-b run
-    // lands after every lower bucket and after bucket b of chunks < t,
-    // which is exactly the stable ordering. hist_ becomes the cursor table.
-    std::size_t acc = 0;
-    for (std::size_t b = 0; b < 256; ++b) {
-      for (Histogram& hist : hist_) {
-        const std::size_t count = hist[b];
-        hist[b] = acc;
-        acc += count;
-      }
-    }
-    for_each_chunk(pool_, chunks(), [&](std::size_t t) {
-      Histogram& cursor = hist_[t];
-      for (std::size_t i = bounds_[t]; i < bounds_[t + 1]; ++i) {
-        const std::uint64_t field = use_v ? src[i].v : src[i].u;
-        dst[cursor[(field >> shift) & 0xff]++] = src[i];
-      }
-    });
-  }
-
-  util::ThreadPool* pool_;
-  std::vector<std::size_t> bounds_;
-  std::vector<Histogram> hist_;
-};
-
 }  // namespace
+
+bool edge_less(const gen::Edge& a, const gen::Edge& b, SortKey key) {
+  if (key == SortKey::kStart) return a.u < b.u;
+  return a.u != b.u ? a.u < b.u : a.v < b.v;
+}
 
 void radix_sort(gen::EdgeList& edges, SortKey key, util::ThreadPool* pool) {
   if (edges.size() < 2) return;
   // One chunk per pool thread; small inputs collapse to fewer chunks so
   // the per-pass bookkeeping never dominates.
   const std::size_t threads = pool != nullptr ? pool->size() : 1;
-  const std::size_t chunks = std::max<std::size_t>(
+  const std::size_t count = std::max<std::size_t>(
       1, std::min(edges.size() / 4096 + 1, threads));
-  RadixSorter sorter(pool, edges.size(), chunks);
-  gen::EdgeList scratch(edges.size());
-  gen::EdgeList* src = &edges;
-  gen::EdgeList* dst = &scratch;
-  // LSD over the composite key: minor field (v) first when requested, then
-  // the major field (u); per-pass stability makes the composite ordering
-  // correct.
-  if (key == SortKey::kStartEnd) sorter.sort_field(src, dst, /*use_v=*/true);
-  sorter.sort_field(src, dst, /*use_v=*/false);
-  if (src != &edges) edges.swap(scratch);
+  Chunks chunks{pool, std::vector<std::size_t>(count + 1)};
+  for (std::size_t t = 0; t <= count; ++t) {
+    chunks.bounds[t] = edges.size() * t / count;
+  }
+  const auto fields = varying_bits(chunks, edges);
+  const FieldBits& u = fields.first;
+  const FieldBits& v = fields.second;
+  if (u.bits + v.bits > 64) {  // only ids of 2^32 and up get here
+    std::stable_sort(edges.begin(), edges.end(),
+                     [key](const gen::Edge& a, const gen::Edge& b) {
+                       return edge_less(a, b, key);
+                     });
+    return;
+  }
+  // The key is (u' << bits(v')) | v'. kStart sorts the u' bits alone; v'
+  // rides below them, and LSD stability keeps equal-u edges in input order.
+  const unsigned lo = key == SortKey::kStart ? v.bits : 0;
+  const unsigned width = u.bits + v.bits - lo;
+  if (width == 0) return;
+  // bits(v') is 64 only when u is constant (u' == 0), so shifting by
+  // bits(v') mod 64 gives the same key without a shift by 64.
+  const unsigned v_shift = v.bits & 63;
+  // Left uninitialized: packing writes every key, each pass every slot.
+  auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(edges.size());
+  auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(edges.size());
+  chunks.run([&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      keys[i] = (u.pack(edges[i].u) << v_shift) | v.pack(edges[i].v);
+    }
+  });
+  // LSD in balanced digits; the last pass scatters unpacked edges.
+  const unsigned passes = (width + kMaxDigitBits - 1) / kMaxDigitBits;
+  const unsigned digit_bits = (width + passes - 1) / passes;
+  for (unsigned p = 0; p + 1 < passes; ++p) {
+    pass(chunks, keys.get(), lo + p * digit_bits, digit_bits,
+         [&scratch](std::size_t at, std::uint64_t k) { scratch[at] = k; });
+    keys.swap(scratch);
+  }
+  pass(chunks, keys.get(), lo + (passes - 1) * digit_bits, digit_bits,
+       [&edges, &u, &v, v_shift](std::size_t at, std::uint64_t k) {
+         edges[at] = {u.unpack(k >> v_shift), v.unpack(k)};
+       });
 }
 
 bool is_sorted_edges(const gen::EdgeList& edges, SortKey key) {
   return std::is_sorted(edges.begin(), edges.end(),
                         [key](const gen::Edge& a, const gen::Edge& b) {
-                          if (key == SortKey::kStart) return a.u < b.u;
-                          return a.u != b.u ? a.u < b.u : a.v < b.v;
+                          return edge_less(a, b, key);
                         });
 }
 

@@ -5,7 +5,7 @@
 // in-memory algorithm could be used. Likewise, if u and v are too large to
 // fit in memory, then an out-of-core algorithm would be required."
 //
-// The in-memory engine is one byte-skipping LSD radix sort, serial or
+// The in-memory engine is one packed-key LSD radix sort, serial or
 // chunk-parallel over a thread pool; the external engine lives in
 // sort/external_sort.hpp. Both produce identical output for the same key,
 // which the tests enforce against std::stable_sort.
@@ -27,8 +27,11 @@ enum class SortKey {
   kStartEnd,  ///< order by (u, v); canonical, engine-independent output
 };
 
-/// LSD radix sort. Stable. Skips byte positions that are constant across
-/// the input (for scale-S graphs only ceil(S/8) byte passes per column run).
+/// LSD radix sort. Stable. The bits of u and of v that vary across the
+/// input pack into one 64-bit key, (u' << bits(v')) | v', sorted in
+/// balanced digits of at most 11 bits: 4 passes over 8-byte keys for a
+/// scale-18 or scale-20 graph. Wider keys (ids of 2^32 and up) fall back
+/// to std::stable_sort. Memory: the edges plus two key arrays, 32 B/edge.
 ///
 /// With a pool of more than one thread, each pass splits the input into
 /// per-thread chunks: chunk histograms run in parallel, a serial
@@ -38,6 +41,9 @@ enum class SortKey {
 /// small input, the one chunk runs inline without submitting a task.
 void radix_sort(gen::EdgeList& edges, SortKey key = SortKey::kStartEnd,
                 util::ThreadPool* pool = nullptr);
+
+/// The order of `key`: u alone, or u then v.
+bool edge_less(const gen::Edge& a, const gen::Edge& b, SortKey key);
 
 /// True when edges are non-decreasing under `key` (u-only checks u order).
 bool is_sorted_edges(const gen::EdgeList& edges, SortKey key);

@@ -32,11 +32,6 @@ std::string run_name(std::size_t generation, std::size_t index) {
   return name;
 }
 
-bool edge_less(const gen::Edge& a, const gen::Edge& b, SortKey key) {
-  if (key == SortKey::kStart) return a.u < b.u;
-  return a.u != b.u ? a.u < b.u : a.v < b.v;
-}
-
 /// Merges the named runs of `temp_stage` into `emit`. The heap holds
 /// (edge, source index); the source index is a tiebreaker so the merge is
 /// deterministic.

@@ -18,7 +18,8 @@
 namespace prpb::sort {
 
 /// True when the in-memory radix sort of `edge_count` edges would exceed
-/// `budget_bytes`: it needs the edge array plus an equal scratch array.
+/// `budget_bytes`: it needs the edge array plus two 8-byte key arrays,
+/// the same 2·M·16 bytes as an equal scratch array.
 inline bool needs_external_sort(std::uint64_t edge_count,
                                 std::uint64_t budget_bytes) {
   return 2 * edge_count * sizeof(gen::Edge) > budget_bytes;

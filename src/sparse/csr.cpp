@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <tuple>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -10,43 +13,80 @@ namespace prpb::sparse {
 CsrMatrix::CsrMatrix(std::uint64_t rows, std::uint64_t cols)
     : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {}
 
+namespace {
+
+/// Builds a matrix in one pass over `count` entries grouped by row, where
+/// entry(k) is the k-th (row, col, value). A repeat of a row's last column
+/// adds to its value. A row whose columns went backwards (a start-only
+/// sort) is sorted and merged when it closes. Returns nothing when a row
+/// follows a later one, i.e. the entries are not grouped by row.
+template <typename Entry>
+std::optional<CsrMatrix> build_grouped(std::uint64_t rows, std::uint64_t cols,
+                                       std::size_t count, const Entry& entry) {
+  std::vector<std::uint64_t> row_ptr(rows + 1, 0);
+  std::vector<std::uint64_t> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(count);
+  values.reserve(count);
+  std::uint64_t row = 0;
+  std::size_t row_start = 0;  // row_ptr[row]
+  bool row_ordered = true;
+  std::vector<std::pair<std::uint64_t, double>> unordered;
+  const auto close_row = [&] {
+    if (!row_ordered) {
+      unordered.clear();
+      for (std::size_t k = row_start; k < col_idx.size(); ++k)
+        unordered.emplace_back(col_idx[k], values[k]);
+      std::sort(unordered.begin(), unordered.end());
+      std::size_t end = row_start;
+      for (const auto& [col, value] : unordered) {
+        if (end > row_start && col_idx[end - 1] == col) {
+          values[end - 1] += value;
+        } else {
+          col_idx[end] = col;
+          values[end++] = value;
+        }
+      }
+      col_idx.resize(end);
+      values.resize(end);
+    }
+    row_ordered = true;
+    row_start = row_ptr[++row] = col_idx.size();
+  };
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto [r, c, value] = entry(k);
+    util::ensure(r < rows && c < cols, "CsrMatrix: entry out of range");
+    if (r != row) {
+      if (r < row) return std::nullopt;
+      while (row < r) close_row();
+    } else if (col_idx.size() > row_start) {
+      if (c == col_idx.back()) {
+        values.back() += value;
+        continue;
+      }
+      row_ordered = row_ordered && c > col_idx.back();
+    }
+    col_idx.push_back(c);
+    values.push_back(value);
+  }
+  while (row < rows) close_row();
+  return CsrMatrix::from_parts(rows, cols, std::move(row_ptr),
+                               std::move(col_idx), std::move(values));
+}
+
+}  // namespace
+
 CsrMatrix CsrMatrix::from_edges(const gen::EdgeList& edges, std::uint64_t rows,
                                 std::uint64_t cols) {
-  CsrMatrix m(rows, cols);
-  // Pass 1: row counts (with duplicates).
-  std::vector<std::uint64_t> counts(rows, 0);
-  for (const auto& edge : edges) {
-    util::ensure(edge.u < rows && edge.v < cols,
-                 "CsrMatrix::from_edges: endpoint out of range");
-    ++counts[edge.u];
-  }
-  // Exclusive prefix sums -> provisional row starts.
-  std::vector<std::uint64_t> starts(rows + 1, 0);
-  for (std::uint64_t r = 0; r < rows; ++r) starts[r + 1] = starts[r] + counts[r];
-  // Pass 2: bucket columns by row.
-  std::vector<std::uint64_t> cursor(starts.begin(), starts.end() - 1);
-  std::vector<std::uint64_t> cols_by_row(edges.size());
-  for (const auto& edge : edges) cols_by_row[cursor[edge.u]++] = edge.v;
-  // Pass 3: per-row sort + duplicate accumulation.
-  m.col_idx_.reserve(edges.size());
-  m.values_.reserve(edges.size());
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    auto* lo = cols_by_row.data() + starts[r];
-    auto* hi = cols_by_row.data() + starts[r + 1];
-    std::sort(lo, hi);
-    for (auto* p = lo; p != hi;) {
-      const std::uint64_t col = *p;
-      double count = 0;
-      while (p != hi && *p == col) {
-        count += 1.0;
-        ++p;
-      }
-      m.col_idx_.push_back(col);
-      m.values_.push_back(count);
-    }
-    m.row_ptr_[r + 1] = m.col_idx_.size();
-  }
-  return m;
+  const auto build = [rows, cols](const gen::EdgeList& list) {
+    return build_grouped(rows, cols, list.size(), [&list](std::size_t k) {
+      return std::tuple{list[k].u, list[k].v, 1.0};
+    });
+  };
+  if (auto m = build(edges)) return std::move(*m);
+  gen::EdgeList sorted = edges;  // not grouped by row
+  std::sort(sorted.begin(), sorted.end());
+  return *build(sorted);
 }
 
 CsrMatrix CsrMatrix::from_triplets(const std::vector<std::uint64_t>& row,
@@ -55,34 +95,14 @@ CsrMatrix CsrMatrix::from_triplets(const std::vector<std::uint64_t>& row,
                                    std::uint64_t rows, std::uint64_t cols) {
   util::require(row.size() == col.size() && row.size() == val.size(),
                 "from_triplets: array lengths must match");
-  // Sort triplet indices by (row, col), then accumulate duplicates.
   std::vector<std::size_t> order(row.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return row[a] != row[b] ? row[a] < row[b] : col[a] < col[b];
   });
-  CsrMatrix m(rows, cols);
-  m.col_idx_.reserve(row.size());
-  m.values_.reserve(row.size());
-  std::uint64_t current_row = 0;
-  for (std::size_t k = 0; k < order.size();) {
-    const std::size_t i = order[k];
-    util::ensure(row[i] < rows && col[i] < cols,
-                 "from_triplets: index out of range");
-    double acc = 0;
-    std::size_t j = k;
-    while (j < order.size() && row[order[j]] == row[i] &&
-           col[order[j]] == col[i]) {
-      acc += val[order[j]];
-      ++j;
-    }
-    while (current_row < row[i]) m.row_ptr_[++current_row] = m.col_idx_.size();
-    m.col_idx_.push_back(col[i]);
-    m.values_.push_back(acc);
-    k = j;
-  }
-  while (current_row < rows) m.row_ptr_[++current_row] = m.col_idx_.size();
-  return m;
+  return *build_grouped(rows, cols, order.size(), [&](std::size_t k) {
+    return std::tuple{row[order[k]], col[order[k]], val[order[k]]};
+  });
 }
 
 CsrMatrix CsrMatrix::from_parts(std::uint64_t rows, std::uint64_t cols,

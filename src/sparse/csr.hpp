@@ -20,7 +20,10 @@ class CsrMatrix {
 
   /// Builds the duplicate-accumulating adjacency matrix from an edge list
   /// (u = row, v = col, each occurrence adds 1.0). Edges need not be sorted.
-  /// Throws InvariantError when an endpoint is out of range.
+  /// Input grouped by row (kernel 1's stage) builds in one pass; a row whose
+  /// columns are out of order is sorted when it closes. Other input is
+  /// built from a (u, v)-sorted copy. Throws InvariantError when an
+  /// endpoint is out of range.
   static CsrMatrix from_edges(const gen::EdgeList& edges, std::uint64_t rows,
                               std::uint64_t cols);
 

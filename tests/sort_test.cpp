@@ -162,6 +162,68 @@ TEST(RadixTest, KroneckerGraphSorts) {
   EXPECT_EQ(edges.size(), 16u << 12);
 }
 
+// ---- packed keys: the varying bits of u and v share one 64-bit key ----------
+
+/// Sorts `input` serially and over a three-thread pool under both keys and
+/// compares each result with std::stable_sort.
+void expect_packed_sort_matches_stable(const EdgeList& input) {
+  util::ThreadPool pool(3);
+  for (const auto key : {SortKey::kStartEnd, SortKey::kStart}) {
+    const EdgeList expected = stable_sorted(input, key);
+    for (util::ThreadPool* engine : {static_cast<util::ThreadPool*>(nullptr),
+                                     &pool}) {
+      EdgeList edges = input;
+      radix_sort(edges, key, engine);
+      EXPECT_EQ(edges, expected)
+          << (key == SortKey::kStart ? "kStart" : "kStartEnd")
+          << (engine != nullptr ? " pooled" : " serial");
+    }
+  }
+}
+
+/// Start vertices with ties: every other edge repeats an earlier start.
+EdgeList edges_with_start_ties(std::size_t count, std::uint64_t seed) {
+  rnd::Xoshiro256 rng(seed);
+  EdgeList edges(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    edges[i] = {i % 2 == 1 ? edges[rng.next_below(i)].u : rng.next(),
+                rng.next()};
+  }
+  return edges;
+}
+
+TEST(RadixPackedKeyTest, SixtyFourBitKey) {
+  // u varies over 40 bits and v over 24: the key is exactly 64 bits wide.
+  EdgeList edges = edges_with_start_ties(20000, 31);
+  for (auto& edge : edges) {
+    edge.u &= (1ULL << 40) - 1;
+    edge.v &= (1ULL << 24) - 1;
+  }
+  edges[0] = {0, 0};
+  edges[1] = {(1ULL << 40) - 1, (1ULL << 24) - 1};
+  expect_packed_sort_matches_stable(edges);
+}
+
+TEST(RadixPackedKeyTest, ConstantHighBitsRestored) {
+  EdgeList edges = edges_with_start_ties(20000, 37);
+  for (auto& edge : edges) {
+    edge.u = (0xABCDULL << 48) | (edge.u & 0xfffff);
+    edge.v = (1ULL << 63) | (edge.v & 0xfffff);
+  }
+  expect_packed_sort_matches_stable(edges);
+}
+
+TEST(RadixPackedKeyTest, ConstantStartFullWidthEnd) {
+  // v' fills all 64 bits of the key and u' has none: the shift of u' by
+  // bits(v') is a shift by 64.
+  EdgeList edges(20000);
+  rnd::Xoshiro256 rng(43);
+  for (auto& edge : edges) edge = {0x1234, rng.next()};
+  edges[0].v = 0;
+  edges[1].v = ~0ULL;
+  expect_packed_sort_matches_stable(edges);
+}
+
 // ---- radix sort over a pool: the partitioned passes -------------------------
 
 struct RadixCase {

@@ -2,9 +2,12 @@
 // operations, transpose, SpMV, and the dense validation machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "gen/kronecker.hpp"
+#include "rand/rng.hpp"
+#include "sort/edge_sort.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/pagerank.hpp"
@@ -60,6 +63,69 @@ TEST(CsrTest, FromEdgesOutOfRangeThrows) {
   EXPECT_THROW(CsrMatrix::from_edges({{3, 0}}, 3, 3),
                util::InvariantError);
   EXPECT_THROW(CsrMatrix::from_edges({{0, 3}}, 3, 3),
+               util::InvariantError);
+}
+
+// from_edges builds in one pass over row-grouped input (K1's sorted stage)
+// and from a sorted copy otherwise; both give the same arrays, bit for bit.
+void expect_same_arrays(const CsrMatrix& a, const CsrMatrix& b) {
+  EXPECT_EQ(a.row_ptr(), b.row_ptr());
+  EXPECT_EQ(a.col_idx(), b.col_idx());
+  EXPECT_EQ(a.values(), b.values());
+}
+
+TEST(CsrFromEdgesTest, SortedAndShuffledKroneckerGiveIdenticalArrays) {
+  gen::KroneckerParams params;
+  params.scale = 12;
+  const EdgeList generated = gen::KroneckerGenerator(params).generate_all();
+  EdgeList sorted = generated;
+  sort::radix_sort(sorted);
+  EdgeList shuffled = generated;
+  rnd::Xoshiro256 rng(5);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  const std::uint64_t n = 1ULL << params.scale;
+  const CsrMatrix from_sorted = CsrMatrix::from_edges(sorted, n, n);
+  expect_same_arrays(from_sorted, CsrMatrix::from_edges(shuffled, n, n));
+  expect_same_arrays(from_sorted, CsrMatrix::from_edges(generated, n, n));
+  EXPECT_DOUBLE_EQ(from_sorted.value_sum(),
+                   static_cast<double>(generated.size()));
+}
+
+TEST(CsrFromEdgesTest, RowsGroupedWithUnorderedColumnsAndScatteredDuplicates) {
+  // Grouped by u as a start-only sort leaves them: columns go backwards and
+  // duplicates are not adjacent.
+  const EdgeList edges = {{0, 5}, {0, 2}, {0, 5}, {0, 1}, {0, 2},
+                          {2, 3}, {2, 3}, {2, 0}, {2, 3}};
+  const CsrMatrix m = CsrMatrix::from_edges(edges, 3, 6);
+  EXPECT_EQ(m.row_ptr(), (std::vector<std::uint64_t>{0, 3, 3, 5}));
+  EXPECT_EQ(m.col_idx(), (std::vector<std::uint64_t>{1, 2, 5, 0, 3}));
+  EXPECT_EQ(m.values(), (std::vector<double>{1, 2, 2, 1, 3}));
+  EdgeList sorted = edges;
+  std::sort(sorted.begin(), sorted.end());
+  expect_same_arrays(m, CsrMatrix::from_edges(sorted, 3, 6));
+}
+
+TEST(CsrFromEdgesTest, EmptyLeadingTrailingAndInnerRows) {
+  const EdgeList edges = {{2, 1}, {2, 1}, {4, 0}};
+  const CsrMatrix m = CsrMatrix::from_edges(edges, 7, 2);
+  EXPECT_EQ(m.row_ptr(), (std::vector<std::uint64_t>{0, 0, 0, 1, 1, 2, 2, 2}));
+  EXPECT_EQ(m.col_idx(), (std::vector<std::uint64_t>{1, 0}));
+  EXPECT_EQ(m.values(), (std::vector<double>{2, 1}));
+  EXPECT_EQ(CsrMatrix::from_edges({}, 3, 3).row_ptr(),
+            (std::vector<std::uint64_t>{0, 0, 0, 0}));
+}
+
+TEST(CsrFromEdgesTest, OutOfRangeThrowsOnGroupedAndUngroupedPaths) {
+  // Grouped by row: the bad endpoint is met in the one pass.
+  EXPECT_THROW(CsrMatrix::from_edges({{0, 1}, {1, 1}, {3, 0}}, 3, 3),
+               util::InvariantError);
+  EXPECT_THROW(CsrMatrix::from_edges({{0, 1}, {1, 1}, {1, 3}}, 3, 3),
+               util::InvariantError);
+  // Not grouped: the pass gives up at the second edge, and the sorted copy
+  // meets the bad endpoint.
+  EXPECT_THROW(CsrMatrix::from_edges({{2, 0}, {0, 1}, {7, 0}}, 3, 3),
+               util::InvariantError);
+  EXPECT_THROW(CsrMatrix::from_edges({{2, 0}, {0, 1}, {1, 9}}, 3, 3),
                util::InvariantError);
 }
 
