@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                         mem_seconds)
                   .c_str());
   std::printf("external:  %.3fs (%s edges/s), %zu initial runs, %zu merge "
-              "passes, %s spilled\n",
+              "passes, %s spilled (encoded)\n",
               ext_seconds,
               util::sci(static_cast<double>(stats.edges) / ext_seconds)
                   .c_str(),

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "io/edge_files.hpp"
+#include "io/edge_batch.hpp"
 #include "rand/rng.hpp"
 #include "sparse/pagerank.hpp"
 
@@ -42,16 +42,16 @@ StageChecksum stage_checksum(io::StageStore& store, const std::string& stage,
   StageChecksum checksum;
   checksum.sequence = 0x0123456789abcdefULL;
   checksum.multiset = 0x5eed0f00dd0123ULL;
-  io::stream_all_edges(store, stage, codec,
-                       [&checksum](const gen::EdgeList& batch) {
-                         for (const auto& edge : batch) {
-                           const std::uint64_t h = mix_pair(edge.u, edge.v);
-                           checksum.multiset += h;
-                           checksum.sequence =
-                               mix_pair(checksum.sequence, h);
-                           ++checksum.edges;
-                         }
-                       });
+  io::EdgeBatchReader reader(store, stage, codec);
+  gen::EdgeList batch;
+  while (reader.next(batch)) {
+    for (const auto& edge : batch) {
+      const std::uint64_t h = mix_pair(edge.u, edge.v);
+      checksum.multiset += h;
+      checksum.sequence = mix_pair(checksum.sequence, h);
+    }
+  }
+  checksum.edges = reader.edges_read();
   return checksum;
 }
 

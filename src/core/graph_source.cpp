@@ -1,6 +1,7 @@
 #include "core/graph_source.hpp"
 
 #include "core/runner.hpp"
+#include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
 #include "io/edge_list.hpp"
 #include "util/error.hpp"
@@ -121,17 +122,16 @@ class ExternalSource final : public GraphSource {
     // One bounded-memory pass over the stage recovers M and the degrees.
     std::vector<std::uint64_t> out_degrees(summary.vertices, 0);
     std::vector<std::uint64_t> in_degrees(summary.vertices, 0);
-    std::uint64_t edges = 0;
-    io::stream_all_edges(ctx.store, stages::kStage0, ctx.codec(),
-                         [&](const gen::EdgeList& batch) {
-                           edges += batch.size();
-                           for (const auto& edge : batch) {
-                             ++out_degrees[edge.u];
-                             ++in_degrees[edge.v];
-                           }
-                         },
-                         ctx.hooks);
-    summary.edges = edges;
+    io::EdgeBatchReader reader(ctx.store, stages::kStage0, ctx.codec(),
+                               ctx.hooks);
+    gen::EdgeList batch;
+    while (reader.next(batch)) {
+      for (const auto& edge : batch) {
+        ++out_degrees[edge.u];
+        ++in_degrees[edge.v];
+      }
+    }
+    summary.edges = reader.edges_read();
     summary.out_degree_skew = gen::degree_skew(out_degrees);
     summary.in_degree_skew = gen::degree_skew(in_degrees);
     summary.has_degree_skew = true;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "io/edge_files.hpp"
-#include "io/file_stream.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -26,15 +25,17 @@ std::string shard_trace_args(const std::string& stage,
 // ---- EdgeBatchReader --------------------------------------------------------
 
 EdgeBatchReader::EdgeBatchReader(StageStore& store, std::string stage,
-                                 const StageCodec& codec,
-                                 std::size_t batch_capacity, obs::Hooks hooks)
+                                 const StageCodec& codec, obs::Hooks hooks)
+    : EdgeBatchReader(store, stage, store.list(stage), codec, hooks) {}
+
+EdgeBatchReader::EdgeBatchReader(StageStore& store, std::string stage,
+                                 std::vector<std::string> shards,
+                                 const StageCodec& codec, obs::Hooks hooks)
     : store_(store),
       stage_(std::move(stage)),
       codec_(codec),
-      capacity_(batch_capacity),
-      shards_(store.list(stage_)),
+      shards_(std::move(shards)),
       decode_span_(hooks.trace, "codec/decode") {
-  util::require(capacity_ >= 1, "EdgeBatchReader: batch capacity must be >= 1");
   if (hooks.metrics != nullptr) {
     batch_edges_ = &hooks.metrics->histogram("io/batch_edges",
                                              obs::batch_size_buckets());
@@ -43,58 +44,34 @@ EdgeBatchReader::EdgeBatchReader(StageStore& store, std::string stage,
 
 bool EdgeBatchReader::next(gen::EdgeList& batch) {
   batch.clear();
-  for (;;) {
-    const std::size_t take = std::min(pending_.size() - pending_pos_,
-                                      capacity_ - batch.size());
-    batch.insert(batch.end(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(pending_pos_),
-                 pending_.begin() +
-                     static_cast<std::ptrdiff_t>(pending_pos_ + take));
-    pending_pos_ += take;
-    if (batch.size() == capacity_) break;
-    if (!refill()) break;
-  }
-  edges_read_ += batch.size();
-  if (batch_edges_ != nullptr && !batch.empty()) {
-    batch_edges_->observe(static_cast<double>(batch.size()));
-  }
-  return !batch.empty();
-}
-
-bool EdgeBatchReader::refill() {
-  pending_.clear();
-  pending_pos_ = 0;
-  while (pending_.empty()) {
-    if (!view_) {
+  while (batch.empty()) {
+    if (!reader_) {
       if (shard_index_ >= shards_.size()) return false;
-      // One contiguous view per shard; the reader is dropped right away
-      // (the view owns the mapping/buffer that backs it).
-      view_ = store_.open_read(stage_, shards_[shard_index_])->view();
-      view_pos_ = 0;
+      reader_ = store_.open_read(stage_, shards_[shard_index_]);
       decoder_ = codec_.make_decoder();
     }
-    const std::string_view data = view_->chars();
-    if (view_pos_ >= data.size()) {
-      decode_span_.begin();
-      decoder_->finish(pending_, stage_ + "/" + shards_[shard_index_]);
+    if (chunk_.empty()) chunk_ = reader_->read_chunk();
+    decode_span_.begin();
+    if (chunk_.empty()) {
+      const std::string& shard = shards_[shard_index_];
+      decoder_->finish(batch, stage_ + "/" + shard);
       decode_span_.end();
       if (decode_span_.active()) {
-        decode_span_.flush(shard_trace_args(stage_, shards_[shard_index_]));
+        decode_span_.flush(shard_trace_args(stage_, shard));
       }
-      view_.reset();
+      reader_.reset();
       decoder_.reset();
       ++shard_index_;
     } else {
-      // Feed bounded slices so decoded batches stay bounded; slicing a
-      // contiguous view is free (no carry copies at slice boundaries for
-      // complete records — only a spanning record is staged).
-      const std::string_view slice =
-          data.substr(view_pos_, kDefaultBufferBytes);
-      decode_span_.begin();
-      decoder_->feed(slice, pending_);
+      const std::string_view slice = chunk_.substr(0, kDecodeSliceBytes);
+      chunk_.remove_prefix(slice.size());
+      decoder_->feed(slice, batch);
       decode_span_.end();
-      view_pos_ += slice.size();
     }
+  }
+  edges_read_ += batch.size();
+  if (batch_edges_ != nullptr) {
+    batch_edges_->observe(static_cast<double>(batch.size()));
   }
   return true;
 }
@@ -157,64 +134,38 @@ EdgeBatchWriter::EdgeBatchWriter(StageStore& store, std::string stage,
       bounds_(shard_boundaries(total_edges, shards)),
       hooks_(hooks) {
   store_.clear_stage(stage_);
-  open_shard();
+  writer_.emplace(store_, stage_, shard_name(shard_, codec_), codec_, hooks_);
 }
 
-void EdgeBatchWriter::open_shard() {
-  writer_ = store_.open_write(stage_, shard_name(shard_, codec_));
-  encoder_ = codec_.make_encoder();
-  encode_span_ = obs::AccumulatingSpan(hooks_.trace, "codec/encode");
-  encoder_->begin(*writer_);
-}
-
-void EdgeBatchWriter::close_shard() {
-  if (!writer_) return;
-  encode_span_.begin();
-  encoder_->finish(*writer_);
-  encode_span_.end();
-  if (encode_span_.active()) {
-    encode_span_.flush(shard_trace_args(stage_, shard_name(shard_, codec_)));
-  }
+void EdgeBatchWriter::next_shard() {
   writer_->close();
   bytes_ += writer_->bytes_written();
-  writer_.reset();
-  encoder_.reset();
+  ++shard_;
+  writer_.emplace(store_, stage_, shard_name(shard_, codec_), codec_, hooks_);
+}
+
+std::uint64_t EdgeBatchWriter::room() {
+  // Empty shards between here and the owner are created and closed on
+  // the way past.
+  while (shard_ + 2 < bounds_.size() && written_ >= bounds_[shard_ + 1]) {
+    next_shard();
+  }
+  util::ensure(written_ < bounds_[shard_ + 1],
+               "EdgeBatchWriter: more edges appended than declared");
+  return bounds_[shard_ + 1] - written_;
 }
 
 void EdgeBatchWriter::append(const gen::Edge& edge) {
-  pending_.push_back(edge);
-  if (pending_.size() >= kDefaultBatchEdges) flush_pending();
+  room();
+  writer_->append(edge);
+  ++written_;
 }
 
 void EdgeBatchWriter::append(const gen::Edge* edges, std::size_t count) {
-  flush_pending();
-  write_run(edges, count);
-}
-
-void EdgeBatchWriter::flush_pending() {
-  if (pending_.empty()) return;
-  write_run(pending_.data(), pending_.size());
-  pending_.clear();
-}
-
-void EdgeBatchWriter::write_run(const gen::Edge* edges, std::size_t count) {
-  const std::size_t num_shards = bounds_.size() - 1;
   while (count > 0) {
-    // Roll to the shard that owns the next edge; empty shards in between
-    // are created and closed on the way past.
-    while (shard_ + 1 < num_shards && written_ >= bounds_[shard_ + 1]) {
-      close_shard();
-      ++shard_;
-      open_shard();
-    }
-    util::ensure(written_ < bounds_[shard_ + 1],
-                 "EdgeBatchWriter: more edges appended than declared");
-    const std::uint64_t room = bounds_[shard_ + 1] - written_;
-    const auto take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, room));
-    encode_span_.begin();
-    encoder_->encode(*writer_, edges, take);
-    encode_span_.end();
+    const auto take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(count, room()));
+    writer_->append(edges, take);
     edges += take;
     count -= take;
     written_ += take;
@@ -222,19 +173,15 @@ void EdgeBatchWriter::write_run(const gen::Edge* edges, std::size_t count) {
 }
 
 void EdgeBatchWriter::close() {
-  util::require(writer_ != nullptr, "EdgeBatchWriter: close() called twice");
-  flush_pending();
+  util::require(writer_.has_value(), "EdgeBatchWriter: close() called twice");
   util::ensure(written_ == bounds_.back(),
                "EdgeBatchWriter: fewer edges appended than declared");
   // Create any remaining (empty) trailing shards so the stage always has
   // exactly the declared shard count.
-  const std::size_t num_shards = bounds_.size() - 1;
-  while (shard_ + 1 < num_shards) {
-    close_shard();
-    ++shard_;
-    open_shard();
-  }
-  close_shard();
+  while (shard_ + 2 < bounds_.size()) next_shard();
+  writer_->close();
+  bytes_ += writer_->bytes_written();
+  writer_.reset();
 }
 
 std::uint64_t write_edge_shard(StageStore& store, const std::string& stage,

@@ -2,11 +2,18 @@
 // of (start, end) records; the codec (TSV or binary, src/io/stage_codec.*)
 // and the storage medium (src/io/stage_store.*) are both injected, so no
 // kernel hand-rolls parse/format loops against raw bytes.
+//
+// EdgeBatchReader is the one bounded streaming reader and ShardWriter the
+// one shard writer: stage scans, the external sort's spill runs and its
+// merge all go through them. Whole-shard reads (read_all_edges) decode a
+// StageReader::view() instead (src/io/edge_files.*).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gen/edge.hpp"
@@ -17,46 +24,48 @@
 
 namespace prpb::io {
 
-/// Batch capacity used when callers do not pick one. Also the block size
-/// per-edge appends are coalesced into before hitting the encoder.
+/// Block size per-edge appends are coalesced into before hitting the
+/// encoder.
 inline constexpr std::size_t kDefaultBatchEdges = std::size_t{1} << 16;
 
-/// Streams every shard of a stage (sorted shard order) as fixed-capacity
-/// batches of decoded edges. Bounded memory regardless of stage size.
+/// Bytes of a store chunk handed to the decoder per step. A batch holds
+/// one slice's records (or one whole binary block, at most
+/// binfmt::kMaxBlockEdges records), whatever the store's chunk size.
+inline constexpr std::size_t kDecodeSliceBytes = std::size_t{64} << 10;
+
+/// The bounded streaming reader: decodes a stage's shards (or an explicit
+/// shard list) through StageReader::read_chunk() in kDecodeSliceBytes
+/// slices, straight into the caller's batch. Memory is one store chunk
+/// plus one batch, whatever the stage size.
 class EdgeBatchReader {
  public:
-  /// With hooks attached, decode time is accumulated per shard and emitted
-  /// as one "codec/decode" event per shard, and every next() batch size
-  /// feeds the "io/batch_edges" histogram.
+  /// Every shard of `stage`, in sorted shard order. With hooks attached,
+  /// decode time is accumulated per shard and emitted as one
+  /// "codec/decode" event per shard, and every next() batch size feeds
+  /// the "io/batch_edges" histogram.
   EdgeBatchReader(StageStore& store, std::string stage,
-                  const StageCodec& codec,
-                  std::size_t batch_capacity = kDefaultBatchEdges,
+                  const StageCodec& codec, obs::Hooks hooks = {});
+  /// Only the named shards of `stage`, in the order given.
+  EdgeBatchReader(StageStore& store, std::string stage,
+                  std::vector<std::string> shards, const StageCodec& codec,
                   obs::Hooks hooks = {});
 
-  /// Clears `batch` and fills it with up to the configured capacity.
-  /// Returns false once the stage is exhausted (batch left empty).
+  /// Clears `batch` and decodes slices into it until it holds at least
+  /// one record. Returns false once the stage is exhausted (batch left
+  /// empty).
   bool next(gen::EdgeList& batch);
 
   [[nodiscard]] std::uint64_t edges_read() const { return edges_read_; }
 
  private:
-  bool refill();
-
   StageStore& store_;
   std::string stage_;
   const StageCodec& codec_;
-  std::size_t capacity_;
   std::vector<std::string> shards_;
   std::size_t shard_index_ = 0;
-  // The whole current shard as one contiguous view (mmap/mem buffer when
-  // the store can serve one). Decoding feeds bounded slices of it, so the
-  // decoded-batch memory stays bounded even though the raw bytes are
-  // resident. The view owns its backing; no reader is kept.
-  std::unique_ptr<ReadView> view_;
-  std::size_t view_pos_ = 0;
+  std::unique_ptr<StageReader> reader_;     // null between shards
   std::unique_ptr<StageDecoder> decoder_;
-  gen::EdgeList pending_;
-  std::size_t pending_pos_ = 0;
+  std::string_view chunk_;  // not-yet-decoded rest of the current chunk
   std::uint64_t edges_read_ = 0;
   obs::AccumulatingSpan decode_span_;
   obs::Histogram* batch_edges_ = nullptr;  // null without metrics
@@ -64,8 +73,9 @@ class EdgeBatchReader {
 
 /// Streams edges into one named shard. No boundary math — this is what
 /// concurrent per-shard producers (the parallel backend's kernel 0, the
-/// dist ranks) use. Per-edge appends are coalesced into blocks so the
-/// binary codec never emits degenerate one-record blocks.
+/// dist ranks), the external sort's spill runs and EdgeBatchWriter use.
+/// Per-edge appends are coalesced into blocks so the binary codec never
+/// emits degenerate one-record blocks.
 class ShardWriter {
  public:
   /// With hooks attached, encode time is accumulated and emitted as one
@@ -99,9 +109,9 @@ class ShardWriter {
 
 /// Writes a declared number of edges into `shards` shards of a stage,
 /// splitting at the same near-equal shard_boundaries() the stage layout
-/// has always used (trailing shards may be empty). The stage is cleared
-/// on construction; close() must be called once and verifies that exactly
-/// `total_edges` were appended.
+/// has always used (trailing shards may be empty). Each shard is written
+/// by a ShardWriter. The stage is cleared on construction; close() must
+/// be called once and verifies that exactly `total_edges` were appended.
 class EdgeBatchWriter {
  public:
   /// With hooks attached, encode time is accumulated per output shard and
@@ -121,23 +131,21 @@ class EdgeBatchWriter {
   [[nodiscard]] std::uint64_t edges_written() const { return written_; }
 
  private:
-  void open_shard();
-  void close_shard();
-  void flush_pending();
-  void write_run(const gen::Edge* edges, std::size_t count);
+  /// Closes the current shard and opens the next one.
+  void next_shard();
+  /// Rolls past full shards to the one that owns the next edge; returns
+  /// the edges that shard still takes.
+  std::uint64_t room();
 
   StageStore& store_;
   std::string stage_;
   const StageCodec& codec_;
   std::vector<std::uint64_t> bounds_;
   std::size_t shard_ = 0;
-  std::unique_ptr<StageWriter> writer_;
-  std::unique_ptr<StageEncoder> encoder_;
-  gen::EdgeList pending_;
+  std::optional<ShardWriter> writer_;  // empty once closed
   std::uint64_t written_ = 0;
   std::uint64_t bytes_ = 0;
   obs::Hooks hooks_;
-  obs::AccumulatingSpan encode_span_;  // re-armed per output shard
 };
 
 /// Writes one shard in a single call; returns bytes written.

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,16 +44,11 @@ gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
                               const std::string& shard,
                               const StageCodec& codec, obs::Hooks hooks = {});
 
-/// Reads every shard of `stage` (sorted shard order) into one list.
+/// Reads every shard of `stage` (sorted shard order) into one list. Each
+/// shard is decoded in place from one StageReader::view(); to scan a
+/// stage in bounded memory, use an EdgeBatchReader instead.
 gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,
                              const StageCodec& codec, obs::Hooks hooks = {});
-
-/// Streams edges from every shard of `stage` in shard order, invoking
-/// `sink` with batches. Bounded memory regardless of stage size.
-void stream_all_edges(StageStore& store, const std::string& stage,
-                      const StageCodec& codec,
-                      const std::function<void(const gen::EdgeList&)>& sink,
-                      obs::Hooks hooks = {});
 
 /// Number of decoded records in the stage.
 std::uint64_t count_edges(StageStore& store, const std::string& stage,

@@ -124,13 +124,6 @@ std::size_t width_for(std::uint64_t max_id) {
   return 8;
 }
 
-void append_le(std::string& out, std::uint64_t value, std::size_t width) {
-  for (std::size_t i = 0; i < width; ++i) {
-    out.push_back(static_cast<char>(value & 0xffu));
-    value >>= 8;
-  }
-}
-
 std::uint64_t load_le(const char* in, std::size_t width) {
   std::uint64_t value = 0;
   for (std::size_t i = width; i-- > 0;) {
@@ -149,6 +142,41 @@ std::uint64_t load_le_int(const char* in) {
     T value;
     std::memcpy(&value, in, sizeof(T));
     return value;
+  }
+}
+
+/// Fixed-width little-endian store, the mirror of load_le_int.
+template <typename T>
+void store_le_int(char* out, std::uint64_t value) {
+  if constexpr (std::endian::native != std::endian::little) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out[i] = static_cast<char>(value & 0xffu);
+      value >>= 8;
+    }
+  } else {
+    const auto narrow = static_cast<T>(value);
+    std::memcpy(out, &narrow, sizeof(T));
+  }
+}
+
+/// Writes one id column of `count` records at a fixed width; returns the
+/// end of the column. The mirror of decode_column_pair.
+template <typename T, std::uint64_t gen::Edge::*Field>
+char* encode_column(const gen::Edge* edges, std::size_t count, char* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    store_le_int<T>(out + i * sizeof(T), edges[i].*Field);
+  }
+  return out + count * sizeof(T);
+}
+
+template <std::uint64_t gen::Edge::*Field>
+char* encode_column(const gen::Edge* edges, std::size_t count,
+                    std::size_t width, char* out) {
+  switch (width) {
+    case 1: return encode_column<std::uint8_t, Field>(edges, count, out);
+    case 2: return encode_column<std::uint16_t, Field>(edges, count, out);
+    case 4: return encode_column<std::uint32_t, Field>(edges, count, out);
+    default: return encode_column<std::uint64_t, Field>(edges, count, out);
   }
 }
 
@@ -201,7 +229,19 @@ class BinaryEncoder final : public StageEncoder {
 
   void encode(StageWriter& writer, const gen::Edge* edges,
               std::size_t count) override {
-    if (count == 0) return;
+    // Bounded blocks: a streaming decoder stashes at most one block.
+    for (std::size_t lo = 0; lo < count; lo += binfmt::kMaxBlockEdges) {
+      encode_block(writer.buffer(), edges + lo,
+                   std::min(count - lo, binfmt::kMaxBlockEdges));
+      writer.maybe_flush();
+    }
+  }
+
+  void finish(StageWriter&) override {}
+
+ private:
+  static void encode_block(std::string& buf, const gen::Edge* edges,
+                           std::size_t count) {
     std::uint64_t max_u = 0;
     std::uint64_t max_v = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -210,17 +250,16 @@ class BinaryEncoder final : public StageEncoder {
     }
     const std::size_t wu = width_for(max_u);
     const std::size_t wv = width_for(max_v);
-    std::string& buf = writer.buffer();
-    append_le(buf, count, 8);
-    buf.push_back(static_cast<char>(wu));
-    buf.push_back(static_cast<char>(wv));
-    buf.append(6, '\0');
-    for (std::size_t i = 0; i < count; ++i) append_le(buf, edges[i].u, wu);
-    for (std::size_t i = 0; i < count; ++i) append_le(buf, edges[i].v, wv);
-    writer.maybe_flush();
+    const std::size_t at = buf.size();
+    buf.resize(at + binfmt::kBlockHeaderBytes + count * (wu + wv));
+    char* out = buf.data() + at;
+    store_le_int<std::uint64_t>(out, count);
+    out[8] = static_cast<char>(wu);
+    out[9] = static_cast<char>(wv);
+    out += binfmt::kBlockHeaderBytes;
+    out = encode_column<&gen::Edge::u>(edges, count, wu, out);
+    encode_column<&gen::Edge::v>(edges, count, wv, out);
   }
-
-  void finish(StageWriter&) override {}
 };
 
 class BinaryDecoder final : public StageDecoder {

@@ -133,6 +133,10 @@ inline constexpr char kMagic[4] = {'P', 'R', 'P', 'B'};
 inline constexpr std::uint8_t kVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 8;
 inline constexpr std::size_t kBlockHeaderBytes = 16;
+/// Encoders split larger appends into blocks of at most this many
+/// records, so a streaming decoder never stashes more than one block.
+/// Decoders accept any count (shards written before the split decode).
+inline constexpr std::size_t kMaxBlockEdges = std::size_t{1} << 16;
 }  // namespace binfmt
 
 }  // namespace prpb::io

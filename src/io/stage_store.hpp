@@ -85,8 +85,9 @@ class StageStore {
   }
 
   /// Filesystem root when stages are backed by directories, nullptr
-  /// otherwise. Path-based subsystems (the external sort) use this to
-  /// interoperate; they must treat nullptr as "storage is not on disk".
+  /// otherwise; callers must treat nullptr as "storage is not on disk".
+  /// Nothing in the pipeline needs a path (the external sort spills
+  /// through the store); forwarding decorators pass the inner root on.
   [[nodiscard]] virtual const std::filesystem::path* root_dir() const {
     return nullptr;
   }

@@ -5,13 +5,15 @@
 // on-disk implementations; MemStageStore supplies in-memory ones.
 //
 // Readers expose two access styles:
-//  * read_chunk() — sequential bounded chunks (the streaming protocol the
-//    external sort and other bounded-memory consumers keep using);
-//  * view() — the whole remaining shard as ONE contiguous immutable span.
-//    This is the zero-copy read path: DirStageStore serves it from a
-//    memory mapping, MemStageStore from the shard buffer itself, and any
-//    reader that cannot (the fault decorator, mid-stream readers) falls
-//    back to draining read_chunk() into an owned buffer, so every
+//  * read_chunk() — sequential bounded chunks: the streaming lane.
+//    EdgeBatchReader (src/io/edge_batch.hpp) is its one consumer among the
+//    edge helpers, and every bounded-memory scan goes through it;
+//  * view() — the whole remaining shard as ONE contiguous immutable span:
+//    the whole-shard lane (read_all_edges, read_edge_shard, checkpoint
+//    verification) and the zero-copy read path. DirStageStore serves it
+//    from a memory mapping, MemStageStore from the shard buffer itself,
+//    and any reader that cannot (the fault decorator, mid-stream readers)
+//    falls back to draining read_chunk() into an owned buffer, so every
 //    decorator composes unchanged — counted bytes still count, injected
 //    faults still fire. The counting decorator forwards view(), so the
 //    zero-copy path survives it.

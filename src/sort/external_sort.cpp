@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
-#include "io/binary_run.hpp"
 #include "io/edge_batch.hpp"
-#include "io/edge_files.hpp"
 #include "util/error.hpp"
 
 namespace prpb::sort {
@@ -32,12 +28,32 @@ std::string run_name(std::size_t generation, std::size_t index) {
   return name;
 }
 
+/// One run being merged: a bounded reader and a cursor into its batch.
+struct RunCursor {
+  RunCursor(io::StageStore& store, const std::string& stage,
+            const std::string& run)
+      : reader(store, stage, {run}, io::binary_codec()) {}
+
+  io::EdgeBatchReader reader;
+  gen::EdgeList batch;
+  std::size_t pos = 0;
+
+  /// Steps to the run's next edge; false once the run is exhausted.
+  bool advance() {
+    if (++pos < batch.size()) return true;
+    pos = 0;
+    return reader.next(batch);
+  }
+  [[nodiscard]] const gen::Edge& edge() const { return batch[pos]; }
+};
+
 /// Merges the named runs of `temp_stage` into `emit`. The heap holds
 /// (edge, source index); the source index is a tiebreaker so the merge is
 /// deterministic.
+template <typename Emit>
 void merge_runs(io::StageStore& store, const std::string& temp_stage,
                 const std::vector<std::string>& inputs, SortKey key,
-                const std::function<void(const gen::Edge&)>& emit) {
+                Emit&& emit) {
   struct HeapItem {
     gen::Edge edge;
     std::size_t source;
@@ -47,25 +63,20 @@ void merge_runs(io::StageStore& store, const std::string& temp_stage,
     if (edge_less(a.edge, b.edge, key)) return false;
     return a.source > b.source;
   };
-  std::vector<std::unique_ptr<io::BinaryRunReader>> readers;
-  readers.reserve(inputs.size());
-  for (const auto& name : inputs) {
-    readers.push_back(std::make_unique<io::BinaryRunReader>(
-        store.open_read(temp_stage, name)));
-  }
-
+  std::vector<RunCursor> runs;
+  runs.reserve(inputs.size());
   std::priority_queue<HeapItem, std::vector<HeapItem>, decltype(greater)>
       heap(greater);
-  for (std::size_t i = 0; i < readers.size(); ++i) {
-    if (auto edge = readers[i]->next()) heap.push({*edge, i});
+  for (const auto& name : inputs) {
+    RunCursor& run = runs.emplace_back(store, temp_stage, name);
+    if (run.reader.next(run.batch)) heap.push({run.edge(), runs.size() - 1});
   }
   while (!heap.empty()) {
     const HeapItem item = heap.top();
     heap.pop();
     emit(item.edge);
-    if (auto edge = readers[item.source]->next()) {
-      heap.push({*edge, item.source});
-    }
+    RunCursor& run = runs[item.source];
+    if (run.advance()) heap.push({run.edge(), item.source});
   }
 }
 
@@ -93,23 +104,23 @@ ExternalSortStats external_sort_stage(io::StageStore& store,
     obs::Span span(config.hooks.trace, "k1/sort/run_gen");
     radix_sort(slice, config.key);
     const std::string name = run_name(0, runs.size());
-    io::BinaryRunWriter writer(store.open_write(temp_stage, name));
-    writer.write_all(slice);
+    io::ShardWriter writer(store, temp_stage, name, io::binary_codec());
+    writer.append(slice);
     writer.close();
-    stats.spill_bytes += slice.size() * sizeof(gen::Edge);
+    stats.spill_bytes += writer.bytes_written();
     runs.push_back(name);
     slice.clear();
   };
-  io::stream_all_edges(store, in_stage, codec,
-                       [&](const gen::EdgeList& batch) {
-                         for (const auto& edge : batch) {
-                           slice.push_back(edge);
-                           stats.edges += 1;
-                           if (slice.size() >= slice_edges) spill_slice();
-                         }
-                       },
-                       config.hooks);
+  io::EdgeBatchReader reader(store, in_stage, codec, config.hooks);
+  gen::EdgeList batch;
+  while (reader.next(batch)) {
+    for (const auto& edge : batch) {
+      slice.push_back(edge);
+      if (slice.size() >= slice_edges) spill_slice();
+    }
+  }
   spill_slice();
+  stats.edges = reader.edges_read();
   stats.initial_runs = runs.size();
 
   // --- Phase 2: cascaded k-way merge ---------------------------------------
@@ -123,11 +134,11 @@ ExternalSortStats external_sort_stage(io::StageStore& store,
           runs.begin() + static_cast<std::ptrdiff_t>(lo),
           runs.begin() + static_cast<std::ptrdiff_t>(hi));
       const std::string name = run_name(generation, next.size());
-      io::BinaryRunWriter writer(store.open_write(temp_stage, name));
+      io::ShardWriter writer(store, temp_stage, name, io::binary_codec());
       merge_runs(store, temp_stage, group, config.key,
-                 [&writer](const gen::Edge& edge) { writer.write(edge); });
+                 [&writer](const gen::Edge& edge) { writer.append(edge); });
       writer.close();
-      stats.spill_bytes += writer.records_written() * sizeof(gen::Edge);
+      stats.spill_bytes += writer.bytes_written();
       next.push_back(name);
       for (const auto& used : group) store.remove_shard(temp_stage, used);
     }

@@ -1,9 +1,13 @@
 // Out-of-core external merge sort for kernel 1 at scales where the edge list
 // exceeds RAM. Classic two-phase design:
 //   run formation — stream the input stage in memory-budget-sized slices,
-//                   sort each slice in memory (radix), spill as binary runs;
-//   k-way merge   — merge runs with a loser-tree, cascading when the run
-//                   count exceeds the fan-in, and write the sorted stage.
+//                   sort each slice in memory (radix), spill each as a
+//                   binary_codec() shard through io::ShardWriter;
+//   k-way merge   — merge runs through a heap, one io::EdgeBatchReader per
+//                   run, cascading when the run count exceeds the fan-in,
+//                   and write the sorted stage.
+// The merge holds fan-in × (one store chunk + one decode slice's records,
+// or one binary block of at most 2^16 records) besides the heap.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +47,12 @@ struct ExternalSortStats {
   std::uint64_t edges = 0;
   std::size_t initial_runs = 0;
   std::size_t merge_passes = 0;
-  std::uint64_t spill_bytes = 0;
+  std::uint64_t spill_bytes = 0;  ///< encoded bytes written to spill runs
 };
 
 /// Sorts stage `in_stage` of `store` into sharded stage `out_stage`,
-/// spilling intermediate binary runs as shards of `temp_stage` (cleared
-/// first, drained as the merge consumes them). Works over any StageStore;
+/// spilling intermediate runs as binary-codec shards of `temp_stage`
+/// (cleared first, drained as the merge consumes them). Works over any StageStore;
 /// with a CountingStageStore the spill traffic is counted alongside the
 /// stage traffic. Returns run statistics.
 ExternalSortStats external_sort_stage(io::StageStore& store,

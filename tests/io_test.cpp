@@ -1,11 +1,10 @@
 // Tests for src/io: TSV codecs, buffered streams, sharded edge stages,
-// binary spill runs.
+// spill runs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "gen/kronecker.hpp"
-#include "io/binary_run.hpp"
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
 #include "io/file_stream.hpp"
@@ -402,7 +401,7 @@ TEST(StageTest, RewriteClearsStaleShards) {
   EXPECT_EQ(stage.read(), few);
 }
 
-TEST(StageTest, StreamAllEdgesSeesEverything) {
+TEST(StageTest, BatchReaderSeesEverything) {
   gen::KroneckerParams params;
   params.scale = 8;
   const gen::KroneckerGenerator generator(params);
@@ -410,13 +409,32 @@ TEST(StageTest, StreamAllEdgesSeesEverything) {
   const StageCodec& codec = tsv_codec(Codec::kFast);
   write_generated_edges(stage.store, "s", generator, 3, codec);
 
+  EdgeBatchReader reader(stage.store, "s", codec);
+  EdgeList batch;
   EdgeList streamed;
-  stream_all_edges(stage.store, "s", codec,
-                   [&streamed](const EdgeList& batch) {
-                     streamed.insert(streamed.end(), batch.begin(),
-                                     batch.end());
-                   });
+  while (reader.next(batch)) {
+    streamed.insert(streamed.end(), batch.begin(), batch.end());
+  }
   EXPECT_EQ(streamed, generator.generate_all());
+}
+
+TEST(StageTest, BatchReaderReadsNamedShardsInOrder) {
+  MemStageStore store;
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < 40; ++i) edges.push_back({i, i + 100});
+  write_edge_list(store, "s", edges, 4, binary_codec());  // 10 per shard
+
+  EdgeBatchReader reader(store, "s",
+                         {shard_name(2, binary_codec()),
+                          shard_name(0, binary_codec())},
+                         binary_codec());
+  EdgeList batch;
+  EdgeList got;
+  while (reader.next(batch)) got.insert(got.end(), batch.begin(), batch.end());
+  EdgeList expected(edges.begin() + 20, edges.begin() + 30);
+  expected.insert(expected.end(), edges.begin(), edges.begin() + 10);
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(reader.edges_read(), 20u);
 }
 
 TEST(StageTest, MissingFinalNewlineTolerated) {
@@ -692,80 +710,74 @@ TEST(MmapTest, BinaryShardDecodesOverMapping) {
             edges);
 }
 
-// ---- binary runs ------------------------------------------------------------
+// ---- spill runs -------------------------------------------------------------
 
-// Spill runs live as shards of a stage, as the external sort writes them.
+// The external sort spills each run as a binary-codec shard of a stage,
+// written by a ShardWriter and read back by an EdgeBatchReader.
 constexpr const char* kRunStage = "runs";
 
-TEST(BinaryRunTest, RoundTrip) {
+EdgeList read_run(StageStore& store, const std::string& name) {
+  EdgeBatchReader reader(store, kRunStage, {name}, binary_codec());
+  EdgeList batch;
+  EdgeList got;
+  while (reader.next(batch)) got.insert(got.end(), batch.begin(), batch.end());
+  return got;
+}
+
+std::uint64_t write_run(StageStore& store, const std::string& name,
+                        const EdgeList& edges) {
+  ShardWriter writer(store, kRunStage, name, binary_codec());
+  writer.append(edges);
+  writer.close();
+  EXPECT_EQ(writer.edges_written(), edges.size());
+  return writer.bytes_written();
+}
+
+TEST(SpillRunTest, RoundTrip) {
   util::TempDir dir("prpb-io");
   DirStageStore store(dir.path());
   const EdgeList edges = {{1, 2}, {3, 4}, {~0ULL, 0}};
-  {
-    BinaryRunWriter writer(store.open_write(kRunStage, "run.bin"));
-    writer.write_all(edges);
-    writer.close();
-    EXPECT_EQ(writer.records_written(), 3u);
-  }
-  BinaryRunReader reader(store.open_read(kRunStage, "run.bin"));
-  EdgeList got;
-  while (auto edge = reader.next()) got.push_back(*edge);
-  EXPECT_EQ(got, edges);
+  write_run(store, "run.bin", edges);
+  EXPECT_EQ(read_run(store, "run.bin"), edges);
 }
 
-TEST(BinaryRunTest, NextBatchLimitsCount) {
+TEST(SpillRunTest, EmptyRun) {
   util::TempDir dir("prpb-io");
   DirStageStore store(dir.path());
-  {
-    BinaryRunWriter writer(store.open_write(kRunStage, "run.bin"));
-    for (std::uint64_t i = 0; i < 100; ++i) writer.write({i, i + 1});
-    writer.close();
-  }
-  BinaryRunReader reader(store.open_read(kRunStage, "run.bin"));
+  write_run(store, "empty.bin", {});
+  EdgeBatchReader reader(store, kRunStage, {"empty.bin"}, binary_codec());
   EdgeList batch;
-  EXPECT_EQ(reader.next_batch(batch, 30), 30u);
-  EXPECT_EQ(reader.next_batch(batch, 1000), 70u);
-  EXPECT_EQ(reader.next_batch(batch, 10), 0u);
-  EXPECT_EQ(batch.size(), 100u);
+  EXPECT_FALSE(reader.next(batch));
+  EXPECT_TRUE(batch.empty());
 }
 
-TEST(BinaryRunTest, EmptyRun) {
-  util::TempDir dir("prpb-io");
-  DirStageStore store(dir.path());
-  BinaryRunWriter writer(store.open_write(kRunStage, "empty.bin"));
-  writer.close();
-  BinaryRunReader reader(store.open_read(kRunStage, "empty.bin"));
-  EXPECT_FALSE(reader.next().has_value());
-}
-
-TEST(BinaryRunTest, CorruptTrailingBytesDetected) {
-  util::TempDir dir("prpb-io");
-  DirStageStore store(dir.path());
-  {
-    const auto raw = store.open_write(kRunStage, "corrupt.bin");
-    raw->write(std::string(20, 'x'));  // 16 + 4 stray bytes
-    raw->close();
-  }
-  BinaryRunReader reader(store.open_read(kRunStage, "corrupt.bin"));
-  EXPECT_TRUE(reader.next().has_value());
-  EXPECT_THROW(reader.next(), util::IoError);
-}
-
-TEST(BinaryRunTest, LargeRunSurvivesChunkBoundaries) {
+TEST(SpillRunTest, TruncatedRunDetected) {
   util::TempDir dir("prpb-io");
   DirStageStore store(dir.path());
   EdgeList edges;
-  for (std::uint64_t i = 0; i < 100000; ++i) edges.push_back({i, i * 2});
+  for (std::uint64_t i = 0; i < 100; ++i) edges.push_back({i, i + 1});
+  write_run(store, "run.bin", edges);
+  std::string bytes;
   {
-    BinaryRunWriter writer(store.open_write(kRunStage, "large.bin"));
-    writer.write_all(edges);
-    writer.close();
+    const auto reader = store.open_read(kRunStage, "run.bin");
+    bytes.assign(reader->view()->chars());
   }
-  BinaryRunReader reader(store.open_read(kRunStage, "large.bin"));
-  EdgeList got;
-  got.reserve(edges.size());
-  while (auto edge = reader.next()) got.push_back(*edge);
-  EXPECT_EQ(got, edges);
+  {
+    const auto raw = store.open_write(kRunStage, "cut.bin");
+    raw->write(std::string_view(bytes).substr(0, bytes.size() - 3));
+    raw->close();
+  }
+  EXPECT_THROW(read_run(store, "cut.bin"), util::IoError);
+}
+
+TEST(SpillRunTest, LargeRunSurvivesChunkBoundaries) {
+  util::TempDir dir("prpb-io");
+  DirStageStore store(dir.path());
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < 200000; ++i) edges.push_back({i, i * 2});
+  // Over one store chunk, so blocks straddle read_chunk() boundaries.
+  EXPECT_GT(write_run(store, "large.bin", edges), kDefaultBufferBytes);
+  EXPECT_EQ(read_run(store, "large.bin"), edges);
 }
 
 // ---- stage codecs & edge batches --------------------------------------------
@@ -823,20 +835,46 @@ TEST_P(StageCodecTest, BatchWriterPadsTrailingEmptyShards) {
   EXPECT_EQ(read_all_edges(store, "s", codec()), edges);
 }
 
-TEST_P(StageCodecTest, BatchReaderHonorsCapacity) {
+TEST_P(StageCodecTest, BatchWriterPerEdgeMatchesBulk) {
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < 200000; ++i) edges.push_back({i, i % 977});
+  MemStageStore bulk_store;
+  EdgeBatchWriter bulk(bulk_store, "s", codec(), 3, edges.size());
+  bulk.append(edges);
+  bulk.close();
+  MemStageStore edge_store;
+  EdgeBatchWriter per_edge(edge_store, "s", codec(), 3, edges.size());
+  for (const auto& edge : edges) per_edge.append(edge);
+  per_edge.close();
+
+  EXPECT_EQ(edge_store.list("s"), bulk_store.list("s"));
+  EXPECT_EQ(per_edge.bytes_written(), bulk.bytes_written());
+  EXPECT_EQ(read_all_edges(edge_store, "s", codec()), edges);
+  EXPECT_EQ(read_all_edges(bulk_store, "s", codec()), edges);
+}
+
+TEST_P(StageCodecTest, BatchReaderStreamsChunkByChunk) {
+  // One shard of over 2 MiB: the reader hands it over in bounded batches
+  // (one decode slice, or one binary block) and loses no edge.
   MemStageStore store;
   EdgeList edges;
-  for (std::uint64_t i = 0; i < 257; ++i) edges.push_back({i, i});
-  EdgeBatchWriter writer(store, "s", codec(), 3, edges.size());
-  writer.append(edges);
-  writer.close();
-  EdgeBatchReader reader(store, "s", codec(), 64);
+  for (std::uint64_t i = 0; i < 150000; ++i) {
+    edges.push_back({(std::uint64_t{1} << 40) + i,
+                     (std::uint64_t{1} << 41) + 3 * i});
+  }
+  write_edge_list(store, "s", edges, 1, codec());
+  EXPECT_GT(store.stage_bytes("s"), 2u << 20);
+
+  EdgeBatchReader reader(store, "s", codec());
   EdgeList batch;
   EdgeList got;
+  std::size_t batches = 0;
   while (reader.next(batch)) {
-    EXPECT_LE(batch.size(), 64u);
+    EXPECT_LE(batch.size(), binfmt::kMaxBlockEdges);
     got.insert(got.end(), batch.begin(), batch.end());
+    ++batches;
   }
+  EXPECT_GT(batches, 2u);
   EXPECT_EQ(got, edges);
   EXPECT_EQ(reader.edges_read(), edges.size());
 }
@@ -895,6 +933,36 @@ TEST(StageFormatTest, UnknownNameListsValidValues) {
     EXPECT_NE(what.find("tsv"), std::string::npos);
     EXPECT_NE(what.find("binary"), std::string::npos);
   }
+}
+
+TEST(BinaryCodecTest, WrittenShardStreamsInBoundedBlocks) {
+  // A whole shard passed to one encode() call is split into bounded
+  // blocks, so a streaming decoder emits records long before the shard
+  // ends instead of stashing it whole.
+  MemStageStore store;
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < 200000; ++i) edges.push_back({i, i * 7});
+  write_edge_list(store, "s", edges, 1, binary_codec());
+  std::string bytes;
+  {
+    const auto reader = store.open_read("s", shard_name(0, binary_codec()));
+    bytes.assign(reader->view()->chars());
+  }
+  ASSERT_GT(bytes.size(), 2 * kDecodeSliceBytes);
+
+  const auto decoder = binary_codec().make_decoder();
+  EdgeList out;
+  std::size_t before_last_slice = 0;
+  for (std::size_t pos = 0; pos < bytes.size(); pos += kDecodeSliceBytes) {
+    if (pos + kDecodeSliceBytes >= bytes.size()) {
+      before_last_slice = out.size();
+    }
+    decoder->feed(std::string_view(bytes).substr(pos, kDecodeSliceBytes),
+                  out);
+  }
+  decoder->finish(out, "s");
+  EXPECT_GT(before_last_slice, 0u);
+  EXPECT_EQ(out, edges);
 }
 
 TEST(BinaryCodecTest, TsvWritesIdenticalBytesViaCodecSeam) {

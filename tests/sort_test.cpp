@@ -433,6 +433,27 @@ TEST(ExternalSortTest, RunsOverMemStoreWithBinaryCodec) {
   EXPECT_EQ(io::read_all_edges(store, "out", io::binary_codec()), expected);
 }
 
+TEST(ExternalSortTest, SpillBytesAreEncodedBytes) {
+  // Runs are binary-codec shards: spill_bytes counts what was written,
+  // and the codec narrows scale-10 ids below the 16-byte in-memory edge.
+  gen::KroneckerParams params;
+  params.scale = 10;
+  const gen::KroneckerGenerator generator(params);
+  io::MemStageStore store;
+  io::write_generated_edges(store, "in", generator, 3, io::binary_codec());
+
+  ExternalSortConfig config;
+  config.memory_budget_bytes = 16 * 1024;
+  config.fan_in = 4;
+  config.stage_codec = &io::binary_codec();
+  const auto stats = external_sort_stage(store, "in", "out", "tmp", config);
+  ASSERT_GT(stats.merge_passes, 1u);
+  // Every pass but the final merge wrote each edge to a spill run once.
+  const std::uint64_t spilled = stats.edges * stats.merge_passes;
+  EXPECT_GT(stats.spill_bytes, 0u);
+  EXPECT_LT(stats.spill_bytes, spilled * sizeof(gen::Edge));
+}
+
 TEST(ExternalSortTest, TinyFanInForcesCascades) {
   gen::KroneckerParams params;
   params.scale = 9;
