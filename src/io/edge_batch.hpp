@@ -29,8 +29,10 @@ namespace prpb::io {
 inline constexpr std::size_t kDefaultBatchEdges = std::size_t{1} << 16;
 
 /// Bytes of a store chunk handed to the decoder per step. A batch holds
-/// one slice's records (or one whole binary block, at most
-/// binfmt::kMaxBlockEdges records), whatever the store's chunk size.
+/// the records one slice completes, whatever the store's chunk size: for
+/// the binary codec, the block carried over into the slice (at most
+/// binfmt::kMaxBlockEdges records from our encoder) plus the blocks lying
+/// wholly inside it.
 inline constexpr std::size_t kDecodeSliceBytes = std::size_t{64} << 10;
 
 /// The bounded streaming reader: decodes a stage's shards (or an explicit

@@ -2,7 +2,9 @@
 // spill runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <vector>
 
 #include "gen/kronecker.hpp"
 #include "io/edge_batch.hpp"
@@ -741,6 +743,42 @@ TEST(SpillRunTest, RoundTrip) {
   EXPECT_EQ(read_run(store, "run.bin"), edges);
 }
 
+TEST(BinaryRunTest, NextBatchLimitsCount) {
+  // Per-edge appends are coalesced into blocks of binfmt::kMaxBlockEdges.
+  // The reader hands over whole blocks only, and a batch holds at most the
+  // one block a slice completes plus the blocks lying wholly inside it
+  // (at least 2 bytes a record).
+  util::TempDir dir("prpb-io");
+  DirStageStore store(dir.path());
+  const std::uint64_t count = 2 * binfmt::kMaxBlockEdges + 100;
+  EdgeList edges;
+  {
+    ShardWriter writer(store, kRunStage, "run.bin", binary_codec());
+    for (std::uint64_t i = 0; i < count; ++i) {
+      edges.push_back({i, i + 1});
+      writer.append(edges.back());
+    }
+    writer.close();
+    EXPECT_EQ(writer.edges_written(), count);
+  }
+  EdgeBatchReader reader(store, kRunStage, {"run.bin"}, binary_codec());
+  EdgeList batch;
+  EdgeList got;
+  std::vector<std::size_t> sizes;
+  while (reader.next(batch)) {
+    EXPECT_LE(batch.size(), binfmt::kMaxBlockEdges + kDecodeSliceBytes / 2);
+    got.insert(got.end(), batch.begin(), batch.end());
+    EXPECT_TRUE(got.size() % binfmt::kMaxBlockEdges == 0 ||
+                got.size() == count);
+    sizes.push_back(batch.size());
+  }
+  EXPECT_TRUE(batch.empty());
+  ASSERT_GE(sizes.size(), 2u);
+  EXPECT_EQ(sizes.front(), binfmt::kMaxBlockEdges);
+  EXPECT_EQ(got, edges);
+  EXPECT_EQ(reader.edges_read(), count);
+}
+
 TEST(SpillRunTest, EmptyRun) {
   util::TempDir dir("prpb-io");
   DirStageStore store(dir.path());
@@ -851,6 +889,32 @@ TEST_P(StageCodecTest, BatchWriterPerEdgeMatchesBulk) {
   EXPECT_EQ(per_edge.bytes_written(), bulk.bytes_written());
   EXPECT_EQ(read_all_edges(edge_store, "s", codec()), edges);
   EXPECT_EQ(read_all_edges(bulk_store, "s", codec()), edges);
+}
+
+TEST_P(StageCodecTest, BatchReaderHonorsCapacity) {
+  // A batch is bounded by one decode slice or binary block and never
+  // spans a shard boundary.
+  MemStageStore store;
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < 257; ++i) edges.push_back({i, i});
+  EdgeBatchWriter writer(store, "s", codec(), 3, edges.size());
+  writer.append(edges);
+  writer.close();
+  const auto bounds = shard_boundaries(edges.size(), 3);
+  const auto shard_of = [&bounds](std::uint64_t index) {
+    return std::upper_bound(bounds.begin(), bounds.end(), index) -
+           bounds.begin();
+  };
+  EdgeBatchReader reader(store, "s", codec());
+  EdgeList batch;
+  EdgeList got;
+  while (reader.next(batch)) {
+    EXPECT_LE(batch.size(), binfmt::kMaxBlockEdges);
+    EXPECT_EQ(shard_of(got.size()), shard_of(got.size() + batch.size() - 1));
+    got.insert(got.end(), batch.begin(), batch.end());
+  }
+  EXPECT_EQ(got, edges);
+  EXPECT_EQ(reader.edges_read(), edges.size());
 }
 
 TEST_P(StageCodecTest, BatchReaderStreamsChunkByChunk) {
