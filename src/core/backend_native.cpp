@@ -4,6 +4,7 @@
 #include "core/backend_native.hpp"
 
 #include "gen/generator.hpp"
+#include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
 #include "sort/external_sort.hpp"
 #include "sparse/filter.hpp"
@@ -59,14 +60,23 @@ void NativeBackend::kernel1(const KernelContext& ctx) {
 }
 
 sparse::CsrMatrix NativeBackend::kernel2(const KernelContext& ctx) {
-  gen::EdgeList edges;
+  // K1's stage streams straight into the CSR build: no edge list.
+  const std::uint64_t n = ctx.config.num_vertices();
+  filter_report_ = sparse::FilterReport{};
+  sparse::CsrMatrix matrix;
   {
     const obs::Span span = ctx.span("k2/read");
-    edges = ctx.read_stage(ctx.in_stage);
+    sparse::CsrBuilder builder(n, n, ctx.config.num_edges());
+    io::EdgeBatchReader reader(ctx.store, ctx.in_stage, ctx.codec(),
+                               ctx.hooks);
+    gen::EdgeList batch;
+    while (reader.next(batch)) ctx.add_stage_edges(builder, batch);
+    filter_report_.input_edges = reader.edges_read();
+    matrix = builder.finish();
   }
   const obs::Span span = ctx.span("k2/filter_edges");
-  return sparse::filter_edges(edges, ctx.config.num_vertices(),
-                              &filter_report_);
+  sparse::apply_filter(matrix, &filter_report_);
+  return matrix;
 }
 
 std::vector<double> NativeBackend::kernel3(const KernelContext& ctx,

@@ -67,7 +67,8 @@ sparse::CsrMatrix ParallelBackend::kernel2(const KernelContext& ctx) {
   const std::uint64_t n = ctx.config.num_vertices();
   // Row decomposition per the paper; at this repo's default configuration
   // the build is bandwidth-bound, so only the parse is parallelized (by
-  // shard), with construction following serially on the gathered edges.
+  // shard). K1's shards are in row order, so feeding them in shard order
+  // to one builder gives native's matrix.
   const auto shards = ctx.store.list(ctx.in_stage);
   const io::StageCodec& codec = ctx.codec();
   std::vector<gen::EdgeList> parts(shards.size());
@@ -80,14 +81,15 @@ sparse::CsrMatrix ParallelBackend::kernel2(const KernelContext& ctx) {
     }));
   }
   for (auto& future : futures) future.get();
-  gen::EdgeList edges;
-  for (auto& part : parts) {
-    edges.insert(edges.end(), part.begin(), part.end());
-    part.clear();
-    part.shrink_to_fit();
-  }
   const obs::Span span = ctx.span("k2/filter_edges");
-  return sparse::filter_edges(edges, n, nullptr);
+  sparse::CsrBuilder builder(n, n, ctx.config.num_edges());
+  for (auto& part : parts) {
+    ctx.add_stage_edges(builder, part);
+    gen::EdgeList().swap(part);
+  }
+  sparse::CsrMatrix matrix = builder.finish();
+  sparse::apply_filter(matrix);
+  return matrix;
 }
 
 std::vector<double> ParallelBackend::kernel3(const KernelContext& ctx,

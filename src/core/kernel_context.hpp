@@ -23,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
+#include "sparse/csr.hpp"
 #include "sparse/pagerank.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -121,10 +122,22 @@ struct KernelContext {
   }
 
   /// Reads an entire stage as a decoded edge list over the zero-copy view
-  /// path, in the configured codec.
+  /// path, in the configured codec. The list is reserved at M: K0 and K1
+  /// each write exactly M records.
   [[nodiscard]] gen::EdgeList read_stage(
       const std::string& stage, io::Codec flavor = io::Codec::kFast) const {
-    return io::read_all_edges(store, stage, codec(flavor), hooks);
+    return io::read_all_edges(store, stage, codec(flavor), hooks,
+                              config.num_edges());
+  }
+
+  /// Feeds one batch of in_stage's records to kernel 2's CSR build. K2's
+  /// input is K1's output, so a batch out of row order is a broken stage:
+  /// it throws InvariantError naming the stage and is never re-sorted.
+  void add_stage_edges(sparse::CsrBuilder& builder,
+                       const gen::EdgeList& batch) const {
+    util::ensure(builder.add(batch),
+                 "kernel2: stage '" + in_stage +
+                     "' is not grouped by row (not kernel 1's output)");
   }
 };
 

@@ -80,9 +80,11 @@ gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
 }
 
 gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,
-                             const StageCodec& codec, obs::Hooks hooks) {
+                             const StageCodec& codec, obs::Hooks hooks,
+                             std::uint64_t expected_edges) {
   // Shards decode straight onto the end of one list: no per-shard copy.
   gen::EdgeList edges;
+  edges.reserve(expected_edges);
   for (const auto& shard : store.list(stage)) {
     const auto reader = store.open_read(stage, shard);
     read_shard_impl(*reader, stage + "/" + shard, codec, hooks, edges);

@@ -46,9 +46,12 @@ gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
 
 /// Reads every shard of `stage` (sorted shard order) into one list. Each
 /// shard is decoded in place from one StageReader::view(); to scan a
-/// stage in bounded memory, use an EdgeBatchReader instead.
+/// stage in bounded memory, use an EdgeBatchReader instead. The list is
+/// reserved once at `expected_edges` records; a stage holding more still
+/// decodes, growing geometrically past the hint.
 gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,
-                             const StageCodec& codec, obs::Hooks hooks = {});
+                             const StageCodec& codec, obs::Hooks hooks = {},
+                             std::uint64_t expected_edges = 0);
 
 /// Number of decoded records in the stage.
 std::uint64_t count_edges(StageStore& store, const std::string& stage,

@@ -55,10 +55,9 @@ void FileWriter::close() {
 
 FileReader::FileReader(const std::filesystem::path& path,
                        std::size_t buffer_bytes)
-    : path_(path) {
+    : path_(path), buffer_bytes_(buffer_bytes) {
   file_ = std::fopen(path.c_str(), "rb");
   util::io_require(file_ != nullptr, "cannot open for read: " + path.string());
-  buffer_.resize(buffer_bytes);
 }
 
 FileReader::~FileReader() {
@@ -67,6 +66,8 @@ FileReader::~FileReader() {
 
 std::string_view FileReader::read_chunk() {
   if (eof_) return {};
+  // Allocated on first use: a reader served as a view() never needs it.
+  buffer_.resize(buffer_bytes_);
   const std::size_t n = std::fread(buffer_.data(), 1, buffer_.size(), file_);
   if (n < buffer_.size()) {
     util::io_require(std::ferror(file_) == 0, "read error: " + path_.string());

@@ -75,6 +75,7 @@ class FileReader : public StageReader {
  private:
   std::FILE* file_ = nullptr;
   std::filesystem::path path_;
+  std::size_t buffer_bytes_;
   std::string buffer_;
   bool eof_ = false;
   std::uint64_t bytes_read_ = 0;

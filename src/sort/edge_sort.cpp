@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <memory>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -74,19 +74,31 @@ std::pair<FieldBits, FieldBits> varying_bits(const Chunks& chunks,
   return {{all[0], all[2]}, {all[1], all[3]}};
 }
 
-/// One stable counting pass over key bits [shift, shift + digit_bits):
-/// per-chunk histogram, serial bucket-major offset scan, per-chunk scatter
-/// into disjoint destination ranges through store(position, key).
-template <typename Store>
-void pass(const Chunks& chunks, const std::uint64_t* src, unsigned shift,
-          unsigned digit_bits, const Store& store) {
+/// The 8-byte key slots laid over the edge array's own bytes, read and
+/// written through memcpy: 16 B per edge holds exactly two slots.
+std::uint64_t load_slot(const char* slots, std::size_t i) {
+  std::uint64_t key;
+  std::memcpy(&key, slots + i * sizeof(key), sizeof(key));
+  return key;
+}
+
+void store_slot(char* slots, std::size_t i, std::uint64_t key) {
+  std::memcpy(slots + i * sizeof(key), &key, sizeof(key));
+}
+
+/// One stable counting pass over key bits [shift, shift + digit_bits) from
+/// the slots at `src` to those at `dst`: per-chunk histogram, serial
+/// bucket-major offset scan, per-chunk scatter into disjoint destination
+/// ranges.
+void pass(const Chunks& chunks, const char* src, char* dst, unsigned shift,
+          unsigned digit_bits) {
   const std::size_t radix = std::size_t{1} << digit_bits;
   // Chunk-major counts, then the scatter cursors.
   std::vector<std::size_t> hist(chunks.count() * radix, 0);
   chunks.run([&](std::size_t t, std::size_t begin, std::size_t end) {
     std::size_t* counts = hist.data() + t * radix;
     for (std::size_t i = begin; i < end; ++i) {
-      ++counts[(src[i] >> shift) & (radix - 1)];
+      ++counts[(load_slot(src, i) >> shift) & (radix - 1)];
     }
   });
   // Exclusive scan, bucket-major then chunk order: chunk t's bucket-b run
@@ -101,7 +113,8 @@ void pass(const Chunks& chunks, const std::uint64_t* src, unsigned shift,
   chunks.run([&](std::size_t t, std::size_t begin, std::size_t end) {
     std::size_t* cursor = hist.data() + t * radix;
     for (std::size_t i = begin; i < end; ++i) {
-      store(cursor[(src[i] >> shift) & (radix - 1)]++, src[i]);
+      const std::uint64_t key = load_slot(src, i);
+      store_slot(dst, cursor[(key >> shift) & (radix - 1)]++, key);
     }
   });
 }
@@ -142,26 +155,37 @@ void radix_sort(gen::EdgeList& edges, SortKey key, util::ThreadPool* pool) {
   // bits(v') is 64 only when u is constant (u' == 0), so shifting by
   // bits(v') mod 64 gives the same key without a shift by 64.
   const unsigned v_shift = v.bits & 63;
-  // Left uninitialized: packing writes every key, each pass every slot.
-  auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(edges.size());
-  auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(edges.size());
-  chunks.run([&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      keys[i] = (u.pack(edges[i].u) << v_shift) | v.pack(edges[i].v);
-    }
-  });
-  // LSD in balanced digits; the last pass scatters unpacked edges.
+  // The keys live in the first half of the edges' storage and the LSD
+  // scratch in the second. Packing runs forward: slot i overlaps edge i/2,
+  // which is already read.
+  static_assert(sizeof(gen::Edge) == 2 * sizeof(std::uint64_t));
+  const std::size_t n = edges.size();
+  char* const slots = reinterpret_cast<char*>(edges.data());
+  char* const scratch = slots + n * sizeof(std::uint64_t);
+  for (std::size_t i = 0; i < n; ++i) {
+    store_slot(slots, i, (u.pack(edges[i].u) << v_shift) | v.pack(edges[i].v));
+  }
+  // LSD in balanced digits, ping-ponging between the halves.
   const unsigned passes = (width + kMaxDigitBits - 1) / kMaxDigitBits;
   const unsigned digit_bits = (width + passes - 1) / passes;
-  for (unsigned p = 0; p + 1 < passes; ++p) {
-    pass(chunks, keys.get(), lo + p * digit_bits, digit_bits,
-         [&scratch](std::size_t at, std::uint64_t k) { scratch[at] = k; });
-    keys.swap(scratch);
+  char* src = slots;
+  char* dst = scratch;
+  for (unsigned p = 0; p < passes; ++p) {
+    pass(chunks, src, dst, lo + p * digit_bits, digit_bits);
+    std::swap(src, dst);
   }
-  pass(chunks, keys.get(), lo + (passes - 1) * digit_bits, digit_bits,
-       [&edges, &u, &v, v_shift](std::size_t at, std::uint64_t k) {
-         edges[at] = {u.unpack(k >> v_shift), v.unpack(k)};
-       });
+  // Edge i overlaps slots 2i and 2i + 1 of the first half, or slots
+  // 2i - n and 2i - n + 1 of the second: unpack backward from the first
+  // half and forward from the second, so no slot is overwritten unread.
+  const auto unpack = [&](std::size_t i) {
+    const std::uint64_t k = load_slot(src, i);
+    edges[i] = {u.unpack(k >> v_shift), v.unpack(k)};
+  };
+  if (src == slots) {
+    for (std::size_t i = n; i-- > 0;) unpack(i);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) unpack(i);
+  }
 }
 
 bool is_sorted_edges(const gen::EdgeList& edges, SortKey key) {

@@ -31,7 +31,8 @@ enum class SortKey {
 /// input pack into one 64-bit key, (u' << bits(v')) | v', sorted in
 /// balanced digits of at most 11 bits: 4 passes over 8-byte keys for a
 /// scale-18 or scale-20 graph. Wider keys (ids of 2^32 and up) fall back
-/// to std::stable_sort. Memory: the edges plus two key arrays, 32 B/edge.
+/// to std::stable_sort. In place: the keys and the LSD scratch share the
+/// edges' own 16 B/edge, so the sort allocates only its histograms.
 ///
 /// With a pool of more than one thread, each pass splits the input into
 /// per-thread chunks: chunk histograms run in parallel, a serial

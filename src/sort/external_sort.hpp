@@ -21,9 +21,9 @@
 
 namespace prpb::sort {
 
-/// True when the in-memory radix sort of `edge_count` edges would exceed
-/// `budget_bytes`: it needs the edge array plus two 8-byte key arrays,
-/// the same 2·M·16 bytes as an equal scratch array.
+/// True when 2·M·16 bytes exceed `budget_bytes`. The in-place radix sort
+/// needs only the M·16-byte edge array; the factor 2 keeps the engine
+/// choice every budget has always made.
 inline bool needs_external_sort(std::uint64_t edge_count,
                                 std::uint64_t budget_bytes) {
   return 2 * edge_count * sizeof(gen::Edge) > budget_bytes;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <tuple>
 #include <utility>
 
 #include "util/error.hpp"
@@ -13,80 +11,50 @@ namespace prpb::sparse {
 CsrMatrix::CsrMatrix(std::uint64_t rows, std::uint64_t cols)
     : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {}
 
-namespace {
-
-/// Builds a matrix in one pass over `count` entries grouped by row, where
-/// entry(k) is the k-th (row, col, value). A repeat of a row's last column
-/// adds to its value. A row whose columns went backwards (a start-only
-/// sort) is sorted and merged when it closes. Returns nothing when a row
-/// follows a later one, i.e. the entries are not grouped by row.
-template <typename Entry>
-std::optional<CsrMatrix> build_grouped(std::uint64_t rows, std::uint64_t cols,
-                                       std::size_t count, const Entry& entry) {
-  std::vector<std::uint64_t> row_ptr(rows + 1, 0);
-  std::vector<std::uint64_t> col_idx;
-  std::vector<double> values;
-  col_idx.reserve(count);
-  values.reserve(count);
-  std::uint64_t row = 0;
-  std::size_t row_start = 0;  // row_ptr[row]
-  bool row_ordered = true;
-  std::vector<std::pair<std::uint64_t, double>> unordered;
-  const auto close_row = [&] {
-    if (!row_ordered) {
-      unordered.clear();
-      for (std::size_t k = row_start; k < col_idx.size(); ++k)
-        unordered.emplace_back(col_idx[k], values[k]);
-      std::sort(unordered.begin(), unordered.end());
-      std::size_t end = row_start;
-      for (const auto& [col, value] : unordered) {
-        if (end > row_start && col_idx[end - 1] == col) {
-          values[end - 1] += value;
-        } else {
-          col_idx[end] = col;
-          values[end++] = value;
-        }
-      }
-      col_idx.resize(end);
-      values.resize(end);
-    }
-    row_ordered = true;
-    row_start = row_ptr[++row] = col_idx.size();
-  };
-  for (std::size_t k = 0; k < count; ++k) {
-    const auto [r, c, value] = entry(k);
-    util::ensure(r < rows && c < cols, "CsrMatrix: entry out of range");
-    if (r != row) {
-      if (r < row) return std::nullopt;
-      while (row < r) close_row();
-    } else if (col_idx.size() > row_start) {
-      if (c == col_idx.back()) {
-        values.back() += value;
-        continue;
-      }
-      row_ordered = row_ordered && c > col_idx.back();
-    }
-    col_idx.push_back(c);
-    values.push_back(value);
-  }
-  while (row < rows) close_row();
-  return CsrMatrix::from_parts(rows, cols, std::move(row_ptr),
-                               std::move(col_idx), std::move(values));
+CsrBuilder::CsrBuilder(std::uint64_t rows, std::uint64_t cols,
+                       std::size_t reserve)
+    : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {
+  col_idx_.reserve(reserve);
+  values_.reserve(reserve);
 }
 
-}  // namespace
+void CsrBuilder::close_row() {
+  if (!row_ordered_) {
+    unordered_.clear();
+    for (std::size_t k = row_start_; k < col_idx_.size(); ++k)
+      unordered_.emplace_back(col_idx_[k], values_[k]);
+    std::sort(unordered_.begin(), unordered_.end());
+    std::size_t end = row_start_;
+    for (const auto& [col, value] : unordered_) {
+      if (end > row_start_ && col_idx_[end - 1] == col) {
+        values_[end - 1] += value;
+      } else {
+        col_idx_[end] = col;
+        values_[end++] = value;
+      }
+    }
+    col_idx_.resize(end);
+    values_.resize(end);
+  }
+  row_ordered_ = true;
+  row_start_ = row_ptr_[++row_] = col_idx_.size();
+}
+
+CsrMatrix CsrBuilder::finish() {
+  while (row_ < rows_) close_row();
+  return CsrMatrix::from_parts(rows_, cols_, std::move(row_ptr_),
+                               std::move(col_idx_), std::move(values_));
+}
 
 CsrMatrix CsrMatrix::from_edges(const gen::EdgeList& edges, std::uint64_t rows,
                                 std::uint64_t cols) {
-  const auto build = [rows, cols](const gen::EdgeList& list) {
-    return build_grouped(rows, cols, list.size(), [&list](std::size_t k) {
-      return std::tuple{list[k].u, list[k].v, 1.0};
-    });
-  };
-  if (auto m = build(edges)) return std::move(*m);
+  {
+    CsrBuilder builder(rows, cols, edges.size());
+    if (builder.add(edges)) return builder.finish();
+  }
   gen::EdgeList sorted = edges;  // not grouped by row
   std::sort(sorted.begin(), sorted.end());
-  return *build(sorted);
+  return from_edges(sorted, rows, cols);
 }
 
 CsrMatrix CsrMatrix::from_triplets(const std::vector<std::uint64_t>& row,
@@ -100,9 +68,9 @@ CsrMatrix CsrMatrix::from_triplets(const std::vector<std::uint64_t>& row,
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return row[a] != row[b] ? row[a] < row[b] : col[a] < col[b];
   });
-  return *build_grouped(rows, cols, order.size(), [&](std::size_t k) {
-    return std::tuple{row[order[k]], col[order[k]], val[order[k]]};
-  });
+  CsrBuilder builder(rows, cols, order.size());  // sorted: always grouped
+  for (const std::size_t k : order) (void)builder.add(row[k], col[k], val[k]);
+  return builder.finish();
 }
 
 CsrMatrix CsrMatrix::from_parts(std::uint64_t rows, std::uint64_t cols,

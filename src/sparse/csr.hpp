@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "gen/edge.hpp"
+#include "util/error.hpp"
 
 namespace prpb::sparse {
 
@@ -20,10 +22,9 @@ class CsrMatrix {
 
   /// Builds the duplicate-accumulating adjacency matrix from an edge list
   /// (u = row, v = col, each occurrence adds 1.0). Edges need not be sorted.
-  /// Input grouped by row (kernel 1's stage) builds in one pass; a row whose
-  /// columns are out of order is sorted when it closes. Other input is
-  /// built from a (u, v)-sorted copy. Throws InvariantError when an
-  /// endpoint is out of range.
+  /// Input grouped by row (kernel 1's stage) builds in one CsrBuilder pass;
+  /// other input is built from a (u, v)-sorted copy. Throws InvariantError
+  /// when an endpoint is out of range.
   static CsrMatrix from_edges(const gen::EdgeList& edges, std::uint64_t rows,
                               std::uint64_t cols);
 
@@ -91,6 +92,61 @@ class CsrMatrix {
   std::vector<std::uint64_t> row_ptr_;  // size rows_+1
   std::vector<std::uint64_t> col_idx_;  // sorted within each row
   std::vector<double> values_;
+};
+
+/// Builds a CsrMatrix in one pass over entries grouped by row: construct,
+/// add() every entry, finish(). A repeat of a row's last column adds to its
+/// value; a row whose columns go backwards (a start-only sort) is sorted
+/// and merged when it closes. The one builder behind from_edges,
+/// from_triplets and kernel 2's streamed stage read.
+class CsrBuilder {
+ public:
+  /// `reserve` entries are allocated up front (kernel 2 passes M).
+  CsrBuilder(std::uint64_t rows, std::uint64_t cols, std::size_t reserve = 0);
+
+  /// Adds one entry. Returns false, adding nothing, when `row` precedes
+  /// the open row: the entries are not grouped by row. Throws
+  /// InvariantError when `row` or `col` is out of range.
+  [[nodiscard]] bool add(std::uint64_t row, std::uint64_t col, double value) {
+    util::ensure(row < rows_ && col < cols_, "CsrMatrix: entry out of range");
+    if (row != row_) {
+      if (row < row_) return false;
+      while (row_ < row) close_row();
+    } else if (col_idx_.size() > row_start_) {
+      if (col == col_idx_.back()) {
+        values_.back() += value;
+        return true;
+      }
+      row_ordered_ = row_ordered_ && col > col_idx_.back();
+    }
+    col_idx_.push_back(col);
+    values_.push_back(value);
+    return true;
+  }
+
+  /// add(u, v, 1.0) per edge; false at the first edge out of row order.
+  [[nodiscard]] bool add(const gen::EdgeList& edges) {
+    for (const gen::Edge& edge : edges) {
+      if (!add(edge.u, edge.v, 1.0)) return false;
+    }
+    return true;
+  }
+
+  /// Closes the remaining rows and returns the matrix. Call once.
+  CsrMatrix finish();
+
+ private:
+  void close_row();
+
+  std::uint64_t rows_;
+  std::uint64_t cols_;
+  std::vector<std::uint64_t> row_ptr_;
+  std::vector<std::uint64_t> col_idx_;
+  std::vector<double> values_;
+  std::uint64_t row_ = 0;       // the open row
+  std::size_t row_start_ = 0;   // row_ptr_[row_]
+  bool row_ordered_ = true;     // the open row's columns only ascend
+  std::vector<std::pair<std::uint64_t, double>> unordered_;
 };
 
 }  // namespace prpb::sparse

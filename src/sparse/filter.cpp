@@ -7,27 +7,13 @@ namespace prpb::sparse {
 namespace {
 /// Inserts a unit self-loop on every row with no stored entries.
 CsrMatrix with_diagonal_on_empty_rows(const CsrMatrix& a) {
-  std::vector<std::uint64_t> rows;
-  std::vector<std::uint64_t> cols;
-  std::vector<double> vals;
-  rows.reserve(a.nnz());
-  cols.reserve(a.nnz());
-  vals.reserve(a.nnz());
-  for (std::uint64_t r = 0; r < a.rows(); ++r) {
-    const bool empty = a.row_ptr()[r] == a.row_ptr()[r + 1];
-    if (empty) {
-      rows.push_back(r);
-      cols.push_back(r);
-      vals.push_back(1.0);
-      continue;
-    }
-    for (std::uint64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      rows.push_back(r);
-      cols.push_back(a.col_idx()[k]);
-      vals.push_back(a.values()[k]);
-    }
+  CsrBuilder builder(a.rows(), a.cols(), a.nnz() + a.rows());
+  for (std::uint64_t r = 0; r < a.rows(); ++r) {  // rows in order: grouped
+    if (a.row_ptr()[r] == a.row_ptr()[r + 1]) (void)builder.add(r, r, 1.0);
+    for (std::uint64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k)
+      (void)builder.add(r, a.col_idx()[k], a.values()[k]);
   }
-  return CsrMatrix::from_triplets(rows, cols, vals, a.rows(), a.cols());
+  return builder.finish();
 }
 }  // namespace
 

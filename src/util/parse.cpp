@@ -1,5 +1,7 @@
 #include "util/parse.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cstring>
 #include <limits>
@@ -48,6 +50,24 @@ std::optional<double> parse_f64_full(std::string_view s) {
 }
 
 std::size_t format_u64(char* buf, std::uint64_t v) {
+  if (std::endian::native == std::endian::little && v < 100000000) {
+    // SWAR: split by 10^4 into two 32-bit lanes, by 10^2 into four 16-bit
+    // lanes, by 10 into eight byte lanes, most significant digit in the
+    // lowest byte. The reciprocal multiplies are exact in these ranges and
+    // never carry across lanes.
+    const std::uint64_t merged = (v / 10000) | ((v % 10000) << 32);
+    const std::uint64_t top =
+        ((merged * 10486) >> 20) & ((std::uint64_t{0x7f} << 32) | 0x7f);
+    const std::uint64_t hundreds = ((merged - 100 * top) << 16) + top;
+    std::uint64_t digits = ((hundreds * 103) >> 10) & 0x000f000f000f000full;
+    digits += (hundreds - 10 * digits) << 8;
+    // Shift the leading zero digits out of the low bytes and store all
+    // eight bytes at once (v == 0 keeps its one '0').
+    const auto zeros = std::min(std::countr_zero(digits) / 8, 7);
+    const std::uint64_t text = (digits + 0x3030303030303030ull) >> (8 * zeros);
+    std::memcpy(buf, &text, sizeof(text));
+    return static_cast<std::size_t>(8 - zeros);
+  }
   char tmp[20];
   std::size_t n = 0;
   do {

@@ -29,7 +29,9 @@ std::optional<double> parse_f64_full(std::string_view s);
 std::size_t append_u64(std::string& out, std::uint64_t v);
 
 /// Writes decimal digits of `v` into `buf` (must hold >= 20 bytes);
-/// returns the number of bytes written. No terminator is added.
+/// returns the digit count. No terminator is added. Ids below 10^8 take
+/// an 8-digit SWAR conversion and one 8-byte store, so up to 8 bytes
+/// change: callers writing into a tight buffer leave 8 bytes of room.
 std::size_t format_u64(char* buf, std::uint64_t v);
 
 /// Splits `line` at the first tab character. Returns {before, after}

@@ -416,6 +416,28 @@ TEST(FailureRecoveryTest, NonDirectoryStagePathFails) {
                util::Error);
 }
 
+TEST(FailureRecoveryTest, UngroupedStage1FailsKernel2) {
+  // K2 streams K1's stage into a row-grouped CSR build. A stage whose rows
+  // go backwards cannot be K1's output: it fails naming the stage, and is
+  // never re-sorted.
+  util::TempDir work("prpb-fail");
+  const PipelineConfig config = config_in(work);
+  for (const char* name : {"native", "parallel"}) {
+    const auto backend = make_backend(name);
+    Harness h(config);
+    h.store.clear_stage(stages::kStage1);
+    io::write_file(h.shard0(config, stages::kStage1), "2\t1\n0\t3\n");
+    try {
+      (void)backend->kernel2(h.context(config, stages::kStage1, ""));
+      ADD_FAILURE() << name << ": ungrouped stage accepted";
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(stages::kStage1),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FailureRecoveryTest, EmptyStageYieldsEmptyMatrixNotCrash) {
   util::TempDir work("prpb-fail");
   const PipelineConfig config = config_in(work);

@@ -1048,6 +1048,112 @@ TEST(BinaryCodecTest, TsvWritesIdenticalBytesViaCodecSeam) {
   EXPECT_EQ(bytes, expected);
 }
 
+// ---- TSV fast encoder -------------------------------------------------------
+// The sliced SWAR encoder must write exactly the generic formatter's bytes.
+
+std::string generic_text(const EdgeList& edges) {
+  std::string text;
+  for (const auto& edge : edges) append_edge_generic(text, edge);
+  return text;
+}
+
+std::string shard_bytes(StageStore& store, const std::string& stage,
+                        const std::string& shard) {
+  return std::string(store.open_read(stage, shard)->view()->chars());
+}
+
+std::string encoded_shard(const EdgeList& edges) {
+  MemStageStore store;
+  write_edge_shard(store, "s", "edges_00000.tsv", edges,
+                   tsv_codec(Codec::kFast));
+  return shard_bytes(store, "s", "edges_00000.tsv");
+}
+
+TEST(TsvEncoderTest, DigitBoundariesMatchGeneric) {
+  std::vector<std::uint64_t> ids = {0, 1ULL << 32, ~0ULL};
+  for (std::uint64_t p = 10; p != 0; p = p <= ~0ULL / 10 ? p * 10 : 0) {
+    ids.push_back(p - 1);
+    ids.push_back(p);
+  }
+  // Every (u, v) pair, u-major (runs of equal u) and v-major.
+  EdgeList by_u;
+  EdgeList by_v;
+  for (const std::uint64_t a : ids) {
+    for (const std::uint64_t b : ids) {
+      by_u.push_back({a, b});
+      by_v.push_back({b, a});
+    }
+  }
+  EXPECT_EQ(encoded_shard(by_u), generic_text(by_u));
+  EXPECT_EQ(encoded_shard(by_v), generic_text(by_v));
+  for (const auto& edge : by_u) {
+    std::string fast;
+    append_edge_fast(fast, edge);
+    EXPECT_EQ(fast, generic_text({edge}));
+  }
+}
+
+TEST(TsvEncoderTest, EqualStartRunsStraddleSlices) {
+  // Runs of 1000 equal u (crossing the 10^5 digit boundary) never align
+  // with the 2^16-record slices or the staging buffer's flushes.
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < 3 * binfmt::kMaxBlockEdges + 17; ++i) {
+    edges.push_back({99900 + i / 1000, (i * 7919) % 1000003});
+  }
+  const std::string expected = generic_text(edges);
+  EXPECT_EQ(encoded_shard(edges), expected);
+
+  // Per-edge appends, bulk appends and odd-sized appends give one text.
+  MemStageStore store;
+  ShardWriter per_edge(store, "s", "per_edge.tsv", tsv_codec(Codec::kFast));
+  for (const auto& edge : edges) per_edge.append(edge);
+  per_edge.close();
+  ShardWriter pieces(store, "s", "pieces.tsv", tsv_codec(Codec::kFast));
+  for (std::size_t lo = 0; lo < edges.size(); lo += 999) {
+    pieces.append(edges.data() + lo,
+                  std::min<std::size_t>(999, edges.size() - lo));
+  }
+  pieces.close();
+  EXPECT_EQ(shard_bytes(store, "s", "per_edge.tsv"), expected);
+  EXPECT_EQ(shard_bytes(store, "s", "pieces.tsv"), expected);
+  EXPECT_EQ(read_edge_shard(store, "s", "pieces.tsv", tsv_codec()), edges);
+}
+
+TEST(TsvEncoderTest, FlushesAtLeastOncePerBlock) {
+  // The encoder offers the writer a flush at least once per 2^16 records,
+  // so a staging buffer never holds more than one block of text.
+  class RecordingWriter final : public StageWriter {
+   public:
+    std::string& buffer() override { return buffer_; }
+    void maybe_flush() override {
+      max_held = std::max(max_held, buffer_.size());
+      bytes_ += buffer_.size();
+      buffer_.clear();
+    }
+    void close() override {}
+    [[nodiscard]] std::uint64_t bytes_written() const override {
+      return bytes_;
+    }
+    std::size_t max_held = 0;
+
+   private:
+    std::string buffer_;
+    std::uint64_t bytes_ = 0;
+  };
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < 5 * binfmt::kMaxBlockEdges; ++i) {
+    edges.push_back({i, i});
+  }
+  RecordingWriter writer;
+  const auto encoder = tsv_codec(Codec::kFast).make_encoder();
+  encoder->begin(writer);
+  encoder->encode(writer, edges.data(), edges.size());
+  encoder->finish(writer);
+  // 2^16 records of at most "327679\t327679\n" (14 bytes).
+  EXPECT_LE(writer.max_held, binfmt::kMaxBlockEdges * 14);
+  EXPECT_EQ(writer.bytes_written(), generic_text(edges).size());
+}
+
 TEST(BinaryCodecTest, BadMagicMentionsTsv) {
   MemStageStore store;
   {

@@ -122,6 +122,33 @@ std::vector<SortCase> sort_cases() {
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
                          ::testing::ValuesIn(sort_cases()), sort_case_name);
 
+// ---- in-place key slots: pass-count parity ----------------------------------
+// The keys ping-pong between the two halves of the edge array, so an odd
+// pass count unpacks forward from the second half and an even one backward
+// from the first. Sizes 0, 1, 2 and odd sizes (one and several chunks).
+
+TEST(RadixInPlaceTest, OddAndEvenPassCountsMatchStableSort) {
+  util::ThreadPool pool(3);
+  // Ids below 2^bits: kStartEnd sorts 2·bits key bits, kStart sorts bits,
+  // in ceil(width / 11) passes.
+  for (const unsigned bits : {5u, 8u, 12u, 16u, 20u, 30u}) {
+    for (const std::size_t count : {0u, 1u, 2u, 4097u, 65537u}) {
+      const EdgeList input = random_edges(count, 1ULL << bits, bits + count);
+      for (const SortKey key : {SortKey::kStartEnd, SortKey::kStart}) {
+        for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+          EdgeList edges = input;
+          radix_sort(edges, key, p);
+          EXPECT_EQ(edges, stable_sorted(input, key))
+              << "bits " << bits << " count " << count
+              << (key == SortKey::kStart ? " kStart" : " kStartEnd")
+              << (p == nullptr ? " serial" : " pool");
+        }
+      }
+    }
+  }
+}
+
 // ---- radix specifics ---------------------------------------------------------
 
 TEST(RadixTest, StableOnStartKey) {

@@ -129,6 +129,44 @@ TEST(CsrFromEdgesTest, OutOfRangeThrowsOnGroupedAndUngroupedPaths) {
                util::InvariantError);
 }
 
+TEST(CsrBuilderTest, BatchSizesGiveFromEdgesArrays) {
+  // Fed a K1-ordered list in batches of 1, 7 and 4096 records, the builder
+  // equals from_edges on the generator order, for both sort keys (start
+  // only leaves rows with columns out of order).
+  gen::KroneckerParams params;
+  params.scale = 10;
+  const EdgeList generated = gen::KroneckerGenerator(params).generate_all();
+  const std::uint64_t n = 1ULL << params.scale;
+  const CsrMatrix expected = CsrMatrix::from_edges(generated, n, n);
+  for (const sort::SortKey key :
+       {sort::SortKey::kStartEnd, sort::SortKey::kStart}) {
+    EdgeList stage = generated;
+    sort::radix_sort(stage, key);
+    for (const std::size_t batch : {1u, 7u, 4096u}) {
+      CsrBuilder builder(n, n, stage.size());
+      for (std::size_t lo = 0; lo < stage.size(); lo += batch) {
+        const EdgeList part(
+            stage.begin() + static_cast<std::ptrdiff_t>(lo),
+            stage.begin() + static_cast<std::ptrdiff_t>(
+                                std::min(stage.size(), lo + batch)));
+        ASSERT_TRUE(builder.add(part));
+      }
+      expect_same_arrays(builder.finish(), expected);
+    }
+  }
+}
+
+TEST(CsrBuilderTest, RowOutOfOrderIsRejectedAndNotAdded) {
+  CsrBuilder builder(3, 3);
+  EXPECT_TRUE(builder.add(1, 2, 1.0));
+  EXPECT_FALSE(builder.add(0, 1, 1.0));
+  EXPECT_TRUE(builder.add(2, 0, 0.5));
+  const CsrMatrix m = builder.finish();
+  EXPECT_EQ(m.row_ptr(), (std::vector<std::uint64_t>{0, 0, 1, 2}));
+  EXPECT_EQ(m.col_idx(), (std::vector<std::uint64_t>{2, 0}));
+  EXPECT_EQ(m.values(), (std::vector<double>{1.0, 0.5}));
+}
+
 TEST(CsrTest, FromTripletsAccumulates) {
   const CsrMatrix m = CsrMatrix::from_triplets({0, 0, 1}, {1, 1, 0},
                                                {2.0, 3.0, 1.5}, 2, 2);

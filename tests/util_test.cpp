@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -110,6 +113,22 @@ TEST(ParseTest, FormatU64RoundTrip) {
     char buf[20];
     const std::size_t n = format_u64(buf, v);
     EXPECT_EQ(parse_u64_full(std::string_view(buf, n)), v);
+  }
+}
+
+TEST(ParseTest, FormatU64AtEveryDigitBoundary) {
+  // 0, 9, 10, 99, 100, ... up to 10^19, then the top of the range: the
+  // SWAR lane below 10^8 and the scalar loop above it.
+  std::vector<std::uint64_t> values = {0, 1ULL << 32, ~0ULL};
+  for (std::uint64_t p = 10; p != 0; p = p <= ~0ULL / 10 ? p * 10 : 0) {
+    values.push_back(p - 1);
+    values.push_back(p);
+  }
+  for (const std::uint64_t v : values) {
+    char buf[20];
+    std::memset(buf, 'x', sizeof(buf));
+    const std::size_t n = format_u64(buf, v);
+    EXPECT_EQ(std::string(buf, n), std::to_string(v));
   }
 }
 
