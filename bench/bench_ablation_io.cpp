@@ -31,7 +31,7 @@ void BM_FormatEdges(benchmark::State& state) {
   for (auto _ : state) {
     std::string out;
     out.reserve(edges.size() * 16);
-    for (const auto& edge : edges) io::append_edge(out, edge, codec);
+    io::append_edges(out, edges.data(), edges.size(), codec);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(edges.size()) *
@@ -42,7 +42,7 @@ void BM_ParseEdges(benchmark::State& state) {
   const gen::EdgeList edges = sample_edges();
   const auto codec = static_cast<io::Codec>(state.range(0));
   std::string text;
-  for (const auto& edge : edges) io::append_edge_fast(text, edge);
+  io::append_edges_fast(text, edges.data(), edges.size());
   for (auto _ : state) {
     gen::EdgeList parsed;
     parsed.reserve(edges.size());

@@ -135,9 +135,11 @@ struct KernelContext {
   /// it throws InvariantError naming the stage and is never re-sorted.
   void add_stage_edges(sparse::CsrBuilder& builder,
                        const gen::EdgeList& batch) const {
-    util::ensure(builder.add(batch),
-                 "kernel2: stage '" + in_stage +
-                     "' is not grouped by row (not kernel 1's output)");
+    if (!builder.add(batch)) {
+      throw util::InvariantError(
+          "kernel2: stage '" + in_stage +
+          "' is not grouped by row (not kernel 1's output)");
+    }
   }
 };
 

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "util/error.hpp"
-#include "util/parse.hpp"
 
 namespace prpb::io {
 
@@ -39,75 +38,28 @@ class TsvEncoder final : public StageEncoder {
 
   void encode(StageWriter& writer, const gen::Edge* edges,
               std::size_t count) override {
-    if (flavor_ == Codec::kGeneric) {
-      for (std::size_t i = 0; i < count; ++i) {
-        append_edge_generic(writer.buffer(), edges[i]);
-      }
+    // Slices of at most kMaxBlockEdges records that fit the staging
+    // buffer's spare capacity even at the widest ids, so the buffer never
+    // reallocates; only a buffer too small for one record grows, once.
+    for (std::size_t lo = 0; lo < count;) {
+      std::string& buf = writer.buffer();
+      const std::size_t fit = (buf.capacity() - buf.size()) / kMaxRecordBytes;
+      const std::size_t n = std::min(
+          {count - lo, binfmt::kMaxBlockEdges, fit > 0 ? fit : count - lo});
+      append_edges(buf, edges + lo, n, flavor_);
       writer.maybe_flush();
-      return;
-    }
-    // Blocks of at most kMaxBlockEdges records share one worst-case record
-    // size. Each is formatted straight into the staging buffer in slices
-    // that fit its spare capacity, so the buffer never reallocates; only a
-    // buffer too small for one record grows, once, to a whole block.
-    for (std::size_t block = 0; block < count;
-         block += binfmt::kMaxBlockEdges) {
-      const std::size_t end = std::min(count, block + binfmt::kMaxBlockEdges);
-      std::uint64_t max_u = 0;
-      std::uint64_t max_v = 0;
-      for (std::size_t i = block; i < end; ++i) {
-        max_u = std::max(max_u, edges[i].u);
-        max_v = std::max(max_v, edges[i].v);
-      }
-      char digits[20];
-      const std::size_t record = util::format_u64(digits, max_u) +
-                                 util::format_u64(digits, max_v) + 2;
-      for (std::size_t lo = block; lo < end;) {
-        std::string& buf = writer.buffer();
-        const std::size_t spare = buf.capacity() - buf.size();
-        const std::size_t fit = spare > kSlack ? (spare - kSlack) / record : 0;
-        const std::size_t n = fit > 0 ? std::min(fit, end - lo) : end - lo;
-        format_slice(buf, edges + lo, n, record);
-        writer.maybe_flush();
-        lo += n;
-      }
+      lo += n;
     }
   }
 
   void finish(StageWriter&) override {}
 
  private:
-  /// Appends `n` records of at most `record` bytes each: sized once,
-  /// trimmed after.
-  void format_slice(std::string& buf, const gen::Edge* edges, std::size_t n,
-                    std::size_t record) {
-    const std::size_t at = buf.size();
-    buf.resize(at + n * record + kSlack);
-    char* const begin = buf.data() + at;
-    char* out = begin;
-    for (std::size_t i = 0; i < n; ++i) {
-      // K1's output repeats each u for a run of edges: format it once.
-      if (edges[i].u != prev_u_) {
-        prev_u_ = edges[i].u;
-        u_len_ = util::format_u64(u_text_, prev_u_);
-        u_text_[u_len_++] = '\t';
-      }
-      std::memcpy(out, u_text_, sizeof(u_text_));
-      out += u_len_;
-      out += util::format_u64(out, edges[i].v);
-      *out++ = '\n';
-    }
-    buf.resize(at + static_cast<std::size_t>(out - begin));
-  }
-
-  /// Room past the last record for the fixed-size `u\t` copy and the
-  /// formatter's 8-byte store.
-  static constexpr std::size_t kSlack = 24;
+  /// Two 20-digit ids, a tab and a newline, plus append_edges_fast's
+  /// 8 bytes of slack.
+  static constexpr std::size_t kMaxRecordBytes = 20 + 20 + 2 + 8;
 
   Codec flavor_;
-  std::uint64_t prev_u_ = 0;
-  char u_text_[kSlack] = {'0', '\t'};  // "prev_u_\t"
-  std::size_t u_len_ = 2;
 };
 
 class TsvDecoder final : public StageDecoder {

@@ -1,5 +1,6 @@
 #include "io/tsv.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <optional>
@@ -10,11 +11,33 @@
 
 namespace prpb::io {
 
+void append_edges_fast(std::string& out, const gen::Edge* edges,
+                       std::size_t count) {
+  std::uint64_t max_u = 0;
+  std::uint64_t max_v = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    max_u = std::max(max_u, edges[i].u);
+    max_v = std::max(max_v, edges[i].v);
+  }
+  char digits[20];
+  const std::size_t record = util::format_u64(digits, max_u) +
+                             util::format_u64(digits, max_v) + 2;
+  // format_u64 may store 8 bytes for the last id: 8 bytes of slack.
+  const std::size_t at = out.size();
+  out.resize(at + count * record + 8);
+  char* const begin = out.data() + at;
+  char* cursor = begin;
+  for (std::size_t i = 0; i < count; ++i) {
+    cursor += util::format_u64(cursor, edges[i].u);
+    *cursor++ = '\t';
+    cursor += util::format_u64(cursor, edges[i].v);
+    *cursor++ = '\n';
+  }
+  out.resize(at + static_cast<std::size_t>(cursor - begin));
+}
+
 void append_edge_fast(std::string& out, const gen::Edge& edge) {
-  util::append_u64(out, edge.u);
-  out.push_back('\t');
-  util::append_u64(out, edge.v);
-  out.push_back('\n');
+  append_edges_fast(out, &edge, 1);
 }
 
 void append_edge_generic(std::string& out, const gen::Edge& edge) {
@@ -24,12 +47,17 @@ void append_edge_generic(std::string& out, const gen::Edge& edge) {
   out += os.str();
 }
 
-void append_edge(std::string& out, const gen::Edge& edge, Codec codec) {
+void append_edges(std::string& out, const gen::Edge* edges, std::size_t count,
+                  Codec codec) {
   if (codec == Codec::kFast) {
-    append_edge_fast(out, edge);
+    append_edges_fast(out, edges, count);
   } else {
-    append_edge_generic(out, edge);
+    for (std::size_t i = 0; i < count; ++i) append_edge_generic(out, edges[i]);
   }
+}
+
+void append_edge(std::string& out, const gen::Edge& edge, Codec codec) {
+  append_edges(out, &edge, 1, codec);
 }
 
 namespace {

@@ -20,11 +20,22 @@ namespace prpb::io {
 
 enum class Codec { kFast, kGeneric };
 
-/// Appends "u\tv\n" using the fast digit formatter.
+/// Appends "u\tv\n" for each of `count` edges using the fast digit
+/// formatter. `out` grows once, to `count` records as wide as the widest
+/// ids plus 8 bytes of slack, and is trimmed after.
+void append_edges_fast(std::string& out, const gen::Edge* edges,
+                       std::size_t count);
+
+/// One-edge case of append_edges_fast.
 void append_edge_fast(std::string& out, const gen::Edge& edge);
 
 /// Appends "u\tv\n" using generic stream formatting.
 void append_edge_generic(std::string& out, const gen::Edge& edge);
+
+/// Appends `count` edges in `codec`: kFast through append_edges_fast,
+/// kGeneric one edge at a time.
+void append_edges(std::string& out, const gen::Edge* edges, std::size_t count,
+                  Codec codec);
 
 void append_edge(std::string& out, const gen::Edge& edge, Codec codec);
 
