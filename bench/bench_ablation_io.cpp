@@ -8,7 +8,6 @@
 
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
-#include "io/mmap_file.hpp"
 #include "io/stage_codec.hpp"
 #include "io/stage_store.hpp"
 #include "io/tsv.hpp"
@@ -108,27 +107,6 @@ void BM_ReadStageStore(benchmark::State& state) {
   state.SetLabel(store->kind());
 }
 
-void BM_ReadStageMmap(benchmark::State& state) {
-  gen::KroneckerParams params;
-  params.scale = 14;
-  const gen::KroneckerGenerator generator(params);
-  util::TempDir dir("prpb-bench-io");
-  io::DirStageStore store(dir.path());
-  const io::StageCodec& codec = io::tsv_codec(io::Codec::kFast);
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  io::write_generated_edges(store, "k0_edges", generator, shards, codec);
-  // Same read path as the dir rows of BM_ReadStageStore with the mapped
-  // view forced on, so the delta is the mmap-vs-buffered-drain effect.
-  const io::MmapPolicy prior = io::set_mmap_policy(io::MmapPolicy::kOn);
-  for (auto _ : state) {
-    const auto edges = io::read_all_edges(store, "k0_edges", codec);
-    benchmark::DoNotOptimize(edges.data());
-  }
-  io::set_mmap_policy(prior);
-  state.SetItemsProcessed(static_cast<std::int64_t>(generator.num_edges()) *
-                          state.iterations());
-}
-
 BENCHMARK(BM_WriteStageStore)
     ->Args({0, 1})->Args({0, 4})->Args({0, 16})->Args({0, 64})
     ->Args({1, 4})->Args({1, 16})
@@ -136,8 +114,6 @@ BENCHMARK(BM_WriteStageStore)
 BENCHMARK(BM_ReadStageStore)
     ->Args({0, 1})->Args({0, 4})->Args({0, 16})->Args({0, 64})
     ->Args({1, 4})->Args({1, 16})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReadStageMmap)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // ---- stage-format ablation: storage x codec ---------------------------------

@@ -14,11 +14,11 @@
 // raw filesystem paths. Storage (dir vs. mem) is therefore a harness
 // decision invisible to kernel code.
 //
-// Every backend must produce identical mathematical results from the same
+// Every backend must produce identical results from the same
 // PipelineConfig: the same edge stage after K0, the same sorted stage after
-// K1, the same normalized matrix after K2 and the same r after K3 (up to fp
-// tolerance) — on every storage tier. Integration tests enforce this
-// pairwise and across stores.
+// K1, the same normalized matrix after K2 and the same r after K3, bit for
+// bit — on every storage tier. Integration tests enforce this pairwise and
+// across stores.
 #pragma once
 
 #include <memory>

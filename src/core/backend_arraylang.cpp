@@ -59,7 +59,7 @@ const char* ArrayLangBackend::kernel3_source() {
 r = pr_init(N, seed)
 for it = 1:iters
   s = sum(r)
-  r = (c .* r) * A + (1 - c) .* s ./ N
+  r = c .* (r * A) + (1 - c) .* s ./ N
 end
 )";
 }

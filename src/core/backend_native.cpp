@@ -22,27 +22,33 @@ void NativeBackend::kernel0(const KernelContext& ctx) {
                             config.num_files, ctx.codec(), ctx.hooks);
 }
 
+bool kernel1_external_sort(const KernelContext& ctx) {
+  const PipelineConfig& config = ctx.config;
+  if (config.memory_budget_bytes == 0 ||
+      !sort::needs_external_sort(config.num_edges(),
+                                 config.memory_budget_bytes)) {
+    return false;
+  }
+  // The out-of-core sort streams through the StageStore, so it works over
+  // any storage; runs spill as shards of the temp stage.
+  ctx.log("kernel1: memory budget " +
+          std::to_string(config.memory_budget_bytes) +
+          " bytes exceeded; using external sort");
+  ctx.metric("k1_external_sort", 1);
+  sort::ExternalSortConfig ext;
+  ext.memory_budget_bytes = config.memory_budget_bytes / 2;
+  ext.output_shards = config.num_files;
+  ext.stage_codec = &ctx.codec();
+  ext.key = config.sort_key;
+  ext.hooks = ctx.hooks;
+  sort::external_sort_stage(ctx.store, ctx.in_stage, ctx.out_stage,
+                            ctx.temp_stage, ext);
+  return true;
+}
+
 void NativeBackend::kernel1(const KernelContext& ctx) {
   const PipelineConfig& config = ctx.config;
-  if (config.memory_budget_bytes > 0 &&
-      sort::needs_external_sort(config.num_edges(),
-                                config.memory_budget_bytes)) {
-    // The out-of-core sort streams through the StageStore, so it works
-    // over any storage; runs spill as shards of the temp stage.
-    ctx.log("kernel1(native): memory budget " +
-            std::to_string(config.memory_budget_bytes) +
-            " bytes exceeded; using external sort");
-    ctx.metric("k1_external_sort", 1);
-    sort::ExternalSortConfig ext;
-    ext.memory_budget_bytes = config.memory_budget_bytes / 2;
-    ext.output_shards = config.num_files;
-    ext.stage_codec = &ctx.codec();
-    ext.key = config.sort_key;
-    ext.hooks = ctx.hooks;
-    sort::external_sort_stage(ctx.store, ctx.in_stage, ctx.out_stage,
-                              ctx.temp_stage, ext);
-    return;
-  }
+  if (kernel1_external_sort(ctx)) return;
   gen::EdgeList edges;
   {
     const obs::Span span = ctx.span("k1/read");

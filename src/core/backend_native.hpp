@@ -5,6 +5,14 @@
 
 namespace prpb::core {
 
+/// Kernel 1's out-of-core branch, shared by the backends that otherwise
+/// sort in memory (native and parallel; graphblas runs native's kernel 1).
+/// When config.memory_budget_bytes cannot hold the edge list, sorts
+/// in_stage into out_stage with the external sort, adds 1 to the
+/// "k1_external_sort" counter and returns true; otherwise does nothing and
+/// returns false.
+bool kernel1_external_sort(const KernelContext& ctx);
+
 /// Tuned serial C++ backend (see backend.hpp for the backend contract).
 class NativeBackend final : public PipelineBackend {
  public:

@@ -1,5 +1,6 @@
 #include "core/backend_parallel.hpp"
 
+#include "core/backend_native.hpp"
 #include "gen/generator.hpp"
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
@@ -48,6 +49,7 @@ void ParallelBackend::kernel0(const KernelContext& ctx) {
 }
 
 void ParallelBackend::kernel1(const KernelContext& ctx) {
+  if (kernel1_external_sort(ctx)) return;
   const PipelineConfig& config = ctx.config;
   gen::EdgeList edges;
   {

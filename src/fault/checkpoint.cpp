@@ -197,15 +197,17 @@ void ShardDigestStore::record(const std::string& stage, ShardRecord rec) {
 
 ShardRecord CheckpointManager::read_back(const std::string& stage,
                                          const std::string& shard) const {
-  // Digest over the shard's view: the same mmap/mem span the decode path
-  // consumes, so verification sees exactly the bytes a reader would (a
-  // bit flipped on the stored medium stays detectable on the mapped path).
-  const auto view = store_.open_read(stage, shard)->view();
+  // Digest the chunks a decoder would be fed, so verification sees exactly
+  // the bytes a reader would; nothing is copied.
+  const auto reader = store_.open_read(stage, shard);
   ShardRecord rec;
   rec.name = shard;
-  rec.bytes = view->size();
   ByteHash hash;
-  hash.update(view->chars());
+  for (std::string_view chunk = reader->read_chunk(); !chunk.empty();
+       chunk = reader->read_chunk()) {
+    hash.update(chunk);
+    rec.bytes += chunk.size();
+  }
   rec.digest = hash.digest();
   return rec;
 }

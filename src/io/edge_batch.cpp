@@ -42,38 +42,50 @@ EdgeBatchReader::EdgeBatchReader(StageStore& store, std::string stage,
   }
 }
 
+bool EdgeBatchReader::step(gen::EdgeList& out, std::size_t max_bytes) {
+  if (!reader_) {
+    if (shard_index_ >= shards_.size()) return false;
+    reader_ = store_.open_read(stage_, shards_[shard_index_]);
+    decoder_ = codec_.make_decoder();
+  }
+  if (chunk_.empty()) chunk_ = reader_->read_chunk();
+  decode_span_.begin();
+  if (chunk_.empty()) {
+    const std::string& shard = shards_[shard_index_];
+    decoder_->finish(out, stage_ + "/" + shard);
+    decode_span_.end();
+    if (decode_span_.active()) {
+      decode_span_.flush(shard_trace_args(stage_, shard));
+    }
+    reader_.reset();
+    decoder_.reset();
+    ++shard_index_;
+  } else {
+    const std::string_view slice = chunk_.substr(0, max_bytes);
+    chunk_.remove_prefix(slice.size());
+    decoder_->feed(slice, out);
+    decode_span_.end();
+  }
+  return true;
+}
+
 bool EdgeBatchReader::next(gen::EdgeList& batch) {
   batch.clear();
   while (batch.empty()) {
-    if (!reader_) {
-      if (shard_index_ >= shards_.size()) return false;
-      reader_ = store_.open_read(stage_, shards_[shard_index_]);
-      decoder_ = codec_.make_decoder();
-    }
-    if (chunk_.empty()) chunk_ = reader_->read_chunk();
-    decode_span_.begin();
-    if (chunk_.empty()) {
-      const std::string& shard = shards_[shard_index_];
-      decoder_->finish(batch, stage_ + "/" + shard);
-      decode_span_.end();
-      if (decode_span_.active()) {
-        decode_span_.flush(shard_trace_args(stage_, shard));
-      }
-      reader_.reset();
-      decoder_.reset();
-      ++shard_index_;
-    } else {
-      const std::string_view slice = chunk_.substr(0, kDecodeSliceBytes);
-      chunk_.remove_prefix(slice.size());
-      decoder_->feed(slice, batch);
-      decode_span_.end();
-    }
+    if (!step(batch, kDecodeSliceBytes)) return false;
   }
   edges_read_ += batch.size();
   if (batch_edges_ != nullptr) {
     batch_edges_->observe(static_cast<double>(batch.size()));
   }
   return true;
+}
+
+void EdgeBatchReader::read_all(gen::EdgeList& edges) {
+  const std::size_t before = edges.size();
+  while (step(edges, std::string_view::npos)) {
+  }
+  edges_read_ += edges.size() - before;
 }
 
 // ---- ShardWriter ------------------------------------------------------------

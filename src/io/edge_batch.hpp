@@ -3,10 +3,10 @@
 // and the storage medium (src/io/stage_store.*) are both injected, so no
 // kernel hand-rolls parse/format loops against raw bytes.
 //
-// EdgeBatchReader is the one bounded streaming reader and ShardWriter the
-// one shard writer: stage scans, the external sort's spill runs and its
-// merge all go through them. Whole-shard reads (read_all_edges) decode a
-// StageReader::view() instead (src/io/edge_files.*).
+// EdgeBatchReader is the one edge reader and ShardWriter the one shard
+// writer: stage scans, whole-stage reads (read_all_edges, read_edge_shard
+// in src/io/edge_files.*), the external sort's spill runs and its merge
+// all go through them.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +35,11 @@ inline constexpr std::size_t kDefaultBatchEdges = std::size_t{1} << 16;
 /// wholly inside it.
 inline constexpr std::size_t kDecodeSliceBytes = std::size_t{64} << 10;
 
-/// The bounded streaming reader: decodes a stage's shards (or an explicit
-/// shard list) through StageReader::read_chunk() in kDecodeSliceBytes
-/// slices, straight into the caller's batch. Memory is one store chunk
-/// plus one batch, whatever the stage size.
+/// The edge reader: decodes a stage's shards (or an explicit shard list)
+/// through StageReader::read_chunk(). next() feeds kDecodeSliceBytes
+/// slices into the caller's batch, so memory is one store chunk plus one
+/// batch, whatever the stage size; read_all() feeds whole store chunks
+/// onto the end of one list.
 class EdgeBatchReader {
  public:
   /// Every shard of `stage`, in sorted shard order. With hooks attached,
@@ -57,9 +58,19 @@ class EdgeBatchReader {
   /// empty).
   bool next(gen::EdgeList& batch);
 
+  /// Decodes every remaining record onto the end of `edges` (nothing is
+  /// cleared), feeding whole store chunks.
+  void read_all(gen::EdgeList& edges);
+
   [[nodiscard]] std::uint64_t edges_read() const { return edges_read_; }
 
  private:
+  /// One decode step: opens the next shard if none is open, then feeds at
+  /// most `max_bytes` of the current chunk to its decoder, appending to
+  /// `out`, or finishes the shard at its EOF. Returns false once every
+  /// shard is done.
+  bool step(gen::EdgeList& out, std::size_t max_bytes);
+
   StageStore& store_;
   std::string stage_;
   const StageCodec& codec_;

@@ -4,7 +4,6 @@
 
 #include "io/edge_batch.hpp"
 #include "util/error.hpp"
-#include "util/json.hpp"
 
 namespace prpb::io {
 
@@ -17,30 +16,6 @@ std::vector<std::uint64_t> shard_boundaries(std::uint64_t total,
   }
   return bounds;
 }
-
-namespace {
-
-std::string decode_trace_args(const std::string& label) {
-  return "{\"shard\":\"" + util::JsonWriter::escape(label) + "\"}";
-}
-
-/// Decodes one whole shard, appending its records to `edges`.
-void read_shard_impl(StageReader& reader, const std::string& label,
-                     const StageCodec& codec, obs::Hooks hooks,
-                     gen::EdgeList& edges) {
-  const auto decoder = codec.make_decoder();
-  obs::AccumulatingSpan span(hooks.trace, "codec/decode");
-  // Zero-copy path: take the whole shard as one contiguous view (mmap for
-  // dir stores, the owning buffer for mem stores, a buffered drain
-  // elsewhere) and let the codec parse it in place.
-  const auto view = reader.view();
-  span.begin();
-  decoder->decode(view->chars(), edges, label);
-  span.end();
-  if (span.active()) span.flush(decode_trace_args(label));
-}
-
-}  // namespace
 
 std::uint64_t write_generated_edges(StageStore& store,
                                     const std::string& stage,
@@ -74,8 +49,7 @@ gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
                               const std::string& shard,
                               const StageCodec& codec, obs::Hooks hooks) {
   gen::EdgeList edges;
-  const auto reader = store.open_read(stage, shard);
-  read_shard_impl(*reader, stage + "/" + shard, codec, hooks, edges);
+  EdgeBatchReader(store, stage, {shard}, codec, hooks).read_all(edges);
   return edges;
 }
 
@@ -85,10 +59,7 @@ gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,
   // Shards decode straight onto the end of one list: no per-shard copy.
   gen::EdgeList edges;
   edges.reserve(expected_edges);
-  for (const auto& shard : store.list(stage)) {
-    const auto reader = store.open_read(stage, shard);
-    read_shard_impl(*reader, stage + "/" + shard, codec, hooks, edges);
-  }
+  EdgeBatchReader(store, stage, codec, hooks).read_all(edges);
   return edges;
 }
 

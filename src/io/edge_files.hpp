@@ -44,9 +44,9 @@ gen::EdgeList read_edge_shard(StageStore& store, const std::string& stage,
                               const std::string& shard,
                               const StageCodec& codec, obs::Hooks hooks = {});
 
-/// Reads every shard of `stage` (sorted shard order) into one list. Each
-/// shard is decoded in place from one StageReader::view(); to scan a
-/// stage in bounded memory, use an EdgeBatchReader instead. The list is
+/// Reads every shard of `stage` (sorted shard order) into one list,
+/// through EdgeBatchReader::read_all(); to scan a stage in bounded memory,
+/// use EdgeBatchReader::next() instead. The list is
 /// reserved once at `expected_edges` records; a stage holding more still
 /// decodes, growing geometrically past the hint.
 gen::EdgeList read_all_edges(StageStore& store, const std::string& stage,

@@ -1,6 +1,5 @@
 #include "io/file_stream.hpp"
 
-#include "io/mmap_file.hpp"
 #include "util/error.hpp"
 
 namespace prpb::io {
@@ -66,7 +65,8 @@ FileReader::~FileReader() {
 
 std::string_view FileReader::read_chunk() {
   if (eof_) return {};
-  // Allocated on first use: a reader served as a view() never needs it.
+  // Sized on first use: a reader that is opened but never read allocates
+  // nothing.
   buffer_.resize(buffer_bytes_);
   const std::size_t n = std::fread(buffer_.data(), 1, buffer_.size(), file_);
   if (n < buffer_.size()) {
@@ -75,20 +75,6 @@ std::string_view FileReader::read_chunk() {
   }
   bytes_read_ += n;
   return std::string_view(buffer_.data(), n);
-}
-
-std::unique_ptr<ReadView> FileReader::view() {
-  if (!eof_ && bytes_read_ == 0) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path_, ec);
-    if (!ec && mmap_policy_allows(static_cast<std::size_t>(size))) {
-      MmapFile mapping(path_);
-      eof_ = true;
-      bytes_read_ = mapping.size();
-      return std::make_unique<MmapReadView>(std::move(mapping));
-    }
-  }
-  return StageReader::view();
 }
 
 std::string read_file(const std::filesystem::path& path) {

@@ -15,6 +15,12 @@ namespace prpb::io {
 
 inline constexpr std::size_t kDefaultBufferBytes = 1 << 20;  // 1 MiB
 
+/// FileReader's chunk. Each chunk is copied in by fread() and decoded
+/// while it still sits in L2; at scale 18, 64 KiB and 1 MiB chunks read no
+/// faster. At this size a dir-store read's only allocation of 1 MiB or
+/// more is the edge list it decodes into.
+inline constexpr std::size_t kReadBufferBytes = 256 << 10;  // 256 KiB
+
 /// Buffered writer. Data is staged in an internal string and flushed in
 /// large blocks. Throws IoError on any failure. Implements StageWriter, so
 /// it doubles as the on-disk shard writer of DirStageStore.
@@ -53,7 +59,7 @@ class FileWriter : public StageWriter {
 class FileReader : public StageReader {
  public:
   explicit FileReader(const std::filesystem::path& path,
-                      std::size_t buffer_bytes = kDefaultBufferBytes);
+                      std::size_t buffer_bytes = kReadBufferBytes);
   FileReader(const FileReader&) = delete;
   FileReader& operator=(const FileReader&) = delete;
   ~FileReader() override;
@@ -61,11 +67,6 @@ class FileReader : public StageReader {
   /// Reads up to buffer capacity; returns the chunk (empty at EOF).
   /// The view is valid until the next read_chunk() call.
   std::string_view read_chunk() override;
-
-  /// Zero-copy whole-file view via a memory mapping when the mmap policy
-  /// allows and nothing has been consumed yet; otherwise the buffered
-  /// drain of the base class. Either way the reader is exhausted after.
-  [[nodiscard]] std::unique_ptr<ReadView> view() override;
 
   [[nodiscard]] bool eof() const { return eof_; }
   [[nodiscard]] std::uint64_t bytes_read() const override {

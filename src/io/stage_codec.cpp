@@ -95,15 +95,6 @@ class TsvDecoder final : public StageDecoder {
     carry_.clear();
   }
 
-  void decode(std::string_view shard, gen::EdgeList& out,
-              const std::string&) override {
-    // Whole shard in one span: parse in place, no carry buffer at all.
-    const std::size_t consumed = parse_edges(shard, out, flavor_);
-    if (consumed < shard.size()) {
-      out.push_back(parse_edge_line(shard.substr(consumed), flavor_));
-    }
-  }
-
  private:
   Codec flavor_;
   std::string carry_;
@@ -306,18 +297,6 @@ class BinaryDecoder final : public StageDecoder {
     }
     util::io_require(stash_.empty(),
                      "binary edge shard ends mid-block: " + label);
-  }
-
-  void decode(std::string_view shard, gen::EdgeList& out,
-              const std::string& label) override {
-    // Whole shard in one span: a bounds-checked pointer walk straight over
-    // the mapped/owned bytes — nothing is staged.
-    const std::size_t consumed = parse_prefix(shard, out);
-    util::io_require(
-        consumed == shard.size(),
-        (header_seen_ ? "binary edge shard ends mid-block: "
-                      : "binary edge shard truncated before header: ") +
-            label);
   }
 
  private:

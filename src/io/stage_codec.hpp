@@ -63,12 +63,6 @@ class StageEncoder {
 /// appended to `out` as soon as they complete. finish() flushes any final
 /// record and throws IoError when the shard ends mid-record; `label`
 /// identifies the shard in the error message.
-///
-/// decode() is the one-shot whole-shard entry point used by the zero-copy
-/// read path: when a StageReader::view() hands the full shard as one
-/// contiguous span, codecs parse it in place — no carry buffer, no chunk
-/// reassembly. Equivalent to feed(shard) + finish(label) on a fresh
-/// decoder, including validation and error text.
 class StageDecoder {
  public:
   virtual ~StageDecoder() = default;
@@ -76,8 +70,9 @@ class StageDecoder {
   virtual void feed(std::string_view chunk, gen::EdgeList& out) = 0;
   virtual void finish(gen::EdgeList& out, const std::string& label) = 0;
 
-  /// Decodes one complete shard held contiguously in memory. Must only be
-  /// called on a decoder that has not been fed yet.
+  /// feed(shard) + finish(label) on a fresh decoder. No codec overrides
+  /// it; it stays virtual only because perfbench's timing decorator still
+  /// forwards it.
   virtual void decode(std::string_view shard, gen::EdgeList& out,
                       const std::string& label) {
     feed(shard, out);

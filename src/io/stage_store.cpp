@@ -103,24 +103,6 @@ bool DirStageStore::empty(const std::string& stage) const {
 
 namespace {
 
-/// Zero-copy view over a mem-store shard buffer. The shared_ptr keeps the
-/// payload alive even if the shard is cleared or the store is destroyed.
-class MemReadView final : public ReadView {
- public:
-  MemReadView(std::shared_ptr<const std::string> blob, std::size_t offset)
-      : blob_(std::move(blob)), offset_(offset) {}
-
-  [[nodiscard]] std::span<const std::byte> bytes() const override {
-    return {reinterpret_cast<const std::byte*>(blob_->data()) + offset_,
-            blob_->size() - offset_};
-  }
-  [[nodiscard]] bool zero_copy() const override { return true; }
-
- private:
-  std::shared_ptr<const std::string> blob_;
-  std::size_t offset_;
-};
-
 class MemReader final : public StageReader {
  public:
   explicit MemReader(std::shared_ptr<const std::string> blob)
@@ -134,13 +116,6 @@ class MemReader final : public StageReader {
     const std::size_t n = std::min(kChunk, blob_->size() - pos_);
     const std::string_view view(blob_->data() + pos_, n);
     pos_ += n;
-    return view;
-  }
-
-  [[nodiscard]] std::unique_ptr<ReadView> view() override {
-    // The shard already lives in contiguous memory: serve it directly.
-    auto view = std::make_unique<MemReadView>(blob_, pos_);
-    pos_ = blob_->size();
     return view;
   }
 
@@ -316,14 +291,6 @@ class CountingReader final : public StageReader {
     const auto chunk = inner_->read_chunk();
     count(chunk.size());
     return chunk;
-  }
-
-  std::unique_ptr<ReadView> view() override {
-    // Forward so the inner store's zero-copy view survives the decorator;
-    // the whole view is counted as read in one step.
-    auto view = inner_->view();
-    count(view->size());
-    return view;
   }
 
   [[nodiscard]] std::uint64_t bytes_read() const override {

@@ -3,17 +3,13 @@
 namespace prpb::io {
 
 std::unique_ptr<ReadView> StageReader::view() {
-  // Drain the chunk protocol into an owned buffer. Routing through
-  // read_chunk() is what makes decorators compose: a counting reader
-  // still counts every byte, a fault-injecting reader still truncates
-  // or throws mid-drain, exactly as it would mid-stream.
   std::string data;
   for (;;) {
     const std::string_view chunk = read_chunk();
     if (chunk.empty()) break;
     data.append(chunk);
   }
-  return std::make_unique<BufferedReadView>(std::move(data));
+  return std::make_unique<ReadView>(std::move(data));
 }
 
 }  // namespace prpb::io

@@ -4,19 +4,13 @@
 // kernel code. FileReader/FileWriter (src/io/file_stream.hpp) are the
 // on-disk implementations; MemStageStore supplies in-memory ones.
 //
-// Readers expose two access styles:
-//  * read_chunk() — sequential bounded chunks: the streaming lane.
-//    EdgeBatchReader (src/io/edge_batch.hpp) is its one consumer among the
-//    edge helpers, and every bounded-memory scan goes through it;
-//  * view() — the whole remaining shard as ONE contiguous immutable span:
-//    the whole-shard lane (read_all_edges, read_edge_shard, checkpoint
-//    verification) and the zero-copy read path. DirStageStore serves it
-//    from a memory mapping, MemStageStore from the shard buffer itself,
-//    and any reader that cannot (the fault decorator, mid-stream readers)
-//    falls back to draining read_chunk() into an owned buffer, so every
-//    decorator composes unchanged — counted bytes still count, injected
-//    faults still fire. The counting decorator forwards view(), so the
-//    zero-copy path survives it.
+// Readers have one protocol: read_chunk(), sequential bounded chunks.
+// Every edge read (EdgeBatchReader, and through it read_all_edges and
+// read_edge_shard) and the checkpoint read-back stream through it, so
+// every decorator composes unchanged: counted bytes still count, injected
+// faults still fire. view() drains the same chunks into one owned buffer,
+// for the few small reads (control files, the dataframe CSV reader) that
+// want a whole shard at once.
 #pragma once
 
 #include <cstddef>
@@ -25,42 +19,23 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace prpb::io {
 
-/// A contiguous, immutable view of one shard's payload bytes. The view
-/// owns whatever keeps the bytes alive (a file mapping, a shared buffer,
-/// or a drained copy), so bytes() stays valid for the view's lifetime —
-/// including after the reader and the store that produced it are gone.
+/// One shard's payload bytes, drained into a buffer the view owns, so
+/// bytes() stays valid for the view's lifetime — including after the
+/// reader and the store that produced it are gone.
 class ReadView {
  public:
-  virtual ~ReadView() = default;
+  explicit ReadView(std::string data) : data_(std::move(data)) {}
 
-  /// The shard payload as one contiguous span, stable for the view's
-  /// lifetime.
-  [[nodiscard]] virtual std::span<const std::byte> bytes() const = 0;
-
-  /// True when bytes() aliases storage memory directly (a mapping or an
-  /// in-memory shard buffer) rather than a drained copy.
-  [[nodiscard]] virtual bool zero_copy() const { return false; }
-
-  /// The same bytes as a character view (what the codecs consume).
-  [[nodiscard]] std::string_view chars() const {
-    const auto b = bytes();
-    return {reinterpret_cast<const char*>(b.data()), b.size()};
-  }
-
-  [[nodiscard]] std::size_t size() const { return bytes().size(); }
-};
-
-/// The universal fallback view: owns a drained copy of the shard bytes.
-class BufferedReadView final : public ReadView {
- public:
-  explicit BufferedReadView(std::string data) : data_(std::move(data)) {}
-
-  [[nodiscard]] std::span<const std::byte> bytes() const override {
+  [[nodiscard]] std::span<const std::byte> bytes() const {
     return {reinterpret_cast<const std::byte*>(data_.data()), data_.size()};
   }
+  /// The same bytes as a character view.
+  [[nodiscard]] std::string_view chars() const { return data_; }
+  [[nodiscard]] std::size_t size() const { return data_.size(); }
 
  private:
   std::string data_;
@@ -75,12 +50,10 @@ class StageReader {
   /// next read_chunk() call.
   virtual std::string_view read_chunk() = 0;
 
-  /// Returns the shard's not-yet-consumed bytes as one contiguous view,
-  /// exhausting the reader (read_chunk() reports EOF afterwards).
-  /// Normally called before any read_chunk(), so the view is the whole
-  /// shard. The base implementation drains read_chunk() into an owned
-  /// buffer — correct over any decorator stack; readers whose bytes are
-  /// already contiguous in memory override it with a zero-copy view.
+  /// Drains the shard's not-yet-consumed bytes through read_chunk() into
+  /// one owned view, exhausting the reader (read_chunk() reports EOF
+  /// afterwards). Virtual only because perfbench's timing decorator still
+  /// forwards it; nothing in src/ overrides it.
   [[nodiscard]] virtual std::unique_ptr<ReadView> view();
 
   [[nodiscard]] virtual std::uint64_t bytes_read() const = 0;

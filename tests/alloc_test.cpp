@@ -16,7 +16,6 @@
 #include "core/runner.hpp"
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
-#include "io/mmap_file.hpp"
 #include "io/stage_store.hpp"
 #include "sort/edge_sort.hpp"
 #include "util/fs.hpp"
@@ -114,9 +113,6 @@ TEST(AllocTest, TsvStageWriteKeepsPeakWithinTwoMiB) {
 }
 
 TEST(AllocTest, StageReadReservesOnce) {
-  // Whole-shard views of the dir store map the file instead of copying it
-  // into a string; pin the default policy whatever PRPB_MMAP says.
-  const io::MmapPolicy policy = io::set_mmap_policy(io::MmapPolicy::kAuto);
   gen::EdgeList edges = kronecker_edges();
   util::TempDir work("prpb-alloc");
   io::DirStageStore dir(work.path());
@@ -134,7 +130,6 @@ TEST(AllocTest, StageReadReservesOnce) {
       EXPECT_EQ(read, edges);
     }
   }
-  io::set_mmap_policy(policy);
 }
 
 TEST(AllocTest, NativeKernel2PeaksAtTheMatrix) {

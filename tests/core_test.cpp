@@ -331,21 +331,27 @@ TEST(RunnerTest, InvalidConfigRejectedBeforeWork) {
 }
 
 TEST(RunnerTest, MemoryBudgetTriggersExternalSortSameResult) {
-  util::TempDir work_a("prpb-core");
-  util::TempDir work_b("prpb-core");
-  PipelineConfig in_memory = small_config(work_a);
-  PipelineConfig external = small_config(work_b);
-  external.memory_budget_bytes = 64 * 1024;  // far below 2*M*16 at scale 8
+  // Every backend that sorts in memory takes the same out-of-core branch.
+  for (const char* name : {"native", "parallel"}) {
+    SCOPED_TRACE(name);
+    util::TempDir work_a("prpb-core");
+    util::TempDir work_b("prpb-core");
+    PipelineConfig in_memory = small_config(work_a);
+    PipelineConfig external = small_config(work_b);
+    external.memory_budget_bytes = 64 * 1024;  // far below 2*M*16 at scale 8
 
-  const auto backend = make_backend("native");
-  const auto result_a = run_pipeline(in_memory, *backend);
-  const auto result_b = run_pipeline(external, *backend);
-  io::DirStageStore store_a(in_memory.work_dir);
-  io::DirStageStore store_b(external.work_dir);
-  const io::StageCodec& codec = make_stage_codec(in_memory);
-  EXPECT_EQ(io::read_all_edges(store_a, stages::kStage1, codec),
-            io::read_all_edges(store_b, stages::kStage1, codec));
-  EXPECT_EQ(result_a.ranks, result_b.ranks);
+    const auto backend = make_backend(name);
+    const auto result_a = run_pipeline(in_memory, *backend);
+    const auto result_b = run_pipeline(external, *backend);
+    EXPECT_EQ(result_a.metrics.counters.count("k1_external_sort"), 0u);
+    EXPECT_EQ(result_b.metrics.counters.count("k1_external_sort"), 1u);
+    io::DirStageStore store_a(in_memory.work_dir);
+    io::DirStageStore store_b(external.work_dir);
+    const io::StageCodec& codec = make_stage_codec(in_memory);
+    EXPECT_EQ(io::read_all_edges(store_a, stages::kStage1, codec),
+              io::read_all_edges(store_b, stages::kStage1, codec));
+    EXPECT_EQ(result_a.ranks, result_b.ranks);
+  }
 }
 
 TEST(KernelMetricsTest, SubMicrosecondKernelStillReportsRate) {

@@ -12,7 +12,6 @@
 #include "fault/inject.hpp"
 #include "fault/plan.hpp"
 #include "fault/retry.hpp"
-#include "io/mmap_file.hpp"
 #include "io/stage_store.hpp"
 #include "util/error.hpp"
 
@@ -340,15 +339,10 @@ TEST(CheckpointTest, CommitDetectsSilentCorruptionBelowDigestLayer) {
 
 TEST(CheckpointTest, BitFlipStaysDetectableOnTheMappedReadPath) {
   // bit_flip mutates bytes on their way to the disk store, so the flipped
-  // byte lives in the stored file. With mmap forced on, read-back
-  // verification digests the mapped view directly — the corruption must
-  // stay visible without a buffered copy in between.
-  struct PolicyGuard {
-    io::MmapPolicy prior = io::set_mmap_policy(io::MmapPolicy::kOn);
-    ~PolicyGuard() { io::set_mmap_policy(prior); }
-  } guard;
+  // byte lives in the stored file. Read-back verification digests the
+  // file's streamed chunks — the corruption must stay visible there.
   io::DirStageStore disk(testing::TempDir());
-  const std::string stage = "ckpt_mmap_bitflip";
+  const std::string stage = "ckpt_stream_bitflip";
   if (disk.exists(stage)) disk.remove(stage);
   FaultInjectingStageStore faulty(disk, FaultPlan::parse("bit_flip", 3));
   ShardDigestStore digests(faulty);

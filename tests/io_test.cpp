@@ -4,13 +4,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <utility>
 #include <vector>
 
+#include "fault/checkpoint.hpp"
 #include "gen/kronecker.hpp"
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
 #include "io/file_stream.hpp"
-#include "io/mmap_file.hpp"
 #include "io/stage_codec.hpp"
 #include "io/stage_store.hpp"
 #include "io/tsv.hpp"
@@ -481,107 +482,22 @@ TEST(StageTest, CrossCodecCompatibility) {
   EXPECT_EQ(stage.read(Codec::kFast), edges);
 }
 
-// ---- zero-copy views & mmap path --------------------------------------------
-
-/// Scoped mmap policy override so tests cannot leak a forced policy into
-/// each other (the slot is process-global).
-class ScopedMmapPolicy {
- public:
-  explicit ScopedMmapPolicy(MmapPolicy policy)
-      : prior_(set_mmap_policy(policy)) {}
-  ~ScopedMmapPolicy() { set_mmap_policy(prior_); }
-  ScopedMmapPolicy(const ScopedMmapPolicy&) = delete;
-  ScopedMmapPolicy& operator=(const ScopedMmapPolicy&) = delete;
-
- private:
-  MmapPolicy prior_;
-};
-
-TEST(MmapTest, ViewMatchesFileContents) {
-  util::TempDir dir("prpb-io");
-  const auto path = dir.sub("m.txt");
-  write_file(path, "hello mmap");
-  const MmapFile file(path);
-  EXPECT_EQ(file.view(), "hello mmap");
-  EXPECT_EQ(file.size(), 10u);
-}
-
-TEST(MmapTest, EmptyFile) {
-  util::TempDir dir("prpb-io");
-  const auto path = dir.sub("empty");
-  write_file(path, "");
-  const MmapFile file(path);
-  EXPECT_EQ(file.size(), 0u);
-  EXPECT_TRUE(file.view().empty());
-}
-
-TEST(MmapTest, MissingFileThrows) {
-  EXPECT_THROW(MmapFile("/nonexistent/prpb-mmap"), util::IoError);
-}
-
-TEST(MmapTest, MoveTransfersOwnership) {
-  util::TempDir dir("prpb-io");
-  const auto path = dir.sub("m.txt");
-  write_file(path, "moved");
-  MmapFile a(path);
-  MmapFile b(std::move(a));
-  EXPECT_EQ(b.view(), "moved");
-  MmapFile c(dir.sub("m.txt"));
-  c = std::move(b);
-  EXPECT_EQ(c.view(), "moved");
-}
-
-TEST(ViewTest, FileReaderServesMappedViewWhenForcedOn) {
-  const ScopedMmapPolicy policy(MmapPolicy::kOn);
-  util::TempDir dir("prpb-io");
-  const auto path = dir.sub("v.txt");
-  write_file(path, "tiny");  // far below the auto threshold
-  FileReader reader(path);
-  const auto view = reader.view();
-  EXPECT_TRUE(view->zero_copy());
-  EXPECT_EQ(view->chars(), "tiny");
-  EXPECT_EQ(reader.bytes_read(), 4u);
-  EXPECT_TRUE(reader.read_chunk().empty());  // view exhausts the reader
-}
-
-TEST(ViewTest, PolicyOffForcesBufferedView) {
-  const ScopedMmapPolicy policy(MmapPolicy::kOff);
-  util::TempDir dir("prpb-io");
-  const auto path = dir.sub("v.txt");
-  write_file(path, "buffered bytes");
-  FileReader reader(path);
-  const auto view = reader.view();
-  EXPECT_FALSE(view->zero_copy());
-  EXPECT_EQ(view->chars(), "buffered bytes");
-}
-
-TEST(ViewTest, AutoPolicyBuffersSmallFilesAndMapsLargeOnes) {
-  const ScopedMmapPolicy policy(MmapPolicy::kAuto);
-  util::TempDir dir("prpb-io");
-  const auto small = dir.sub("small");
-  write_file(small, "x");
-  EXPECT_FALSE(FileReader(small).view()->zero_copy());
-  const auto large = dir.sub("large");
-  write_file(large, std::string(kMmapAutoThresholdBytes, 'y'));
-  EXPECT_TRUE(FileReader(large).view()->zero_copy());
-}
+// ---- drained views ----------------------------------------------------------
 
 TEST(ViewTest, ViewAfterPartialReadDrainsRemainder) {
-  const ScopedMmapPolicy policy(MmapPolicy::kOn);
   util::TempDir dir("prpb-io");
   const auto path = dir.sub("v.txt");
   write_file(path, "abcdefgh");
   FileReader reader(path, /*buffer_bytes=*/4);
   EXPECT_EQ(reader.read_chunk(), "abcd");
-  // Mid-stream a mapping would replay consumed bytes; the buffered drain
-  // takes over and serves exactly what is left.
+  // The drain serves exactly what is left, and exhausts the reader.
   const auto view = reader.view();
-  EXPECT_FALSE(view->zero_copy());
   EXPECT_EQ(view->chars(), "efgh");
+  EXPECT_EQ(reader.bytes_read(), 8u);
+  EXPECT_TRUE(reader.read_chunk().empty());
 }
 
 TEST(ViewTest, EmptyFileView) {
-  const ScopedMmapPolicy policy(MmapPolicy::kOn);
   util::TempDir dir("prpb-io");
   const auto path = dir.sub("empty");
   write_file(path, "");
@@ -592,7 +508,6 @@ TEST(ViewTest, EmptyFileView) {
 }
 
 TEST(ViewTest, MappedViewOutlivesReaderStoreAndFile) {
-  const ScopedMmapPolicy policy(MmapPolicy::kOn);
   util::TempDir dir("prpb-io");
   std::unique_ptr<ReadView> view;
   {
@@ -604,7 +519,6 @@ TEST(ViewTest, MappedViewOutlivesReaderStoreAndFile) {
     // reader and store destroyed here; the file itself is unlinked next.
   }
   fs::remove(dir.path() / "s" / "shard");
-  EXPECT_TRUE(view->zero_copy());
   EXPECT_EQ(view->chars(), "outlives everything");
 }
 
@@ -616,8 +530,7 @@ TEST(ViewTest, MemViewOutlivesShardRemoval) {
     writer->close();
   }
   auto view = store.open_read("s", "shard")->view();
-  EXPECT_TRUE(view->zero_copy());
-  store.remove("s");  // shared ownership keeps the payload alive
+  store.remove("s");  // the view owns its drained bytes
   EXPECT_EQ(view->chars(), "kept alive by the view");
 }
 
@@ -632,7 +545,6 @@ TEST(ViewTest, MemViewServesRemainderAfterPartialRead) {
   const auto reader = store.open_read("s", "shard");
   EXPECT_EQ(reader->read_chunk().size(), kDefaultBufferBytes);
   const auto view = reader->view();
-  EXPECT_TRUE(view->zero_copy());
   EXPECT_EQ(view->chars(), std::string(7, 'z'));
 }
 
@@ -645,28 +557,34 @@ TEST(ViewTest, CountingStoreCountsViewBytes) {
   }
   CountingStageStore store(inner);
   const auto view = store.open_read("s", "shard")->view();
-  EXPECT_TRUE(view->zero_copy());  // decorator forwards, zero-copy survives
+  EXPECT_EQ(view->chars(), "12345");
   EXPECT_EQ(store.snapshot().bytes_read, 5u);
 }
 
+// The tests below pin behaviour the streamed dir read keeps from the
+// memory-mapped lane it replaced; their names are historical.
+
 TEST(MmapTest, EdgeStageMatchesBufferedReader) {
+  // The streamed read equals decoding each shard's drained view in one
+  // piece, so chunk boundaries never drop or duplicate a record. Each
+  // shard spans more than one store chunk.
   gen::KroneckerParams params;
-  params.scale = 9;
+  params.scale = 15;
   const gen::KroneckerGenerator generator(params);
   DiskStage stage;
-  write_generated_edges(stage.store, "s", generator, 3,
-                        tsv_codec(Codec::kFast));
-  EdgeList mapped;
-  {
-    const ScopedMmapPolicy policy(MmapPolicy::kOn);
-    mapped = stage.read();
+  const StageCodec& codec = tsv_codec(Codec::kFast);
+  write_generated_edges(stage.store, "s", generator, 3, codec);
+  ASSERT_GT(stage.store.stage_bytes("s"), 3 * kReadBufferBytes);
+  EdgeList buffered;
+  for (const auto& shard : stage.store.list("s")) {
+    const auto view = stage.store.open_read("s", shard)->view();
+    codec.make_decoder()->decode(view->chars(), buffered, shard);
   }
-  const ScopedMmapPolicy policy(MmapPolicy::kOff);
-  EXPECT_EQ(mapped, stage.read());
+  EXPECT_EQ(buffered, generator.generate_all());
+  EXPECT_EQ(stage.read(), buffered);
 }
 
 TEST(MmapTest, MissingFinalNewlineTolerated) {
-  const ScopedMmapPolicy policy(MmapPolicy::kOn);
   DiskStage stage;
   write_file(stage.shard(0), "1\t2\n3\t4");
   EXPECT_EQ(stage.read(),
@@ -674,7 +592,6 @@ TEST(MmapTest, MissingFinalNewlineTolerated) {
 }
 
 TEST(MmapTest, MidRecordTruncationDetected) {
-  const ScopedMmapPolicy policy(MmapPolicy::kOn);
   DiskStage stage;
   write_file(stage.shard(0), "1\t2\n3\t");
   EXPECT_THROW(stage.read(), util::IoError);
@@ -682,9 +599,7 @@ TEST(MmapTest, MidRecordTruncationDetected) {
 
 TEST(MmapTest, UnalignedTailBlockDecodes) {
   // Shard sizes deliberately not multiples of the 8-byte SWAR word, so
-  // the tail lines fall back to the scalar lane and nothing reads past
-  // the mapping (ASan would catch an overread on the mapped path).
-  const ScopedMmapPolicy policy(MmapPolicy::kOn);
+  // the tail lines fall back to the scalar lane.
   DiskStage stage;
   const std::pair<const char*, EdgeList> cases[] = {
       {"7\t9\n", {{7, 9}}},
@@ -699,8 +614,7 @@ TEST(MmapTest, UnalignedTailBlockDecodes) {
 
 TEST(MmapTest, BinaryShardDecodesOverMapping) {
   // Binary blocks with 1/2-byte widths make most column loads unaligned;
-  // the pointer walk must stay within the mapped span.
-  const ScopedMmapPolicy policy(MmapPolicy::kOn);
+  // the pointer walk must stay within the chunk it is fed.
   util::TempDir dir("prpb-io");
   DirStageStore store(dir.path());
   EdgeList edges;
@@ -710,6 +624,111 @@ TEST(MmapTest, BinaryShardDecodesOverMapping) {
   write_edge_shard(store, "s", "edges_00000.bin", edges, binary_codec());
   EXPECT_EQ(read_edge_shard(store, "s", "edges_00000.bin", binary_codec()),
             edges);
+}
+
+// ---- one read protocol ------------------------------------------------------
+
+/// Test-only decorator: its readers count the bytes read_chunk() hands
+/// out, and a view() call fails the test.
+class ChunkOnlyStore final : public StageStore {
+ public:
+  explicit ChunkOnlyStore(StageStore& inner) : inner_(inner) {}
+
+  /// Bytes handed out by read_chunk() since the last call.
+  std::uint64_t take_chunk_bytes() { return std::exchange(chunk_bytes_, 0); }
+
+  [[nodiscard]] std::string kind() const override { return inner_.kind(); }
+  std::unique_ptr<StageReader> open_read(const std::string& stage,
+                                         const std::string& shard) override {
+    return std::make_unique<Reader>(inner_.open_read(stage, shard),
+                                    chunk_bytes_);
+  }
+  std::unique_ptr<StageWriter> open_write(const std::string& stage,
+                                          const std::string& shard) override {
+    return inner_.open_write(stage, shard);
+  }
+  [[nodiscard]] std::vector<std::string> list(
+      const std::string& stage) const override {
+    return inner_.list(stage);
+  }
+  [[nodiscard]] bool exists(const std::string& stage) const override {
+    return inner_.exists(stage);
+  }
+  void clear_stage(const std::string& stage) override {
+    inner_.clear_stage(stage);
+  }
+  void remove(const std::string& stage) override { inner_.remove(stage); }
+  void remove_shard(const std::string& stage,
+                    const std::string& shard) override {
+    inner_.remove_shard(stage, shard);
+  }
+  [[nodiscard]] std::uint64_t stage_bytes(
+      const std::string& stage) const override {
+    return inner_.stage_bytes(stage);
+  }
+
+ private:
+  class Reader final : public StageReader {
+   public:
+    Reader(std::unique_ptr<StageReader> inner, std::uint64_t& chunk_bytes)
+        : inner_(std::move(inner)), chunk_bytes_(chunk_bytes) {}
+    std::string_view read_chunk() override {
+      const std::string_view chunk = inner_->read_chunk();
+      chunk_bytes_ += chunk.size();
+      return chunk;
+    }
+    std::unique_ptr<ReadView> view() override {
+      ADD_FAILURE() << "a stage read asked for a whole-shard view()";
+      return StageReader::view();
+    }
+    [[nodiscard]] std::uint64_t bytes_read() const override {
+      return inner_->bytes_read();
+    }
+
+   private:
+    std::unique_ptr<StageReader> inner_;
+    std::uint64_t& chunk_bytes_;
+  };
+
+  StageStore& inner_;
+  std::uint64_t chunk_bytes_ = 0;
+};
+
+TEST(ReadProtocolTest, EveryStageReadStreamsThroughReadChunk) {
+  // read_all_edges, read_edge_shard and the checkpoint read-back each
+  // pass every shard byte through read_chunk() and never ask for view().
+  gen::KroneckerParams params;
+  params.scale = 9;
+  const EdgeList edges = gen::KroneckerGenerator(params).generate_all();
+  util::TempDir dir("prpb-io");
+  DirStageStore disk(dir.path());
+  MemStageStore mem;
+  for (StageStore* base : {static_cast<StageStore*>(&disk),
+                           static_cast<StageStore*>(&mem)}) {
+    for (const StageCodec* codec :
+         {&tsv_codec(Codec::kFast), &binary_codec()}) {
+      SCOPED_TRACE(base->kind() + " " + codec->name());
+      fault::ShardDigestStore digests(*base);
+      write_edge_list(digests, "s", edges, 3, *codec);
+      const std::uint64_t stage_bytes = base->stage_bytes("s");
+      ChunkOnlyStore store(*base);
+
+      EXPECT_EQ(read_all_edges(store, "s", *codec), edges);
+      EXPECT_EQ(store.take_chunk_bytes(), stage_bytes);
+
+      EdgeList by_shard;
+      for (const auto& shard : store.list("s")) {
+        const EdgeList part = read_edge_shard(store, "s", shard, *codec);
+        by_shard.insert(by_shard.end(), part.begin(), part.end());
+      }
+      EXPECT_EQ(by_shard, edges);
+      EXPECT_EQ(store.take_chunk_bytes(), stage_bytes);
+
+      fault::CheckpointManager(store, digests, 0xabc, codec->name())
+          .commit("s");
+      EXPECT_EQ(store.take_chunk_bytes(), stage_bytes);
+    }
+  }
 }
 
 // ---- spill runs -------------------------------------------------------------

@@ -102,7 +102,7 @@ TEST_P(BackendPipelineTest, MatrixMatchesNative) {
       run_backend("native", config_for(work_native));
   const PipelineResult other =
       run_backend(GetParam(), config_for(work_other));
-  EXPECT_TRUE(native.matrix.approx_equal(other.matrix, 1e-12));
+  EXPECT_TRUE(native.matrix.approx_equal(other.matrix, 0.0));
 }
 
 TEST_P(BackendPipelineTest, RanksMatchNative) {
@@ -112,7 +112,7 @@ TEST_P(BackendPipelineTest, RanksMatchNative) {
       run_backend("native", config_for(work_native));
   const PipelineResult other =
       run_backend(GetParam(), config_for(work_other));
-  EXPECT_LT(normalized_difference(native.ranks, other.ranks), 1e-12);
+  EXPECT_EQ(native.ranks, other.ranks);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendPipelineTest,
@@ -131,8 +131,8 @@ TEST_P(GeneratorPipelineTest, NativeAndArraylangAgree) {
       run_backend("native", config_for(work_native, 8, GetParam()));
   const PipelineResult interp =
       run_backend("arraylang", config_for(work_interp, 8, GetParam()));
-  EXPECT_TRUE(native.matrix.approx_equal(interp.matrix, 1e-12));
-  EXPECT_LT(normalized_difference(native.ranks, interp.ranks), 1e-12);
+  EXPECT_TRUE(native.matrix.approx_equal(interp.matrix, 0.0));
+  EXPECT_EQ(native.ranks, interp.ranks);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGenerators, GeneratorPipelineTest,
