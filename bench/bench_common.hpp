@@ -19,9 +19,7 @@
 #include "core/config.hpp"
 #include "core/runner.hpp"
 #include "io/file_stream.hpp"
-#include "model/hardware.hpp"
 #include "model/trajectory.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/resource_sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
@@ -143,13 +141,6 @@ inline std::string kernels_json(const std::vector<SeriesPoint>& points) {
   return model::cells_json(points);
 }
 
-/// Triad peak bandwidth for achieved-GB/s normalization. Delegates to the
-/// process-wide memoized probe (model::cached_triad_bandwidth), so the
-/// harness, model calibrations and tests all share one measurement.
-inline double peak_triad_bps() {
-  return model::cached_triad_bandwidth();
-}
-
 inline void print_series(const std::string& title,
                          const std::vector<SeriesPoint>& points) {
   std::printf("## %s\n\n", title.c_str());
@@ -192,12 +183,12 @@ inline core::PipelineConfig cell_config(const util::TempDir& work,
 /// runs, labeled with min_scale.
 ///
 /// Each cell runs options.trials timings; the reported seconds is the
-/// median and seconds_mad the median absolute deviation. CPU seconds,
-/// /proc/self/io traffic and hardware-counter attribution come from the
-/// trial whose wall time is closest to the median, so every recorded
-/// column describes the same run. When `external_recorder` is non-null it
-/// replaces the sweep-local recorder (and options.trace_out is ignored) —
-/// bench_kernels uses this to collect one trace across many sweeps.
+/// median and seconds_mad the median absolute deviation. CPU seconds and
+/// /proc/self/io traffic come from the trial whose wall time is closest to
+/// the median, so every recorded column describes the same run. When
+/// `external_recorder` is non-null it replaces the sweep-local recorder
+/// (and options.trace_out is ignored) — bench_kernels uses this to collect
+/// one trace across many sweeps.
 inline std::vector<SeriesPoint> sweep_kernel(
     const SweepOptions& options, int kernel,
     const std::string& algorithm = "pagerank",
@@ -211,10 +202,6 @@ inline std::vector<SeriesPoint> sweep_kernel(
       external_recorder != nullptr ? *external_recorder : local_recorder;
   obs::Hooks hooks;
   if (recorder.enabled()) hooks.trace = &recorder;
-  // Inert on hosts without perf_event_open — cells then simply carry no
-  // counter block (has_perf stays false).
-  obs::PerfCounterGroup perf_group;
-  hooks.perf = &perf_group;
   obs::ResourceSampler::Options sampler_options;
   if (recorder.enabled()) sampler_options.trace = &recorder;
   obs::ResourceSampler sampler(sampler_options);
@@ -256,7 +243,6 @@ inline std::vector<SeriesPoint> sweep_kernel(
         double cpu = 0;
         std::uint64_t io_read = 0;
         std::uint64_t io_write = 0;
-        obs::PerfSample perf;
       };
       std::vector<Trial> trials;
       trials.reserve(options.trials);
@@ -265,7 +251,6 @@ inline std::vector<SeriesPoint> sweep_kernel(
       obs::Span cell_span(hooks.trace, "bench/cell");
       for (int trial = 0; trial < options.trials; ++trial) {
         const obs::ResourceSample before = obs::ResourceSampler::sample_now();
-        const obs::PerfScope perf_scope(&perf_group);
         util::Stopwatch watch;
         switch (kernel) {
           case 0:
@@ -297,7 +282,6 @@ inline std::vector<SeriesPoint> sweep_kernel(
         }
         Trial t;
         t.wall = watch.seconds();
-        t.perf = perf_scope.sample();
         const obs::ResourceSample after = obs::ResourceSampler::sample_now();
         t.cpu = std::max(0.0, (after.cpu_user_s + after.cpu_sys_s) -
                                   (before.cpu_user_s + before.cpu_sys_s));
@@ -318,7 +302,7 @@ inline std::vector<SeriesPoint> sweep_kernel(
       for (const Trial& t : trials) timings.push_back(t.wall);
       const double seconds = util::median(timings);
       const double mad = util::median_abs_deviation(timings);
-      // CPU/I-O/counter columns come from the trial closest to the median
+      // CPU and I/O columns come from the trial closest to the median
       // wall time, so the cell's columns all describe one run.
       std::size_t rep = 0;
       for (std::size_t i = 1; i < trials.size(); ++i) {
@@ -353,27 +337,12 @@ inline std::vector<SeriesPoint> sweep_kernel(
       point.stage_format = config.stage_format;
       point.source = config.source;
       if (kernel == 3) point.algorithm = algorithm;
-      if (median_trial.perf.any()) {
-        point.has_perf = true;
-        point.cycles = median_trial.perf.get(obs::PerfEvent::kCycles);
-        point.instructions =
-            median_trial.perf.get(obs::PerfEvent::kInstructions);
-        point.llc_misses =
-            median_trial.perf.get(obs::PerfEvent::kLlcMisses);
-        point.ipc = median_trial.perf.ipc();
-        point.llc_miss_rate = median_trial.perf.llc_miss_rate();
-        point.dram_gbps = median_trial.perf.dram_gbps(median_trial.wall);
-        const double triad = peak_triad_bps();
-        point.peak_bandwidth_fraction =
-            triad > 0 ? point.dram_gbps * 1e9 / triad : 0.0;
-      }
       if (cell_span.active()) {
         util::JsonWriter args;
         args.begin_object();
         args.field("kernel", static_cast<std::int64_t>(kernel));
         args.field("backend", name);
         args.field("scale", static_cast<std::int64_t>(scale));
-        median_trial.perf.write_fields(args, median_trial.wall);
         args.end_object();
         cell_span.set_args(args.str());
       }
@@ -381,12 +350,11 @@ inline std::vector<SeriesPoint> sweep_kernel(
       points.push_back(std::move(point));
       std::fprintf(stderr,
                    "  [fig] kernel%d%s%s %s scale %d: %.3fs ±%.4f "
-                   "(cpu %.3fs, peak RSS %.1f MB%s)\n",
+                   "(cpu %.3fs, peak RSS %.1f MB)\n",
                    kernel, kernel == 3 ? "/" : "",
                    kernel == 3 ? algorithm.c_str() : "", name.c_str(), scale,
                    seconds, mad, median_trial.cpu,
-                   static_cast<double>(peak_rss) / (1024.0 * 1024.0),
-                   median_trial.perf.any() ? ", counters on" : "");
+                   static_cast<double>(peak_rss) / (1024.0 * 1024.0));
     }
     // The input file fixes the graph; more scales would repeat the cell.
     if (config.source == "external") break;

@@ -6,12 +6,8 @@
 //   * on each thread, complete events nest properly — any two spans are
 //     either disjoint or one contains the other (what Perfetto's track
 //     layout assumes);
-//   * hardware-counter args on 'X' spans, when present, are sane: raw
-//     counters are non-negative numbers, ipc is a plausible rate and
-//     llc_miss_rate is a fraction (spans without counter args are fine —
-//     hosts without perf_event_open emit none);
-// and prints a per-phase / per-name summary including how many spans
-// carried counters. Exits 1 on any violation, so CI can gate on it.
+// and prints a per-phase / per-name summary. Exits 1 on any violation, so
+// CI can gate on it.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -34,46 +30,6 @@ struct SpanRow {
 int fail(const char* what, const std::string& detail) {
   std::fprintf(stderr, "trace_check: %s: %s\n", what, detail.c_str());
   return 1;
-}
-
-/// Validates counter fields in a span's args object; returns "" when fine,
-/// otherwise the violation. Absent fields are fine everywhere — graceful
-/// degradation means a host may deliver any subset of the counters.
-/// Sets `counted` when the span carried at least one raw counter.
-std::string check_counter_args(const prpb::util::JsonValue& args,
-                               bool& counted) {
-  static constexpr const char* kRawCounters[] = {
-      "cycles",        "instructions",  "llc_loads",
-      "llc_misses",    "branch_misses", "stalled_cycles"};
-  bool any_raw = false;
-  for (const char* key : kRawCounters) {
-    const prpb::util::JsonValue* value = args.find(key);
-    if (value == nullptr) continue;
-    if (!value->is_number() || value->number() < 0.0) {
-      return std::string(key) + " is not a non-negative number";
-    }
-    any_raw = true;
-  }
-  const prpb::util::JsonValue* ipc = args.find("ipc");
-  if (ipc != nullptr) {
-    if (!any_raw) return "ipc without any raw counter";
-    if (!ipc->is_number() || ipc->number() <= 0.0 ||
-        ipc->number() >= 1000.0) {
-      return "ipc outside (0, 1000)";
-    }
-  }
-  const prpb::util::JsonValue* miss_rate = args.find("llc_miss_rate");
-  if (miss_rate != nullptr &&
-      (!miss_rate->is_number() || miss_rate->number() < 0.0 ||
-       miss_rate->number() > 1.0)) {
-    return "llc_miss_rate outside [0, 1]";
-  }
-  const prpb::util::JsonValue* gbps = args.find("dram_gbps");
-  if (gbps != nullptr && (!gbps->is_number() || gbps->number() < 0.0)) {
-    return "dram_gbps negative";
-  }
-  counted = any_raw;
-  return "";
 }
 
 }  // namespace
@@ -99,7 +55,6 @@ int main(int argc, char** argv) {
     std::map<char, std::size_t> by_phase;
     std::map<std::string, std::size_t> spans_by_name;
     std::map<std::uint64_t, std::vector<SpanRow>> spans_by_tid;
-    std::size_t counter_spans = 0;
 
     std::size_t index = 0;
     for (const util::JsonValue& event : events->array()) {
@@ -142,15 +97,6 @@ int main(int argc, char** argv) {
                                  args->find("acc") != nullptr;
         if (!accumulated) spans_by_tid[tid_value].push_back(row);
         spans_by_name[row.name] += 1;
-        if (args != nullptr && args->is_object()) {
-          bool counted = false;
-          const std::string violation = check_counter_args(*args, counted);
-          if (!violation.empty()) {
-            return fail("bad counter args",
-                        where + " " + row.name + ": " + violation);
-          }
-          if (counted) ++counter_spans;
-        }
       } else if (ph != 'C' && ph != 'i') {
         return fail("unknown phase", where + " '" + phase->string() + "'");
       }
@@ -180,7 +126,6 @@ int main(int argc, char** argv) {
     for (const auto& [ph, count] : by_phase) {
       std::printf("  phase '%c': %zu events\n", ph, count);
     }
-    std::printf("  spans with hardware counters: %zu\n", counter_spans);
     for (const auto& [name, count] : spans_by_name) {
       std::printf("  span %-24s x%zu\n", name.c_str(), count);
     }

@@ -21,7 +21,6 @@
 #include "io/edge_files.hpp"
 #include "io/stage_store.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/pagerank.hpp"
@@ -69,22 +68,14 @@ struct KernelContext {
   }
 
   /// Per-iteration kernel-3 observer: appends to k3_sink and records a
-  /// "k3/iter" span per iteration — with a hardware-counter snapshot of
-  /// the interval since the previous iteration when a live PerfCounterGroup
-  /// is attached. Empty (falsy) when neither telemetry consumer is
-  /// attached, so backends can skip the residual bookkeeping.
+  /// "k3/iter" span per iteration carrying its iteration number, L1
+  /// residual and rank sum. Empty (falsy) when neither telemetry consumer
+  /// is attached, so backends can skip the residual bookkeeping.
   [[nodiscard]] sparse::IterationObserver k3_observer() const {
     if (k3_sink == nullptr && !hooks.tracing()) return {};
     auto* sink = k3_sink;
     const obs::Hooks h = hooks;
-    const obs::PerfCounterGroup* perf =
-        h.tracing() && h.perf != nullptr && h.perf->active() ? h.perf
-                                                            : nullptr;
-    return [sink, h, perf,
-            mark = perf != nullptr
-                       ? perf->read()
-                       : obs::PerfReading{}](
-               const sparse::IterationStats& stats) mutable {
+    return [sink, h](const sparse::IterationStats& stats) {
       if (sink != nullptr) sink->push_back(stats);
       if (h.tracing()) {
         // The iteration just ended; back-date the span start by its
@@ -97,9 +88,6 @@ struct KernelContext {
         args.field("iteration", static_cast<std::int64_t>(stats.iteration));
         args.field("residual_l1", stats.residual_l1);
         args.field("rank_sum", stats.rank_sum);
-        if (perf != nullptr) {
-          perf->delta_and_advance(mark).write_fields(args, stats.seconds);
-        }
         args.end_object();
         h.trace->record_complete("k3/iter", end - dur, dur, args.str());
       }
@@ -121,8 +109,8 @@ struct KernelContext {
     return make_stage_codec(config, flavor);
   }
 
-  /// Reads an entire stage as a decoded edge list over the zero-copy view
-  /// path, in the configured codec. The list is reserved at M: K0 and K1
+  /// Reads an entire stage as a decoded edge list, streamed chunk by chunk
+  /// through the configured codec. The list is reserved at M: K0 and K1
   /// each write exactly M records.
   [[nodiscard]] gen::EdgeList read_stage(
       const std::string& stage, io::Codec flavor = io::Codec::kFast) const {

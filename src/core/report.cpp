@@ -19,13 +19,6 @@ void kernel_object(util::JsonWriter& json, const char* name,
   json.field("files_written", metrics.files_written);
   json.field("attempts", static_cast<std::int64_t>(metrics.attempts));
   json.field("resumed", metrics.resumed);
-  // Hardware-counter attribution; omitted entirely on hosts where
-  // perf_event_open is unavailable (the degradation contract).
-  if (metrics.perf.any()) {
-    json.begin_object("perf");
-    metrics.perf.write_fields(json, metrics.seconds);
-    json.end_object();
-  }
   json.end_object();
 }
 }  // namespace
@@ -128,11 +121,6 @@ std::string run_report_json(const PipelineConfig& config,
         json.field("bfs_source", run.output.bfs_source);
       }
       json.field("attempts", static_cast<std::int64_t>(run.metrics.attempts));
-      if (run.metrics.perf.any()) {
-        json.begin_object("perf");
-        run.metrics.perf.write_fields(json, run.metrics.seconds);
-        json.end_object();
-      }
       json.field("checksum", run.output.checksum);
       json.end_object();
     }

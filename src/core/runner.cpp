@@ -75,12 +75,6 @@ PipelineResult run_pipeline(const PipelineConfig& config,
   obs::Hooks hooks = options.hooks;
   if (hooks.metrics == nullptr) hooks.metrics = &local_registry;
 
-  // Hardware counters: run-local group unless the caller injected one.
-  // When perf_event_open is unavailable (containers, paranoid settings,
-  // PRPB_PERF=off) the group is inert and every sample below stays empty.
-  obs::PerfCounterGroup local_perf;
-  if (hooks.perf == nullptr) hooks.perf = &local_perf;
-
   // Storage decorator stack, innermost first. The fault injector sits
   // directly on the base store (it simulates the medium itself); the
   // digest layer sits above it so as-written fingerprints describe what
@@ -143,9 +137,9 @@ PipelineResult run_pipeline(const PipelineConfig& config,
   // error — ConfigError, detected corruption, invariant violations —
   // rethrows immediately. KernelMetrics.seconds and the kernel's span come
   // from the same two clock readings, so the report and the trace agree;
-  // the perf sample and the stage-I/O delta cover the same interval, all
-  // attempts included. `kernel` keys the retry counter, `prefix` the I/O
-  // counters, `label` the log line.
+  // the stage-I/O delta covers the same interval, all attempts included.
+  // `kernel` keys the retry counter, `prefix` the I/O counters, `label` the
+  // log line.
   const auto timed_kernel = [&](const char* kernel, const std::string& prefix,
                                 const std::string& span_name,
                                 const std::string& label,
@@ -153,7 +147,6 @@ PipelineResult run_pipeline(const PipelineConfig& config,
                                 const std::vector<std::string>& out_stages,
                                 const auto& body) {
     using Clock = obs::TraceRecorder::Clock;
-    obs::PerfScope perf(hooks.perf);
     const Clock::time_point start = Clock::now();
     for (int attempt = 1;; ++attempt) {
       metrics.attempts = attempt;
@@ -179,12 +172,10 @@ PipelineResult run_pipeline(const PipelineConfig& config,
     }
     const Clock::time_point end = Clock::now();
     metrics.seconds = std::chrono::duration<double>(end - start).count();
-    metrics.perf = perf.sample();
     if (hooks.tracing()) {
       const std::uint64_t ts = hooks.trace->us_at(start);
       hooks.trace->record_complete(span_name, ts,
-                                   hooks.trace->us_at(end) - ts,
-                                   metrics.perf.args_json(metrics.seconds));
+                                   hooks.trace->us_at(end) - ts);
     }
     fold_io(metrics, io_delta(), *hooks.metrics, prefix.c_str());
     util::log_info(label, "[", backend.name(), "] ", metrics.seconds, "s");

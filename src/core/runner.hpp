@@ -29,7 +29,6 @@
 #include "fault/plan.hpp"
 #include "fault/retry.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/pagerank.hpp"
@@ -65,10 +64,6 @@ struct KernelMetrics {
   int attempts = 1;
   /// True when --resume validated the kernel's checkpoint and skipped it.
   bool resumed = false;
-  /// Hardware-counter deltas for the kernel's timed section (covers
-  /// retried attempts, like the I/O counters). Empty — perf.any() false —
-  /// when perf_event_open is unavailable on this host.
-  obs::PerfSample perf;
 
   /// Stage bytes moved per processed edge (read + write sides).
   [[nodiscard]] double bytes_per_edge() const {

@@ -104,17 +104,6 @@ std::string cells_json(const std::vector<BenchCell>& cells,
       json.field("p99_ms", cell.p99_ms);
       json.field("p999_ms", cell.p999_ms);
     }
-    if (cell.has_perf) {
-      json.begin_object("perf");
-      json.field("cycles", cell.cycles);
-      json.field("instructions", cell.instructions);
-      json.field("llc_misses", cell.llc_misses);
-      json.field("ipc", cell.ipc);
-      json.field("llc_miss_rate", cell.llc_miss_rate);
-      json.field("dram_gbps", cell.dram_gbps);
-      json.field("peak_bandwidth_fraction", cell.peak_bandwidth_fraction);
-      json.end_object();
-    }
     json.end_object();
   }
   json.end_array();
@@ -163,18 +152,6 @@ std::vector<BenchCell> parse_cells(const util::JsonValue& document) {
     cell.p50_ms = number_or(node, "p50_ms", 0);
     cell.p99_ms = number_or(node, "p99_ms", 0);
     cell.p999_ms = number_or(node, "p999_ms", 0);
-    const util::JsonValue* perf = node.find("perf");
-    if (perf != nullptr && perf->is_object()) {
-      cell.has_perf = true;
-      cell.cycles = uint_or(*perf, "cycles", 0);
-      cell.instructions = uint_or(*perf, "instructions", 0);
-      cell.llc_misses = uint_or(*perf, "llc_misses", 0);
-      cell.ipc = number_or(*perf, "ipc", 0);
-      cell.llc_miss_rate = number_or(*perf, "llc_miss_rate", 0);
-      cell.dram_gbps = number_or(*perf, "dram_gbps", 0);
-      cell.peak_bandwidth_fraction =
-          number_or(*perf, "peak_bandwidth_fraction", 0);
-    }
     parsed.push_back(std::move(cell));
   }
   return parsed;

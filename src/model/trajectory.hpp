@@ -5,11 +5,11 @@
 // A cell is one (kernel, backend, scale, storage, stage_format, source,
 // algorithm) measurement. Since PR 8 a cell carries its noise
 // model — `repeats` timings reduced to a median and a MAD (median absolute
-// deviation) — plus CPU seconds, /proc/self/io disk traffic, and, when the
-// host exposes perf_event_open, counter-derived attribution (IPC, LLC miss
-// rate, achieved DRAM GB/s and its fraction of the triad-calibrated peak).
+// deviation) — plus CPU seconds and /proc/self/io disk traffic.
 // Old documents without those fields parse fine: repeats defaults to 1,
 // the MAD to 0, and the diff falls back to the minimum relative band.
+// Unknown keys (such as the `perf` counter objects older cells carry) are
+// skipped.
 //
 // The diff declares a regression only when the median slowdown exceeds
 //   band = max(min_rel_band, noise_mult · (MAD_base + MAD_head) / median_base)
@@ -54,16 +54,6 @@ struct BenchCell {
   std::string stage_format;
   std::string source;     ///< graph source the cell ran on
   std::string algorithm;  ///< kernel-3 cells: the algorithm measured
-  // Hardware-counter attribution (has_perf gates serialization; absent on
-  // hosts without perf_event_open).
-  bool has_perf = false;
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t llc_misses = 0;
-  double ipc = 0;
-  double llc_miss_rate = 0;
-  double dram_gbps = 0;               ///< LLC-miss-derived achieved GB/s
-  double peak_bandwidth_fraction = 0; ///< dram_gbps / triad peak
   /// Primary measurement of the cell: "seconds" (kernel cells, lower is
   /// better) or "qps" (serving cells, higher is better). Part of the
   /// identity key only when non-default, so pre-existing cells keep their

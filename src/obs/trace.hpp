@@ -203,16 +203,12 @@ class AccumulatingSpan {
 };
 
 class MetricsRegistry;
-class PerfCounterGroup;
 
 /// The observability hook bundle threaded through kernels and I/O layers.
 /// All pointers are optional and non-owning; value-copied freely.
 struct Hooks {
   TraceRecorder* trace = nullptr;
   MetricsRegistry* metrics = nullptr;
-  /// Hardware counters for the orchestrating thread; inert groups are
-  /// fine to attach (consumers test sample.any(), never the platform).
-  PerfCounterGroup* perf = nullptr;
 
   /// True when span recording is live (recorder attached and enabled).
   [[nodiscard]] bool tracing() const {

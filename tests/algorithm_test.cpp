@@ -141,7 +141,7 @@ TEST(AlgorithmConfig, ValidateFailsFastWithValidValues) {
 TEST(AlgorithmStage, UnknownAlgorithmRejectedByBackend) {
   PipelineConfig config;
   io::MemStageStore store;
-  const KernelContext ctx{config, store};
+  const KernelContext ctx{config, store, "", "", ""};
   const auto backend = make_backend("native");
   const auto matrix = sample_graph();
   try {
@@ -157,7 +157,7 @@ TEST(AlgorithmStage, UnknownAlgorithmRejectedByBackend) {
 TEST(AlgorithmStage, ResultShapesAndChecksums) {
   PipelineConfig config;
   io::MemStageStore store;
-  const KernelContext ctx{config, store};
+  const KernelContext ctx{config, store, "", "", ""};
   const auto backend = make_backend("native");
   const auto matrix = sample_graph();
 

@@ -46,19 +46,11 @@ TEST(BenchCell, KeyCoversConfiguration) {
   EXPECT_EQ(slower.key(), base_key);
 }
 
-TEST(BenchCell, JsonRoundTripsIncludingPerf) {
+TEST(BenchCell, JsonRoundTrips) {
   model::BenchCell cell = make_cell(2, "parallel", 0.75, 0.005);
   cell.peak_rss_bytes = 1u << 26;
   cell.io_read_bytes = 4096;
   cell.io_write_bytes = 8192;
-  cell.has_perf = true;
-  cell.cycles = 3'000'000'000ULL;
-  cell.instructions = 4'500'000'000ULL;
-  cell.llc_misses = 12'000'000ULL;
-  cell.ipc = 1.5;
-  cell.llc_miss_rate = 0.3;
-  cell.dram_gbps = 0.768;
-  cell.peak_bandwidth_fraction = 0.06;
   model::BenchCell plain = make_cell(3, "native", 0.2, 0.001);
   plain.algorithm = "pagerank";
 
@@ -75,24 +67,14 @@ TEST(BenchCell, JsonRoundTripsIncludingPerf) {
   EXPECT_EQ(round.peak_rss_bytes, cell.peak_rss_bytes);
   EXPECT_EQ(round.io_read_bytes, cell.io_read_bytes);
   EXPECT_EQ(round.io_write_bytes, cell.io_write_bytes);
-  ASSERT_TRUE(round.has_perf);
-  EXPECT_EQ(round.cycles, cell.cycles);
-  EXPECT_EQ(round.instructions, cell.instructions);
-  EXPECT_EQ(round.llc_misses, cell.llc_misses);
-  EXPECT_DOUBLE_EQ(round.ipc, cell.ipc);
-  EXPECT_DOUBLE_EQ(round.llc_miss_rate, cell.llc_miss_rate);
-  EXPECT_DOUBLE_EQ(round.dram_gbps, cell.dram_gbps);
-  EXPECT_DOUBLE_EQ(round.peak_bandwidth_fraction,
-                   cell.peak_bandwidth_fraction);
-
-  EXPECT_FALSE(parsed[1].has_perf);
   EXPECT_EQ(parsed[1].algorithm, "pagerank");
 }
 
 TEST(BenchCell, OldDocumentsParseWithDefaults) {
   // Pre-PR-8 document: no repeats, MAD, CPU, io, or perf fields. The
-  // second cell carries the retired kernel-3 CSR-form fields, which parse
-  // and stay out of the key.
+  // second cell carries the retired kernel-3 CSR-form fields, and the
+  // third the retired hardware-counter object; both parse and stay out of
+  // the key.
   const std::string old_doc = R"({
     "benchmark": "prpb-kernels",
     "cells": [{
@@ -105,17 +87,33 @@ TEST(BenchCell, OldDocumentsParseWithDefaults) {
       "seconds": 0.5, "storage": "dir", "stage_format": "tsv",
       "source": "generator", "algorithm": "pagerank",
       "csr": "plain", "bytes_per_edge": 8
+    }, {
+      "kernel": 2, "backend": "parallel", "scale": 16, "edges": 1048576,
+      "seconds": 0.75, "seconds_mad": 0.005, "repeats": 5,
+      "storage": "dir", "stage_format": "tsv", "source": "generator",
+      "perf": {"cycles": 3000000000, "instructions": 4500000000,
+               "llc_misses": 12000000, "ipc": 1.5, "llc_miss_rate": 0.3,
+               "dram_gbps": 0.768, "peak_bandwidth_fraction": 0.06}
     }]
   })";
   const auto cells = model::parse_cells_text(old_doc);
-  ASSERT_EQ(cells.size(), 2u);
+  ASSERT_EQ(cells.size(), 3u);
   EXPECT_EQ(cells[0].repeats, 1);
   EXPECT_DOUBLE_EQ(cells[0].seconds_mad, 0.0);
   EXPECT_DOUBLE_EQ(cells[0].cpu_seconds, 0.0);
-  EXPECT_FALSE(cells[0].has_perf);
   EXPECT_EQ(cells[0].key(), "k1|native|16|dir|tsv|generator|");
   EXPECT_DOUBLE_EQ(cells[1].seconds, 0.5);
   EXPECT_EQ(cells[1].key(), "k3|native|16|dir|tsv|generator|pagerank");
+
+  model::BenchCell counted = make_cell(2, "parallel", 0.75, 0.005);
+  counted.scale = 16;
+  EXPECT_EQ(cells[2].key(), counted.key());
+  EXPECT_DOUBLE_EQ(cells[2].seconds, 0.75);
+  EXPECT_EQ(cells[2].repeats, 5);
+  // Written back, the cell carries no counter object.
+  const std::string rewritten = model::cells_json({cells[2]});
+  EXPECT_EQ(rewritten.find("perf"), std::string::npos) << rewritten;
+  EXPECT_EQ(rewritten.find("cycles"), std::string::npos) << rewritten;
 }
 
 TEST(BenchDiff, DuplicateKeysAreATypedError) {

@@ -377,7 +377,9 @@ TEST_P(FailureTest, OutOfRangeVertexFailsKernel2) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, FailureTest,
                          ::testing::Values("native", "parallel", "graphblas",
                                            "arraylang", "dataframe"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(FailureRecoveryTest, PipelineRecoversAfterFailedRun) {
   // A failed run must not poison the work dir for the next attempt.

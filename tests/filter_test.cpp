@@ -54,7 +54,9 @@ TEST(FilterTest, NonzeroRowsSumToOne) {
   const CsrMatrix a =
       filter_edges(generator->generate_all(), generator->num_vertices());
   for (const double s : a.row_sums()) {
-    if (s != 0.0) EXPECT_NEAR(s, 1.0, 1e-12);
+    if (s != 0.0) {
+      EXPECT_NEAR(s, 1.0, 1e-12);
+    }
   }
 }
 

@@ -192,7 +192,7 @@ TEST(VertexRemap, DenseZeroBasedIdsAreIdentity) {
 
 TEST(VertexRemap, UnknownIdThrows) {
   const VertexRemap remap = build_vertex_remap({{5, 9}});
-  EXPECT_THROW(remap.to_dense(6), util::Error);
+  EXPECT_THROW((void)remap.to_dense(6), util::Error);
 }
 
 // ---- seeded property tests -------------------------------------------------

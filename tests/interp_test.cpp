@@ -240,9 +240,9 @@ TEST(EvalTest, EvalExpressionReturnsValue) {
 
 TEST(ValueTest, TypeChecksThrowDescriptiveErrors) {
   const Value scalar(3.0);
-  EXPECT_THROW(scalar.array(), util::Error);
-  EXPECT_THROW(scalar.matrix(), util::Error);
-  EXPECT_THROW(scalar.str(), util::Error);
+  EXPECT_THROW((void)scalar.array(), util::Error);
+  EXPECT_THROW((void)scalar.matrix(), util::Error);
+  EXPECT_THROW((void)scalar.str(), util::Error);
   EXPECT_STREQ(scalar.type_name(), "scalar");
 }
 

@@ -75,9 +75,10 @@ TEST_P(CodecTest, ParseEdgeLineSingle) {
 
 INSTANTIATE_TEST_SUITE_P(BothCodecs, CodecTest,
                          ::testing::Values(Codec::kFast, Codec::kGeneric),
-                         [](const auto& info) {
-                           return info.param == Codec::kFast ? "Fast"
-                                                             : "Generic";
+                         [](const auto& param_info) {
+                           return param_info.param == Codec::kFast
+                                      ? "Fast"
+                                      : "Generic";
                          });
 
 TEST(CodecTest, FastRejectsTrailingGarbage) {
@@ -995,7 +996,9 @@ TEST_P(StageCodecTest, FuzzRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, StageCodecTest,
                          ::testing::Values("TsvFast", "TsvGeneric", "Binary"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(StageFormatTest, ParsesKnownNames) {
   EXPECT_EQ(parse_stage_format("tsv"), StageFormat::kTsv);

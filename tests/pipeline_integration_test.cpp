@@ -118,7 +118,9 @@ TEST_P(BackendPipelineTest, RanksMatchNative) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendPipelineTest,
                          ::testing::Values("native", "parallel", "graphblas",
                                            "arraylang", "dataframe"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 // ---- generator sweep ------------------------------------------------------------
 
@@ -137,7 +139,9 @@ TEST_P(GeneratorPipelineTest, NativeAndArraylangAgree) {
 
 INSTANTIATE_TEST_SUITE_P(AllGenerators, GeneratorPipelineTest,
                          ::testing::Values("kronecker", "bter", "ppl"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 // ---- cross-cutting properties ----------------------------------------------------
 

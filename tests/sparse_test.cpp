@@ -213,8 +213,8 @@ TEST(CsrTest, ColAndRowSums) {
 
 TEST(CsrTest, AtOutOfRangeThrows) {
   const CsrMatrix m(2, 2);
-  EXPECT_THROW(m.at(2, 0), util::ConfigError);
-  EXPECT_THROW(m.at(0, 2), util::ConfigError);
+  EXPECT_THROW((void)m.at(2, 0), util::ConfigError);
+  EXPECT_THROW((void)m.at(0, 2), util::ConfigError);
 }
 
 // ---- zero_columns ----------------------------------------------------------------

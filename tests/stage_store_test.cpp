@@ -149,7 +149,9 @@ TEST_P(StoreContractTest, BytesWrittenReported) {
 
 INSTANTIATE_TEST_SUITE_P(DirAndMem, StoreContractTest,
                          ::testing::Values("dir", "mem"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(DirStageStoreTest, EmptyRootResolvesStagesAsPaths) {
   util::TempDir dir("prpb-store");
@@ -216,7 +218,7 @@ struct TracedCounting {
   MemStageStore inner;
   obs::TraceRecorder recorder;
   obs::MetricsRegistry registry;
-  CountingStageStore store{inner, obs::Hooks{&recorder, &registry, nullptr}};
+  CountingStageStore store{inner, obs::Hooks{&recorder, &registry}};
 
   void put(const std::string& shard, const std::string& data) {
     const auto writer = store.open_write("s", shard);
@@ -321,7 +323,7 @@ TEST(CountingStageStoreTest, MetricsWithoutLiveTraceOnlyCount) {
   MemStageStore inner;
   obs::TraceRecorder recorder(false);
   obs::MetricsRegistry registry;
-  CountingStageStore store(inner, obs::Hooks{&recorder, &registry, nullptr});
+  CountingStageStore store(inner, obs::Hooks{&recorder, &registry});
   {
     const auto writer = store.open_write("s", shard_name(0));
     writer->write("0123456789");
@@ -381,7 +383,9 @@ TEST_P(StorageParityTest, MemAndDirProduceIdenticalStagesAndRanks) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, StorageParityTest,
                          ::testing::Values("native", "parallel", "graphblas",
                                            "arraylang", "dataframe"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 // ---- cross-backend codec x storage parity -----------------------------------
 
@@ -446,7 +450,9 @@ TEST_P(CodecParityTest, EveryCodecAndStoreProducesIdenticalResults) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, CodecParityTest,
                          ::testing::Values("native", "parallel", "graphblas",
                                            "arraylang", "dataframe"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 }  // namespace
 }  // namespace prpb::io

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -317,7 +318,9 @@ TEST(ReportTest, ContainsAllSections) {
         "\"k3_pagerank\"", "\"rank_digest\"", "\"matrix_fingerprint\"",
         "\"num_edges\":2048", "\"storage\":\"dir\"", "\"bytes_read\"",
         "\"bytes_written\"", "\"files_read\"", "\"files_written\"",
-        "\"wall_seconds_total\"", "\"metrics\"", "\"k3_iterations\""}) {
+        "\"bytes_per_edge\"", "\"edges_per_second\"", "\"attempts\"",
+        "\"resumed\"", "\"wall_seconds_total\"", "\"metrics\"",
+        "\"k3_iterations\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
   EXPECT_EQ(json.find("eigen_check"), std::string::npos);  // not requested
@@ -340,6 +343,21 @@ TEST(ReportTest, WallClockCoversKernelsAndTelemetryParses) {
   const auto doc =
       util::JsonValue::parse(core::run_report_json(config, result));
   EXPECT_GE(doc.at("wall_seconds_total").number(), kernel_sum);
+  // Each kernel object reports the runner's bytes-per-edge figure, and
+  // carries no hardware-counter block.
+  const std::pair<const char*, const core::KernelMetrics*> kernels[] = {
+      {"k0_generate", &result.k0},
+      {"k1_sort", &result.k1},
+      {"k2_filter", &result.k2},
+      {"k3_pagerank", &result.k3}};
+  for (const auto& [name, metrics] : kernels) {
+    const auto& kernel = doc.at("kernels").at(name);
+    EXPECT_DOUBLE_EQ(kernel.at("bytes_per_edge").number(),
+                     metrics->bytes_per_edge())
+        << name;
+    EXPECT_EQ(kernel.find("perf"), nullptr) << name;
+  }
+  EXPECT_GT(result.k1.bytes_per_edge(), 0.0);
   const auto& iterations = doc.at("k3_iterations").array();
   ASSERT_EQ(iterations.size(), static_cast<std::size_t>(config.iterations));
   EXPECT_DOUBLE_EQ(iterations[0].at("iteration").number(), 0.0);

@@ -256,7 +256,7 @@ TEST(CliTest, NonIntegerValueThrows) {
   args.add_option("scale", "scale", "16");
   const char* argv[] = {"prog", "--scale", "abc"};
   ASSERT_TRUE(args.parse(3, argv));
-  EXPECT_THROW(args.get_int("scale"), ConfigError);
+  EXPECT_THROW((void)args.get_int("scale"), ConfigError);
 }
 
 TEST(CliTest, PositionalCollected) {
@@ -289,7 +289,7 @@ TEST(CliTest, GetOnFlagThrows) {
   const char* argv[] = {"prog"};
   ASSERT_TRUE(args.parse(1, argv));
   EXPECT_THROW(args.get("v"), ConfigError);
-  EXPECT_THROW(args.get_flag("missing"), ConfigError);
+  EXPECT_THROW((void)args.get_flag("missing"), ConfigError);
 }
 
 // ---- fs ---------------------------------------------------------------------
