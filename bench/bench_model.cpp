@@ -62,7 +62,9 @@ int main(int argc, char** argv) {
         case 3: prediction = model::predict_kernel3(hw, traits, scale, 16);
                 break;
       }
-      table.add_row({point.backend, "K" + std::to_string(kernel),
+      std::string label = "K";
+      label += std::to_string(kernel);
+      table.add_row({point.backend, label,
                      util::fixed(prediction.seconds, 4),
                      util::fixed(point.seconds, 4),
                      util::fixed(prediction.seconds /

@@ -109,17 +109,27 @@ const char* fault_kind_name(FaultKind kind) {
 
 std::string FaultRule::str() const {
   std::string out = fault_kind_name(kind);
-  if (!stage.empty()) out += "@" + stage;
+  if (!stage.empty()) {
+    out += '@';
+    out += stage;
+  }
   if (nth == 0) {
     char prob[32];
     std::snprintf(prob, sizeof(prob), ":p=%g", probability);
     out += prob;
     if (max_fires != ~std::uint64_t{0}) {
-      out += "*" + std::to_string(max_fires);
+      out += '*';
+      out += std::to_string(max_fires);
     }
   } else {
-    if (nth != 1) out += "#" + std::to_string(nth);
-    if (max_fires != 1) out += "*" + std::to_string(max_fires);
+    if (nth != 1) {
+      out += '#';
+      out += std::to_string(nth);
+    }
+    if (max_fires != 1) {
+      out += '*';
+      out += std::to_string(max_fires);
+    }
   }
   return out;
 }

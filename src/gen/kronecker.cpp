@@ -5,7 +5,7 @@
 namespace prpb::gen {
 
 void KroneckerParams::validate() const {
-  util::require(scale >= 1 && scale <= 40,
+  util::require(scale >= 1 && scale <= kMaxScale,
                 "kronecker: scale must be in [1, 40]");
   util::require(edge_factor >= 1, "kronecker: edge_factor must be >= 1");
   util::require(a > 0 && b >= 0 && c >= 0 && d() >= 0,
@@ -65,13 +65,19 @@ std::uint64_t BitPermutation::inverse(std::uint64_t y) const {
 }
 
 KroneckerGenerator::KroneckerGenerator(const KroneckerParams& params)
-    : params_(params),
-      rng_(params.seed),
-      perm_(params.scale, params.seed),
-      ab_(params.a + params.b),
-      a_norm_(params.a / (params.a + params.b)),
-      c_norm_(params.c / (params.c + params.d())) {
-  params_.validate();
+    : params_(params), perm_(params.scale, params.seed) {
+  params_.validate();  // thresholds below need t >= 0
+  const rnd::CounterRng rng(params_.seed);
+  for (int s = 0; s < 2 * params_.scale; ++s) {
+    stream_key_[static_cast<std::size_t>(s)] =
+        rng.stream_key(static_cast<std::uint64_t>(s));
+  }
+  const double a = params_.a;
+  const double b = params_.b;
+  const double c = params_.c;
+  ab_threshold_ = rnd::CounterRng::unit_threshold(a + b);
+  a_norm_threshold_ = rnd::CounterRng::unit_threshold(a / (a + b));
+  c_norm_threshold_ = rnd::CounterRng::unit_threshold(c / (c + params_.d()));
 }
 
 std::uint64_t KroneckerGenerator::num_vertices() const {
@@ -86,11 +92,12 @@ Edge KroneckerGenerator::edge_at(std::uint64_t i) const {
   std::uint64_t u = 0;
   std::uint64_t v = 0;
   for (int level = 0; level < params_.scale; ++level) {
-    const double r1 = rng_.uniform(2 * static_cast<std::uint64_t>(level), i);
-    const double r2 =
-        rng_.uniform(2 * static_cast<std::uint64_t>(level) + 1, i);
-    const bool u_bit = r1 > ab_;
-    const bool v_bit = r2 > (u_bit ? c_norm_ : a_norm_);
+    const auto s = 2 * static_cast<std::size_t>(level);
+    const std::uint64_t r1 = rnd::CounterRng::at_key(stream_key_[s], i) >> 11;
+    const std::uint64_t r2 =
+        rnd::CounterRng::at_key(stream_key_[s + 1], i) >> 11;
+    const bool u_bit = r1 > ab_threshold_;
+    const bool v_bit = r2 > (u_bit ? c_norm_threshold_ : a_norm_threshold_);
     u |= static_cast<std::uint64_t>(u_bit) << level;
     v |= static_cast<std::uint64_t>(v_bit) << level;
   }

@@ -8,11 +8,17 @@
 // r2 > (c_norm if row bit else a_norm), with c_norm = C/(C+D) and
 // a_norm = A/(A+B).
 //
+// The draws are CounterRng(seed) uniforms: r1 on stream 2*level, r2 on
+// stream 2*level+1, counter = edge index. The 2*S stream keys are built once
+// per generator, and each threshold test runs on the draw's top 53 bits
+// against an integer threshold that gives the same answer as the double test.
+//
 // Vertex labels can optionally be scrambled by a seed-keyed bijective
 // permutation of [0, 2^scale) (Graph500 does this to destroy the locality
 // the recursive construction imprints on the labels).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "gen/generator.hpp"
@@ -21,6 +27,8 @@
 namespace prpb::gen {
 
 struct KroneckerParams {
+  static constexpr int kMaxScale = 40;
+
   int scale = 16;          ///< S; N = 2^S vertices
   int edge_factor = 16;    ///< k; M = k*N edges
   double a = 0.57;
@@ -76,11 +84,13 @@ class KroneckerGenerator final : public EdgeGenerator {
 
  private:
   KroneckerParams params_;
-  rnd::CounterRng rng_;
   BitPermutation perm_;
-  double ab_;      // A + B
-  double a_norm_;  // A / (A + B)
-  double c_norm_;  // C / (C + D)
+  // stream_key_[2*level] keys r1, stream_key_[2*level+1] keys r2.
+  std::array<std::uint64_t, 2 * KroneckerParams::kMaxScale> stream_key_{};
+  // CounterRng::unit_threshold of A+B, A/(A+B) and C/(C+D).
+  std::uint64_t ab_threshold_ = 0;
+  std::uint64_t a_norm_threshold_ = 0;
+  std::uint64_t c_norm_threshold_ = 0;
 };
 
 }  // namespace prpb::gen

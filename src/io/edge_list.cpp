@@ -134,7 +134,10 @@ ExternalEdgeList read_edge_list(const std::filesystem::path& path) {
     out.format.data_lines = out.edges.size();
   } else {
     const std::string text = read_file(path);
-    out = parse_edge_list_text(text, "'" + path.string() + "'");
+    std::string where = "'";
+    where += path.string();
+    where += '\'';
+    out = parse_edge_list_text(text, where);
   }
   util::io_require(!out.edges.empty(),
              "edge list '" + path.string() + "' holds no edges");

@@ -77,7 +77,8 @@ KernelPrediction predict_kernel0(const HardwareModel& hw,
   const double bytes = m * tsv_edge_bytes(scale);
   Terms t;
   t.io = bytes / hw.io_write_bps;
-  // generation: ~2*scale counter-RNG draws, each a few ns of ALU work
+  // generation: 2*scale single-round splitmix mixes per edge (the stream
+  // keys are hoisted per generator), each a few ns of ALU work
   t.compute = m * static_cast<double>(scale) * 8.0 / hw.flops;
   t.software = m * (traits.format_s + traits.dispatch_s);
   return finish(t, m);

@@ -59,11 +59,10 @@ std::unordered_map<std::string, const BenchCell*> index_cells(
 }  // namespace
 
 std::string BenchCell::key() const {
-  std::string key = "k" + std::to_string(kernel) + "|" + backend + "|" +
-                    std::to_string(scale) + "|" + storage + "|" +
-                    stage_format + "|" +
-                    (source.empty() ? "generator" : source) + "|" +
-                    algorithm;
+  std::string key = "k";
+  key += std::to_string(kernel) + "|" + backend + "|" +
+         std::to_string(scale) + "|" + storage + "|" + stage_format + "|" +
+         (source.empty() ? "generator" : source) + "|" + algorithm;
   // Appended only for the non-default metric so cells measured before the
   // axis existed keep their keys (old baselines still match).
   if (metric != "seconds") key += "|metric=" + metric;

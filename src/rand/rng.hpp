@@ -66,12 +66,24 @@ class CounterRng {
  public:
   explicit constexpr CounterRng(std::uint64_t seed) : seed_(seed) {}
 
+  // Two rounds of splitmix over a mixed key; passes practical independence
+  // checks (distinct streams/counters decorrelate in tests). The first round
+  // depends only on (seed, stream), so a loop over counters can hoist it:
+  // at(stream, c) == at_key(stream_key(stream), c).
   [[nodiscard]] constexpr std::uint64_t at(std::uint64_t stream,
                                            std::uint64_t counter) const {
-    // Two rounds of splitmix over a mixed key; passes practical independence
-    // checks (distinct streams/counters decorrelate in tests).
-    std::uint64_t x = splitmix64(seed_ ^ (stream * 0xd1342543de82ef95ULL));
-    return splitmix64(x ^ (counter * 0xa0761d6478bd642fULL));
+    return at_key(stream_key(stream), counter);
+  }
+
+  /// First mixing round: the key of `stream` under this seed.
+  [[nodiscard]] constexpr std::uint64_t stream_key(std::uint64_t stream) const {
+    return splitmix64(seed_ ^ (stream * 0xd1342543de82ef95ULL));
+  }
+
+  /// Second mixing round: the draw for `counter` on the stream keyed `key`.
+  [[nodiscard]] static constexpr std::uint64_t at_key(std::uint64_t key,
+                                                      std::uint64_t counter) {
+    return splitmix64(key ^ (counter * 0xa0761d6478bd642fULL));
   }
 
   /// Uniform double in [0, 1) for (stream, counter).
@@ -85,6 +97,18 @@ class CounterRng {
   /// Maps a uint64 to [0,1) using the top 53 bits.
   [[nodiscard]] static double to_unit_double(std::uint64_t bits) {
     return static_cast<double>(bits >> 11) * 0x1.0p-53;
+  }
+
+  /// The integer T with `to_unit_double(bits) > t` == `(bits >> 11) > T`
+  /// for every bits, so a loop can test a uniform draw without converting
+  /// it. For t in [0, 1), t * 2^53 is exact in a double (a power-of-two
+  /// scaling), and for an integer x, x * 2^-53 > t <=> x > floor(t * 2^53).
+  /// For t >= 1 or NaN the double test is never true, and neither is
+  /// x > 2^53 - 1. t must not be negative.
+  [[nodiscard]] static std::uint64_t unit_threshold(double t) {
+    constexpr std::uint64_t kMaxDraw = (1ULL << 53) - 1;
+    if (!(t < 1.0)) return kMaxDraw;  // also keeps NaN out of the cast
+    return static_cast<std::uint64_t>(t * 0x1.0p53);
   }
 
  private:

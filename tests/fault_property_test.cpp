@@ -108,7 +108,8 @@ TEST(ManifestPropertyTest, JsonRoundTripsArbitraryRecords) {
   rnd::Xoshiro256 rng(0x6a736f6eULL);
   for (int round = 0; round < 50; ++round) {
     StageManifest manifest;
-    manifest.stage = "k" + std::to_string(rng.next_below(10));
+    manifest.stage = "k";
+    manifest.stage += std::to_string(rng.next_below(10));
     manifest.codec = (rng.next() & 1) != 0 ? "tsv" : "binary";
     manifest.config_fingerprint = rng.next();
     const std::size_t shards = rng.next_below(8);

@@ -2,8 +2,10 @@
 // bijection, BTER and PPL generators, degree analysis, and the factory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "gen/bter.hpp"
 #include "gen/degree.hpp"
@@ -11,6 +13,7 @@
 #include "gen/kronecker.hpp"
 #include "gen/powerlaw.hpp"
 #include "gen/ppl.hpp"
+#include "rand/rng.hpp"
 #include "util/error.hpp"
 
 namespace prpb::gen {
@@ -181,6 +184,134 @@ TEST(KroneckerTest, InvalidParamsThrow) {
   params.a = 0.9;
   params.b = 0.2;  // a + b + c > 1
   EXPECT_THROW(KroneckerGenerator{params}, util::ConfigError);
+}
+
+// The generator as it was written before its stream keys and integer
+// thresholds were hoisted: two-round CounterRng::uniform draws and double
+// threshold tests. It is the oracle the keyed generator must reproduce.
+EdgeList float_reference_edges(const KroneckerParams& p) {
+  const rnd::CounterRng rng(p.seed);
+  const BitPermutation perm(p.scale, p.seed);
+  const double ab = p.a + p.b;
+  const double a_norm = p.a / (p.a + p.b);
+  const double c_norm = p.c / (p.c + p.d());
+  const std::uint64_t m = static_cast<std::uint64_t>(p.edge_factor)
+                          << p.scale;
+  EdgeList edges;
+  edges.reserve(m);
+  for (std::uint64_t i = 0; i < m; ++i) {
+    std::uint64_t u = 0;
+    std::uint64_t v = 0;
+    for (int level = 0; level < p.scale; ++level) {
+      const auto stream = 2 * static_cast<std::uint64_t>(level);
+      const bool u_bit = rng.uniform(stream, i) > ab;
+      const bool v_bit = rng.uniform(stream + 1, i) > (u_bit ? c_norm : a_norm);
+      u |= static_cast<std::uint64_t>(u_bit) << level;
+      v |= static_cast<std::uint64_t>(v_bit) << level;
+    }
+    if (p.scramble_ids) {
+      u = perm.forward(u);
+      v = perm.forward(v);
+    }
+    edges.push_back(Edge{u, v});
+  }
+  return edges;
+}
+
+// Top 53 bits of the draw on `stream` for edge `i`: what the thresholds see.
+std::uint64_t draw53(const KroneckerParams& p, std::uint64_t stream,
+                     std::uint64_t i) {
+  return rnd::CounterRng(p.seed).at(stream, i) >> 11;
+}
+
+// Lowest edge index whose level-0 draws satisfy `pred(r1, r2)`.
+template <typename Pred>
+std::uint64_t find_edge(const KroneckerParams& p, Pred pred) {
+  std::uint64_t i = 0;
+  while (!pred(draw53(p, 0, i), draw53(p, 1, i))) ++i;
+  return i;
+}
+
+constexpr std::uint64_t kHalfDraw = 1ULL << 52;  // 0.5 as a 53-bit draw
+
+// Initiators whose threshold t lands exactly on a draw x the generator
+// compares with it: t = x * 2^-53 (the draw is not above t) and
+// t = (x - 1) * 2^-53 (it is above by one unit). A generator whose integer
+// threshold is one off in either direction flips that edge. Every value
+// below is exact in a double, so the float oracle sees the same t.
+std::vector<KroneckerParams> threshold_boundary_params(KroneckerParams base) {
+  std::vector<KroneckerParams> out;
+  // A + B on edge 0's level-0 r1: a = b = k * 2^-54, c = 0.
+  const std::uint64_t x_ab = draw53(base, 0, 0);
+  // A/(A+B) with C = D = 0, so A + B = 1 and a_norm = a; every r2 meets it.
+  const std::uint64_t x_a = draw53(
+      base, 1, find_edge(base, [](auto, auto r2) { return r2 > kHalfDraw; }));
+  // C/(C+D) with A + B = 0.5 and C + D = 0.5, so c_norm = 2c, on an edge
+  // whose r1 sets the row bit.
+  const std::uint64_t x_c = draw53(
+      base, 1, find_edge(base, [](auto r1, auto r2) {
+        return r1 > kHalfDraw && r2 > kHalfDraw;
+      }));
+  for (const std::uint64_t offset : {0, 1}) {
+    KroneckerParams p = base;
+    p.a = std::ldexp(static_cast<double>(x_ab - offset), -54);
+    p.b = p.a;
+    p.c = 0;
+    out.push_back(p);
+    p = base;
+    p.a = std::ldexp(static_cast<double>(x_a - offset), -53);
+    p.b = 1.0 - p.a;
+    p.c = 0;
+    out.push_back(p);
+    p = base;
+    p.a = 0.375;
+    p.b = 0.125;
+    p.c = std::ldexp(static_cast<double>(x_c - offset), -54);
+    out.push_back(p);
+  }
+  return out;
+}
+
+TEST(KroneckerTest, KeyedDrawsMatchFloatReference) {
+  for (const int scale : {10, 12}) {
+    const KroneckerParams defaults = small_params(scale);
+    std::vector<KroneckerParams> cases = {defaults};
+    KroneckerParams p = defaults;
+    p.seed = 7;
+    cases.push_back(p);
+    p = defaults;
+    p.scramble_ids = false;
+    cases.push_back(p);
+    p = defaults;
+    p.b = 0;  // a_norm = 1: no column bit without the row bit
+    cases.push_back(p);
+    p = defaults;
+    p.a = 0.6;
+    p.b = 0.4;
+    p.c = 0;  // c = d = 0: c_norm is NaN
+    cases.push_back(p);
+    p = defaults;
+    p.a = 0.5;
+    p.b = 0.25;
+    p.c = 0.25;  // d = 0: c_norm = 1
+    cases.push_back(p);
+    for (const KroneckerParams& boundary :
+         threshold_boundary_params(defaults)) {
+      cases.push_back(boundary);
+    }
+    for (const KroneckerParams& params : cases) {
+      const EdgeList keyed = KroneckerGenerator(params).generate_all();
+      const EdgeList reference = float_reference_edges(params);
+      ASSERT_EQ(keyed.size(), reference.size());
+      const auto first_diff = static_cast<std::size_t>(
+          std::mismatch(keyed.begin(), keyed.end(), reference.begin()).first -
+          keyed.begin());
+      EXPECT_EQ(first_diff, keyed.size())
+          << "first differing edge at scale " << scale << ", seed "
+          << params.seed << ", a " << params.a << ", b " << params.b
+          << ", c " << params.c << ", scramble " << params.scramble_ids;
+    }
+  }
 }
 
 // ---- power-law machinery ----------------------------------------------------

@@ -1,7 +1,9 @@
 // Tests for src/rand: determinism, stream independence, distribution sanity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -168,6 +170,66 @@ TEST(CounterRngTest, ToUnitDoubleBounds) {
   EXPECT_DOUBLE_EQ(CounterRng::to_unit_double(0), 0.0);
   EXPECT_LT(CounterRng::to_unit_double(~0ULL), 1.0);
   EXPECT_GT(CounterRng::to_unit_double(~0ULL), 0.999999);
+}
+
+TEST(CounterRngTest, KeyedEntryPointMatchesAt) {
+  // A loop that hoists stream_key() out of its counter loop must draw what
+  // at() and uniform() draw, and both must stay the two-round mix the
+  // golden checksums were generated with.
+  SplitMix64 pick(0x6b65796564ULL);
+  for (int trial = 0; trial < 10000; ++trial) {
+    const std::uint64_t seed = pick.next();
+    const std::uint64_t stream =
+        trial % 2 == 0 ? pick.next() % 80 : pick.next();
+    const std::uint64_t counter = pick.next() >> (trial % 64);
+    const CounterRng rng(seed);
+    const std::uint64_t mixed =
+        splitmix64(splitmix64(seed ^ (stream * 0xd1342543de82ef95ULL)) ^
+                   (counter * 0xa0761d6478bd642fULL));
+    const std::uint64_t keyed =
+        CounterRng::at_key(rng.stream_key(stream), counter);
+    ASSERT_EQ(keyed, mixed) << "seed " << seed << " stream " << stream
+                            << " counter " << counter;
+    ASSERT_EQ(rng.at(stream, counter), keyed);
+    ASSERT_EQ(rng.uniform(stream, counter), CounterRng::to_unit_double(keyed));
+  }
+}
+
+TEST(CounterRngTest, UnitThresholdMatchesDoubleTestAtTheBoundary) {
+  // (bits >> 11) > unit_threshold(t) must equal to_unit_double(bits) > t,
+  // checked on the draws next to the threshold, where an off-by-one shows.
+  std::vector<double> ts = {0.0,
+                            -0.0,
+                            0x1.0p-53,
+                            0x1.8p-54,  // t * 2^53 = 0.75: floor, not round
+                            0.25,
+                            0.5,
+                            0.57 + 0.19,
+                            0.57 / 0.76,
+                            0.19 / 0.24,
+                            1.0 / 3.0,
+                            0x1.fffffffffffffp-1,
+                            1.0,
+                            1.5,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  Xoshiro256 rng(0x7468726573ULL);
+  for (int i = 0; i < 1000; ++i) {
+    ts.push_back(rng.next_double());
+    ts.push_back(std::ldexp(rng.next_double(), -static_cast<int>(i % 60)));
+  }
+  constexpr std::uint64_t kMaxDraw = (1ULL << 53) - 1;
+  for (const double t : ts) {
+    const std::uint64_t threshold = CounterRng::unit_threshold(t);
+    ASSERT_LE(threshold, kMaxDraw) << t;
+    const std::uint64_t lo = threshold == 0 ? 0 : threshold - 1;
+    const std::uint64_t hi = std::min(threshold + 2, kMaxDraw);
+    for (std::uint64_t x = lo; x <= hi; ++x) {
+      const std::uint64_t bits = (x << 11) | (rng.next() >> 53);
+      EXPECT_EQ(x > threshold, CounterRng::to_unit_double(bits) > t)
+          << "t " << t << " x " << x << " threshold " << threshold;
+    }
+  }
 }
 
 // ---- parameterized distribution sweep over streams --------------------------
