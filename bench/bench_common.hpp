@@ -39,8 +39,8 @@ struct SweepOptions {
   std::size_t num_files = 4;
   std::uint64_t seed = 20160205;
   /// Repeated timings per cell; the median is reported and the MAD is the
-  /// cell's noise model (--repeats; --trials is the historical alias).
-  int trials = 1;
+  /// cell's noise model (--repeats).
+  int repeats = 1;
   std::string csv_path;  ///< when set, the series is also written as CSV
   std::string generator = "kronecker";
   std::string source = "generator";  ///< kernel-0 graph source
@@ -65,19 +65,16 @@ inline bool parse_sweep_options(int argc, char** argv, const char* name,
                   "comma-separated backend list (default: all)", "");
   args.add_option("files", "shard files per stage", "4");
   args.add_option("seed", "generator seed", "20160205");
-  args.add_option("trials", "timings per cell (median reported)", "1");
-  args.add_option("repeats",
-                  "timings per cell, median + MAD recorded (preferred "
-                  "spelling of --trials)", "0");
+  args.add_option("repeats", "timings per cell, median + MAD recorded",
+                  "1");
   args.add_option("csv", "also write the series to this CSV file", "");
   args.add_option("generator", "kronecker|bter|ppl", "kronecker");
   args.add_option("source", "graph source: generator | external", "generator");
   args.add_option("input",
                   "external edge-list file; implies --source external", "");
   args.add_option("algorithms",
-                  "comma-separated kernel-3 algorithms "
-                  "(pagerank,pagerank_dopt,bfs,cc); default depends on the "
-                  "binary", "");
+                  "comma-separated kernel-3 algorithms (pagerank,bfs,cc); "
+                  "default depends on the binary", "");
   args.add_option("storage", "stage store: dir (disk) | mem (in-memory)",
                   "dir");
   args.add_option("stage-format", "stage encoding: tsv | binary", "tsv");
@@ -90,10 +87,7 @@ inline bool parse_sweep_options(int argc, char** argv, const char* name,
   options.max_scale = static_cast<int>(args.get_int("max-scale"));
   options.num_files = static_cast<std::size_t>(args.get_int("files"));
   options.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  options.trials = static_cast<int>(args.get_int("trials"));
-  if (args.get_int("repeats") > 0) {
-    options.trials = static_cast<int>(args.get_int("repeats"));
-  }
+  options.repeats = static_cast<int>(args.get_int("repeats"));
   options.csv_path = args.get("csv");
   options.generator = args.get("generator");
   options.source = args.get("source");
@@ -108,7 +102,7 @@ inline bool parse_sweep_options(int argc, char** argv, const char* name,
   options.stage_format = args.get("stage-format");
   options.trace_out = args.get("trace-out");
   options.json_path = args.get("json");
-  util::require(options.trials >= 1, "--trials must be >= 1");
+  util::require(options.repeats >= 1, "--repeats must be >= 1");
   util::require(options.storage == "dir" || options.storage == "mem",
                 "--storage must be dir or mem");
   const std::string list = args.get("backends");
@@ -182,7 +176,7 @@ inline core::PipelineConfig cell_config(const util::TempDir& work,
 /// scale axis: the input file determines the graph, so exactly one pass
 /// runs, labeled with min_scale.
 ///
-/// Each cell runs options.trials timings; the reported seconds is the
+/// Each cell runs options.repeats timings; the reported seconds is the
 /// median and seconds_mad the median absolute deviation. CPU seconds and
 /// /proc/self/io traffic come from the trial whose wall time is closest to
 /// the median, so every recorded column describes the same run. When
@@ -245,11 +239,11 @@ inline std::vector<SeriesPoint> sweep_kernel(
         std::uint64_t io_write = 0;
       };
       std::vector<Trial> trials;
-      trials.reserve(options.trials);
+      trials.reserve(options.repeats);
       std::uint64_t k3_work = 0;
       sampler.reset_peak();
       obs::Span cell_span(hooks.trace, "bench/cell");
-      for (int trial = 0; trial < options.trials; ++trial) {
+      for (int trial = 0; trial < options.repeats; ++trial) {
         const obs::ResourceSample before = obs::ResourceSampler::sample_now();
         util::Stopwatch watch;
         switch (kernel) {
@@ -325,7 +319,7 @@ inline std::vector<SeriesPoint> sweep_kernel(
       point.seconds = seconds;
       point.seconds_mad = mad;
       point.cpu_seconds = median_trial.cpu;
-      point.repeats = options.trials;
+      point.repeats = options.repeats;
       // edges_per_second stays wall-based (and keeps its positive-time
       // clamp); CPU seconds are a separate column, not a denominator.
       point.edges_per_second =

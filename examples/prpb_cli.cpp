@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
                   "external graph file: SNAP-style .txt/.tsv/.csv edge list "
                   "or .mtx; implies --source external", "");
   args.add_option("algorithm",
-                  "comma-separated kernel-3 algorithms: "
-                  "pagerank,pagerank_dopt,bfs,cc", "pagerank");
+                  "comma-separated kernel-3 algorithms: pagerank,bfs,cc",
+                  "pagerank");
   args.add_option("files", "shard files per stage", "1");
   args.add_option("iterations", "PageRank iterations", "20");
   args.add_option("damping", "PageRank damping factor c", "0.85");

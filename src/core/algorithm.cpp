@@ -21,7 +21,7 @@ std::string joined_algorithm_names() {
 }  // namespace
 
 std::vector<std::string> algorithm_names() {
-  return {"pagerank", "pagerank_dopt", "bfs", "cc"};
+  return {"pagerank", "bfs", "cc"};
 }
 
 bool is_algorithm_name(const std::string& name) {

@@ -9,13 +9,11 @@
 // implementations — the documented fallback — everywhere else.
 //
 // Canonical algorithm names:
-//   pagerank       — the paper's fixed-iteration PageRank, routed through
-//                    kernel3() so it stays bit-identical to the fixed
-//                    pipeline (golden suite intact)
-//   pagerank_dopt  — direction-optimizing push/pull PageRank
-//                    (sparse::pagerank_push_pull)
-//   bfs            — BFS levels from a deterministic default source
-//   cc             — weakly connected components, min-id labels
+//   pagerank  — the paper's fixed-iteration PageRank, routed through
+//               kernel3() so it stays bit-identical to the fixed pipeline
+//               (golden suite intact)
+//   bfs       — top-down BFS levels from a deterministic default source
+//   cc        — weakly connected components, min-id labels
 #pragma once
 
 #include <cstdint>
@@ -30,15 +28,15 @@ struct AlgorithmResult {
   std::string algorithm;       ///< canonical name ("pagerank", "bfs", ...)
   std::string implementation;  ///< code path that ran ("reference-csr",
                                ///< "grb-vxm", "native-kernel3", ...)
-  std::vector<double> ranks;          ///< pagerank family
+  std::vector<double> ranks;          ///< pagerank
   std::vector<std::int64_t> levels;   ///< bfs (-1 = unreachable)
   std::vector<std::uint64_t> labels;  ///< cc (min vertex id per component)
   std::uint64_t bfs_source = 0;       ///< bfs only
   /// PageRank iterations, BFS depth (max level), or CC union rounds.
   int iterations = 0;
-  /// Edge traversals for the edges/s metric: iterations·M for the
-  /// pagerank family (the paper's kernel-3 accounting), nnz for bfs/cc
-  /// (one structural traversal).
+  /// Edge traversals for the edges/s metric: iterations·M for pagerank
+  /// (the paper's kernel-3 accounting), nnz for bfs/cc (one structural
+  /// traversal).
   std::uint64_t work_edges = 0;
   /// Canonical output digest (hex; see core/checksum.hpp). Quantized for
   /// ranks, exact for levels/labels. Filled by the runner.

@@ -36,16 +36,6 @@ AlgorithmResult PipelineBackend::run_algorithm(const KernelContext& ctx,
     result.iterations = ctx.config.iterations;
     result.work_edges = static_cast<std::uint64_t>(ctx.config.iterations) *
                         ctx.config.num_edges();
-  } else if (algorithm == "pagerank_dopt") {
-    sparse::DirectionStats stats;
-    result.implementation = "reference-pushpull";
-    result.ranks = sparse::pagerank_push_pull(matrix,
-                                              ctx.config.pagerank_config(),
-                                              sparse::SpmvDirection::kAuto,
-                                              &stats);
-    result.iterations = stats.push_iterations + stats.pull_iterations;
-    result.work_edges = static_cast<std::uint64_t>(ctx.config.iterations) *
-                        ctx.config.num_edges();
   } else if (algorithm == "bfs") {
     result.implementation = "reference-csr";
     if (matrix.rows() > 0) {

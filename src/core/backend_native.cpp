@@ -22,33 +22,27 @@ void NativeBackend::kernel0(const KernelContext& ctx) {
                             config.num_files, ctx.codec(), ctx.hooks);
 }
 
-bool kernel1_external_sort(const KernelContext& ctx) {
+void kernel1_sort(const KernelContext& ctx, util::ThreadPool* pool) {
   const PipelineConfig& config = ctx.config;
-  if (config.memory_budget_bytes == 0 ||
-      !sort::needs_external_sort(config.num_edges(),
-                                 config.memory_budget_bytes)) {
-    return false;
+  if (config.memory_budget_bytes != 0 &&
+      sort::needs_external_sort(config.num_edges(),
+                                config.memory_budget_bytes)) {
+    // The out-of-core sort streams through the StageStore, so it works
+    // over any storage; runs spill as shards of the temp stage.
+    ctx.log("kernel1: memory budget " +
+            std::to_string(config.memory_budget_bytes) +
+            " bytes exceeded; using external sort");
+    ctx.metric("k1_external_sort", 1);
+    sort::ExternalSortConfig ext;
+    ext.memory_budget_bytes = config.memory_budget_bytes / 2;
+    ext.output_shards = config.num_files;
+    ext.stage_codec = &ctx.codec();
+    ext.key = config.sort_key;
+    ext.hooks = ctx.hooks;
+    sort::external_sort_stage(ctx.store, ctx.in_stage, ctx.out_stage,
+                              ctx.temp_stage, ext);
+    return;
   }
-  // The out-of-core sort streams through the StageStore, so it works over
-  // any storage; runs spill as shards of the temp stage.
-  ctx.log("kernel1: memory budget " +
-          std::to_string(config.memory_budget_bytes) +
-          " bytes exceeded; using external sort");
-  ctx.metric("k1_external_sort", 1);
-  sort::ExternalSortConfig ext;
-  ext.memory_budget_bytes = config.memory_budget_bytes / 2;
-  ext.output_shards = config.num_files;
-  ext.stage_codec = &ctx.codec();
-  ext.key = config.sort_key;
-  ext.hooks = ctx.hooks;
-  sort::external_sort_stage(ctx.store, ctx.in_stage, ctx.out_stage,
-                            ctx.temp_stage, ext);
-  return true;
-}
-
-void NativeBackend::kernel1(const KernelContext& ctx) {
-  const PipelineConfig& config = ctx.config;
-  if (kernel1_external_sort(ctx)) return;
   gen::EdgeList edges;
   {
     const obs::Span span = ctx.span("k1/read");
@@ -56,13 +50,15 @@ void NativeBackend::kernel1(const KernelContext& ctx) {
   }
   {
     const obs::Span span = ctx.span("k1/radix_sort");
-    sort::radix_sort(edges, config.sort_key);
+    sort::radix_sort(edges, config.sort_key, pool);
   }
-  {
-    const obs::Span span = ctx.span("k1/write");
-    io::write_edge_list(ctx.store, ctx.out_stage, edges, config.num_files,
-                        ctx.codec(), ctx.hooks);
-  }
+  const obs::Span span = ctx.span("k1/write");
+  io::write_edge_list(ctx.store, ctx.out_stage, edges, config.num_files,
+                      ctx.codec(), ctx.hooks);
+}
+
+void NativeBackend::kernel1(const KernelContext& ctx) {
+  kernel1_sort(ctx, nullptr);
 }
 
 sparse::CsrMatrix NativeBackend::kernel2(const KernelContext& ctx) {

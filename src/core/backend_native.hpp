@@ -2,16 +2,17 @@
 
 #include "core/backend.hpp"
 #include "sparse/filter.hpp"
+#include "util/threadpool.hpp"
 
 namespace prpb::core {
 
-/// Kernel 1's out-of-core branch, shared by the backends that otherwise
-/// sort in memory (native and parallel; graphblas runs native's kernel 1).
-/// When config.memory_budget_bytes cannot hold the edge list, sorts
-/// in_stage into out_stage with the external sort, adds 1 to the
-/// "k1_external_sort" counter and returns true; otherwise does nothing and
-/// returns false.
-bool kernel1_external_sort(const KernelContext& ctx);
+/// Kernel 1 of the backends that sort in memory (native and parallel;
+/// graphblas runs native's): reads in_stage, radix-sorts it (over `pool`
+/// when one is given, serially otherwise) and writes out_stage. When
+/// config.memory_budget_bytes cannot hold the edge list, sorts out of core
+/// with the external sort instead and adds 1 to the "k1_external_sort"
+/// counter.
+void kernel1_sort(const KernelContext& ctx, util::ThreadPool* pool);
 
 /// Tuned serial C++ backend (see backend.hpp for the backend contract).
 class NativeBackend final : public PipelineBackend {

@@ -4,8 +4,6 @@
 #include "gen/generator.hpp"
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
-#include "io/tsv.hpp"
-#include "sort/edge_sort.hpp"
 #include "sparse/filter.hpp"
 #include "sparse/pagerank.hpp"
 #include "util/error.hpp"
@@ -49,20 +47,7 @@ void ParallelBackend::kernel0(const KernelContext& ctx) {
 }
 
 void ParallelBackend::kernel1(const KernelContext& ctx) {
-  if (kernel1_external_sort(ctx)) return;
-  const PipelineConfig& config = ctx.config;
-  gen::EdgeList edges;
-  {
-    const obs::Span span = ctx.span("k1/read");
-    edges = ctx.read_stage(ctx.in_stage);
-  }
-  {
-    const obs::Span span = ctx.span("k1/radix_sort");
-    sort::radix_sort(edges, config.sort_key, &pool());
-  }
-  const obs::Span span = ctx.span("k1/write");
-  io::write_edge_list(ctx.store, ctx.out_stage, edges, config.num_files,
-                      ctx.codec(), ctx.hooks);
+  kernel1_sort(ctx, &pool());
 }
 
 sparse::CsrMatrix ParallelBackend::kernel2(const KernelContext& ctx) {

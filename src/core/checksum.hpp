@@ -59,9 +59,9 @@ std::uint64_t levels_digest(const std::vector<std::int64_t>& levels);
 std::uint64_t labels_digest(const std::vector<std::uint64_t>& labels);
 
 /// Canonical digest of one algorithm-stage output (hex): rank_digest for
-/// the pagerank family, levels_digest for bfs (mixed with the source
-/// vertex), labels_digest for cc. This is the value cross-backend identity
-/// is asserted on.
+/// pagerank, levels_digest for bfs (mixed with the source vertex),
+/// labels_digest for cc. This is the value cross-backend identity is
+/// asserted on.
 std::string algorithm_checksum(const AlgorithmResult& result);
 
 /// Formats a digest as fixed-width hex for reports.

@@ -1,19 +1,10 @@
 #include "sparse/algorithms.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace prpb::sparse {
-
-namespace {
-
-/// Frontier-size fraction above which BFS flips to bottom-up parent search
-/// (and below which it flips back). One threshold both ways keeps the
-/// schedule trivially deterministic.
-constexpr double kBottomUpThreshold = 0.05;
-
-}  // namespace
 
 std::vector<std::int64_t> bfs_levels(const CsrMatrix& a,
                                      std::uint64_t source) {
@@ -23,50 +14,18 @@ std::vector<std::int64_t> bfs_levels(const CsrMatrix& a,
   const auto& row_ptr = a.row_ptr();
   const auto& col_idx = a.col_idx();
 
-  // Bottom-up needs in-edges; build the transposed structure lazily, the
-  // first time a level is dense enough to want it.
-  CsrMatrix at;
-  bool have_transpose = false;
-
   std::vector<std::int64_t> levels(n, -1);
   std::vector<std::uint64_t> frontier{source};
   levels[source] = 0;
 
   for (std::int64_t level = 1; !frontier.empty(); ++level) {
     std::vector<std::uint64_t> next;
-    const double density =
-        static_cast<double>(frontier.size()) / static_cast<double>(n);
-    if (density < kBottomUpThreshold) {
-      // Top-down: expand the frontier's out-edges.
-      for (const std::uint64_t u : frontier) {
-        for (std::uint64_t k = row_ptr[u]; k < row_ptr[u + 1]; ++k) {
-          const std::uint64_t v = col_idx[k];
-          if (levels[v] < 0) {
-            levels[v] = level;
-            next.push_back(v);
-          }
-        }
-      }
-      // Top-down discovery order is edge order; sort so the frontier (and
-      // therefore any future bottom-up flip) is order-independent.
-      std::sort(next.begin(), next.end());
-    } else {
-      // Bottom-up: every unvisited vertex scans its in-edges for a visited
-      // parent. Produces vertices in id order by construction.
-      if (!have_transpose) {
-        at = a.transpose();
-        have_transpose = true;
-      }
-      const auto& t_ptr = at.row_ptr();
-      const auto& t_idx = at.col_idx();
-      for (std::uint64_t v = 0; v < n; ++v) {
-        if (levels[v] >= 0) continue;
-        for (std::uint64_t k = t_ptr[v]; k < t_ptr[v + 1]; ++k) {
-          if (levels[t_idx[k]] == level - 1) {
-            levels[v] = level;
-            next.push_back(v);
-            break;
-          }
+    for (const std::uint64_t u : frontier) {
+      for (std::uint64_t k = row_ptr[u]; k < row_ptr[u + 1]; ++k) {
+        const std::uint64_t v = col_idx[k];
+        if (levels[v] < 0) {
+          levels[v] = level;
+          next.push_back(v);
         }
       }
     }
@@ -116,69 +75,6 @@ std::vector<std::uint64_t> connected_components(const CsrMatrix& a) {
   std::vector<std::uint64_t> labels(n);
   for (std::uint64_t v = 0; v < n; ++v) labels[v] = find(v);
   return labels;
-}
-
-std::vector<double> pagerank_push_pull(const CsrMatrix& a,
-                                       const PageRankConfig& config,
-                                       SpmvDirection direction,
-                                       DirectionStats* stats) {
-  config.validate();
-  util::require(a.rows() == a.cols(),
-                "pagerank_push_pull: matrix must be square");
-  util::require(!config.redistribute_dangling,
-                "pagerank_push_pull: dangling redistribution is not "
-                "implemented for the push/pull variant");
-  const std::uint64_t n = a.rows();
-  const double c = config.damping;
-  const auto n_d = static_cast<double>(n);
-
-  std::vector<double> r = pagerank_initial_vector(n, config.seed);
-  std::vector<double> y(n, 0.0);
-
-  // Pull needs Aᵀ; build it once, only if some iteration pulls.
-  CsrMatrix at;
-  bool have_transpose = false;
-
-  for (int it = 0; it < config.iterations; ++it) {
-    double r_sum = 0.0;
-    std::uint64_t active = 0;
-    for (const double x : r) {
-      r_sum += x;
-      if (x != 0.0) ++active;
-    }
-    SpmvDirection dir = direction;
-    if (dir == SpmvDirection::kAuto) {
-      const double density =
-          static_cast<double>(active) / static_cast<double>(n);
-      dir = density < kPushDensityThreshold ? SpmvDirection::kPush
-                                            : SpmvDirection::kPull;
-    }
-    if (dir == SpmvDirection::kPush) {
-      // Scatter: y[v] += r[u] * A(u, v) over out-edges of active sources.
-      if (stats != nullptr) ++stats->push_iterations;
-      a.vec_mat(r, y);
-    } else {
-      // Gather: y[v] = Σ Aᵀ(v, u) * r[u] over in-edges.
-      if (stats != nullptr) ++stats->pull_iterations;
-      if (!have_transpose) {
-        at = a.transpose();
-        have_transpose = true;
-      }
-      const auto& t_ptr = at.row_ptr();
-      const auto& t_idx = at.col_idx();
-      const auto& t_val = at.values();
-      for (std::uint64_t v = 0; v < n; ++v) {
-        double acc = 0.0;
-        for (std::uint64_t k = t_ptr[v]; k < t_ptr[v + 1]; ++k) {
-          acc += t_val[k] * r[t_idx[k]];
-        }
-        y[v] = acc;
-      }
-    }
-    const double add = (1.0 - c) * r_sum / n_d;
-    for (std::uint64_t i = 0; i < n; ++i) r[i] = c * y[i] + add;
-  }
-  return r;
 }
 
 }  // namespace prpb::sparse

@@ -2,28 +2,24 @@
 // pluggable K3 algorithm stage (DESIGN.md §9).
 //
 // Every algorithm runs directly on the kernel-2 CsrMatrix so any backend
-// can fall back to them; results are *exact* for BFS levels and CC labels
-// (integer outputs, implementation-independent) and within fp tolerance
-// for the push/pull PageRank (summation order differs per direction).
-// GraphBLAS-niche formulations of the same algorithms live in
-// grb/algorithms and must agree exactly with these (pinned by tests and
-// the golden suite).
+// can fall back to them; BFS levels and CC labels are integer outputs,
+// exact and implementation-independent. PageRank itself is
+// sparse::pagerank (sparse/pagerank.hpp). GraphBLAS-niche formulations of
+// the same algorithms live in grb/algorithms and must agree exactly with
+// these (pinned by tests and the golden suite).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sparse/csr.hpp"
-#include "sparse/pagerank.hpp"
 
 namespace prpb::sparse {
 
 /// BFS levels from `source` over A's structure (values ignored; directed).
-/// level[v] = hop distance from source, -1 when unreachable. Implements
-/// Beamer-style direction optimization: top-down edge expansion while the
-/// frontier is small, bottom-up parent search (over the transposed
-/// structure) when it covers a large fraction of the graph. The switch is
-/// a pure optimization — levels are identical either way.
+/// level[v] = hop distance from source, -1 when unreachable. Top-down
+/// frontier expansion along out-edges; levels are unique, so the order in
+/// which a level discovers its vertices does not matter.
 std::vector<std::int64_t> bfs_levels(const CsrMatrix& a,
                                      std::uint64_t source);
 
@@ -38,38 +34,5 @@ std::uint64_t bfs_default_source(const CsrMatrix& a);
 /// component — the canonical labeling every correct implementation agrees
 /// on. Union-find with path halving, then a min-id normalization pass.
 std::vector<std::uint64_t> connected_components(const CsrMatrix& a);
-
-/// SpMV direction for the push/pull PageRank.
-enum class SpmvDirection {
-  kAuto,  ///< per-iteration choice from the active-source density
-  kPush,  ///< scatter along out-edges (rows of A)
-  kPull,  ///< gather along in-edges (rows of Aᵀ)
-};
-
-/// Direction bookkeeping for reports and tests.
-struct DirectionStats {
-  int push_iterations = 0;
-  int pull_iterations = 0;
-};
-
-/// Direction-optimizing PageRank: the same mathematical update as
-/// sparse::pagerank (identical initial vector, damping-vector form, no
-/// dangling redistribution), but each iteration computes y = r·A either by
-/// pushing contributions along out-edges or by pulling along in-edges of
-/// the one-time-transposed matrix. kAuto pushes while the active-source
-/// fraction (vertices with nonzero rank) is below kPushDensityThreshold
-/// and pulls otherwise — sparse rank vectors (heavily filtered real
-/// graphs) skip dead sources entirely, dense ones get the gather's
-/// race-free locality. Results match sparse::pagerank within fp tolerance;
-/// the choice is deterministic, so every backend sharing this fallback
-/// produces bit-identical ranks.
-std::vector<double> pagerank_push_pull(const CsrMatrix& a,
-                                       const PageRankConfig& config,
-                                       SpmvDirection direction =
-                                           SpmvDirection::kAuto,
-                                       DirectionStats* stats = nullptr);
-
-/// Active-source fraction above which kAuto switches from push to pull.
-inline constexpr double kPushDensityThreshold = 0.75;
 
 }  // namespace prpb::sparse

@@ -34,16 +34,6 @@ class CsrMatrix {
                                  const std::vector<double>& val,
                                  std::uint64_t rows, std::uint64_t cols);
 
-  /// Adopts prebuilt CSR arrays (parallel builders assemble them outside
-  /// the class). row_ptr must have rows+1 non-decreasing entries starting
-  /// at 0 and ending at col_idx.size(); columns must already be sorted and
-  /// deduplicated within each row. Shape invariants are checked, per-entry
-  /// ordering is the caller's contract.
-  static CsrMatrix from_parts(std::uint64_t rows, std::uint64_t cols,
-                              std::vector<std::uint64_t> row_ptr,
-                              std::vector<std::uint64_t> col_idx,
-                              std::vector<double> values);
-
   [[nodiscard]] std::uint64_t rows() const { return rows_; }
   [[nodiscard]] std::uint64_t cols() const { return cols_; }
   [[nodiscard]] std::uint64_t nnz() const { return col_idx_.size(); }
@@ -87,6 +77,18 @@ class CsrMatrix {
   [[nodiscard]] bool approx_equal(const CsrMatrix& other, double tol) const;
 
  private:
+  friend class CsrBuilder;
+
+  /// Adopts the arrays CsrBuilder::finish() assembled. row_ptr must have
+  /// rows+1 non-decreasing entries starting at 0 and ending at
+  /// col_idx.size(); columns must already be sorted and deduplicated
+  /// within each row. Shape invariants are checked, per-entry ordering is
+  /// the builder's contract.
+  static CsrMatrix from_parts(std::uint64_t rows, std::uint64_t cols,
+                              std::vector<std::uint64_t> row_ptr,
+                              std::vector<std::uint64_t> col_idx,
+                              std::vector<double> values);
+
   std::uint64_t rows_ = 0;
   std::uint64_t cols_ = 0;
   std::vector<std::uint64_t> row_ptr_;  // size rows_+1

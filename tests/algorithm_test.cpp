@@ -1,8 +1,7 @@
 // Algorithm-stage tests (ctest label: algo) — exact BFS/CC outputs on
-// hand-built graphs, push/pull PageRank agreement with the reference
-// kernel, algorithm-list parsing and config validation error shapes
-// (fail-fast with valid values), and cross-backend identity of every
-// algorithm over both a Kronecker graph and the real-graph fixture.
+// hand-built graphs, algorithm-list parsing and config validation error
+// shapes (fail-fast with valid values), and cross-backend identity of
+// every algorithm over both a Kronecker graph and the real-graph fixture.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,29 +62,11 @@ TEST(SparseAlgorithms, GraphBlasBfsAndCcAgreeExactly) {
             sparse::connected_components(a));
 }
 
-TEST(SparseAlgorithms, PushPullMatchesReferenceDigest) {
-  const auto a = sample_graph();
-  sparse::PageRankConfig config;
-  config.iterations = 20;
-  const auto reference = sparse::pagerank(a, config);
-  for (const auto direction :
-       {sparse::SpmvDirection::kPush, sparse::SpmvDirection::kPull,
-        sparse::SpmvDirection::kAuto}) {
-    sparse::DirectionStats stats;
-    const auto ranks = sparse::pagerank_push_pull(a, config, direction,
-                                                  &stats);
-    EXPECT_EQ(rank_digest(ranks), rank_digest(reference));
-    EXPECT_EQ(stats.push_iterations + stats.pull_iterations,
-              config.iterations);
-  }
-}
-
 // ---- algorithm-list parsing and fail-fast validation -----------------------
 
 TEST(AlgorithmList, NamesAndParsing) {
   EXPECT_EQ(algorithm_names(),
-            (std::vector<std::string>{"pagerank", "pagerank_dopt", "bfs",
-                                      "cc"}));
+            (std::vector<std::string>{"pagerank", "bfs", "cc"}));
   EXPECT_EQ(parse_algorithm_list("pagerank,bfs,cc"),
             (std::vector<std::string>{"pagerank", "bfs", "cc"}));
   // Whitespace trimmed, duplicates dropped keeping first occurrence.
@@ -99,8 +80,8 @@ TEST(AlgorithmList, UnknownNameListsValidValues) {
     FAIL() << "expected ConfigError";
   } catch (const util::ConfigError& e) {
     EXPECT_STREQ(e.what(),
-                 "unknown algorithm 'sssp' (valid values: pagerank, "
-                 "pagerank_dopt, bfs, cc)");
+                 "unknown algorithm 'sssp' (valid values: pagerank, bfs, "
+                 "cc)");
   }
   EXPECT_THROW(parse_algorithm_list("bfs,,cc"), util::ConfigError);
   EXPECT_THROW(parse_algorithm_list(""), util::ConfigError);
@@ -149,7 +130,7 @@ TEST(AlgorithmStage, UnknownAlgorithmRejectedByBackend) {
     FAIL() << "expected ConfigError";
   } catch (const util::ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find(
-                  "(valid values: pagerank, pagerank_dopt, bfs, cc)"),
+                  "(valid values: pagerank, bfs, cc)"),
               std::string::npos);
   }
 }
@@ -174,10 +155,18 @@ TEST(AlgorithmStage, ResultShapesAndChecksums) {
   EXPECT_EQ(cc.labels.size(), matrix.rows());
   EXPECT_NE(cc.checksum, bfs.checksum);
 
-  const auto dopt = backend->run_algorithm(ctx, matrix, "pagerank_dopt");
-  EXPECT_EQ(dopt.implementation, "reference-pushpull");
-  EXPECT_EQ(dopt.ranks.size(), matrix.rows());
-  EXPECT_TRUE(dopt.has_ranks());
+  // pagerank routes through kernel3(), which wants N = 2^scale rows.
+  PipelineConfig pr_config;
+  pr_config.scale = 3;
+  const KernelContext pr_ctx{pr_config, store, "", "", ""};
+  const auto square = sparse::CsrMatrix::from_edges(
+      {{0, 1}, {1, 2}, {2, 3}, {0, 2}, {5, 6}, {6, 5}}, 8, 8);
+  const auto pagerank = backend->run_algorithm(pr_ctx, square, "pagerank");
+  EXPECT_EQ(pagerank.implementation, "native-kernel3");
+  EXPECT_EQ(pagerank.ranks.size(), square.rows());
+  EXPECT_TRUE(pagerank.has_ranks());
+  EXPECT_EQ(pagerank.iterations, pr_config.iterations);
+  EXPECT_EQ(pagerank.checksum, algorithm_checksum(pagerank));
 }
 
 // ---- cross-backend identity ------------------------------------------------
