@@ -7,7 +7,9 @@
 
 namespace prpb::core {
 
-namespace {
+std::vector<std::string> algorithm_names() {
+  return {"pagerank", "bfs", "cc"};
+}
 
 std::string joined_algorithm_names() {
   std::string out;
@@ -18,15 +20,15 @@ std::string joined_algorithm_names() {
   return out;
 }
 
-}  // namespace
-
-std::vector<std::string> algorithm_names() {
-  return {"pagerank", "bfs", "cc"};
-}
-
 bool is_algorithm_name(const std::string& name) {
   const auto names = algorithm_names();
   return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+int bfs_depth(const std::vector<std::int64_t>& levels) {
+  std::int64_t depth = 0;
+  for (const std::int64_t level : levels) depth = std::max(depth, level);
+  return static_cast<int>(depth);
 }
 
 std::vector<std::string> parse_algorithm_list(const std::string& csv) {

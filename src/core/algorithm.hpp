@@ -39,7 +39,8 @@ struct AlgorithmResult {
   /// traversal).
   std::uint64_t work_edges = 0;
   /// Canonical output digest (hex; see core/checksum.hpp). Quantized for
-  /// ranks, exact for levels/labels. Filled by the runner.
+  /// ranks, exact for levels/labels. Filled by the runner, outside the
+  /// timed K3 interval; empty in a direct run_algorithm() result.
   std::string checksum;
 
   [[nodiscard]] bool has_ranks() const { return !ranks.empty(); }
@@ -48,8 +49,15 @@ struct AlgorithmResult {
 /// All canonical algorithm names, in report order.
 std::vector<std::string> algorithm_names();
 
+/// The canonical names joined by ", " — the "valid values" text of every
+/// unknown-algorithm error.
+std::string joined_algorithm_names();
+
 /// True when `name` is a canonical algorithm name.
 bool is_algorithm_name(const std::string& name);
+
+/// BFS depth: the deepest level reached (0 when no level exceeds it).
+int bfs_depth(const std::vector<std::int64_t>& levels);
 
 /// Parses a comma-separated `--algorithm` list ("pagerank,bfs,cc").
 /// Duplicates collapse to the first occurrence; order is preserved.

@@ -6,24 +6,11 @@
 // which makes their outputs bit-identical across backends by
 // construction. Backends with a native formulation override (see
 // GraphBlasBackend::run_algorithm).
-#include <algorithm>
-
 #include "core/backend.hpp"
-#include "core/checksum.hpp"
 #include "sparse/algorithms.hpp"
 #include "util/error.hpp"
 
 namespace prpb::core {
-
-namespace {
-
-int bfs_depth(const std::vector<std::int64_t>& levels) {
-  std::int64_t depth = 0;
-  for (const std::int64_t level : levels) depth = std::max(depth, level);
-  return static_cast<int>(depth);
-}
-
-}  // namespace
 
 AlgorithmResult PipelineBackend::run_algorithm(const KernelContext& ctx,
                                                const sparse::CsrMatrix& matrix,
@@ -50,15 +37,10 @@ AlgorithmResult PipelineBackend::run_algorithm(const KernelContext& ctx,
     result.iterations = 1;
     result.work_edges = matrix.nnz();
   } else {
-    std::string valid;
-    for (const auto& known : algorithm_names()) {
-      if (!valid.empty()) valid += ", ";
-      valid += known;
-    }
     throw util::ConfigError{"unknown algorithm '" + algorithm +
-                            "' (valid values: " + valid + ")"};
+                            "' (valid values: " + joined_algorithm_names() +
+                            ")"};
   }
-  result.checksum = algorithm_checksum(result);
   return result;
 }
 

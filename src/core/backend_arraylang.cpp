@@ -33,6 +33,11 @@ const char* ArrayLangBackend::kernel1_source() {
 e = load_edges(indir)
 u = stride(e, 2, 1)
 v = stride(e, 2, 2)
+if sortv
+  vkey = v
+else
+  vkey = u
+end
 idx = sortperm2(u, vkey)
 u = permute(u, idx)
 v = permute(v, idx)
@@ -102,18 +107,10 @@ void ArrayLangBackend::kernel1(const KernelContext& ctx) {
   vm.set("indir", ctx.in_stage);
   vm.set("outdir", ctx.out_stage);
   vm.set("nfiles", static_cast<double>(config.num_files));
-  // vkey selects the tie-break column: v for canonical (u, v) order, u
+  // sortv selects the tie-break column: v for canonical (u, v) order, u
   // itself (all ties, stable) when only the start vertex is ordered.
-  vm.run("e = load_edges(indir)\n"
-         "u = stride(e, 2, 1)\n"
-         "v = stride(e, 2, 2)\n");
-  vm.set("vkey", config.sort_key == sort::SortKey::kStartEnd
-                     ? vm.get("v")
-                     : vm.get("u"));
-  vm.run("idx = sortperm2(u, vkey)\n"
-         "u = permute(u, idx)\n"
-         "v = permute(v, idx)\n"
-         "save_edges(outdir, nfiles, u, v)\n");
+  vm.set("sortv", config.sort_key == sort::SortKey::kStartEnd ? 1.0 : 0.0);
+  vm.run(kernel1_source());
 }
 
 sparse::CsrMatrix ArrayLangBackend::kernel2(const KernelContext& ctx) {

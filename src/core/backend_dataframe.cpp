@@ -10,10 +10,6 @@
 namespace prpb::core {
 
 namespace {
-df::CsvSchema edge_schema() {
-  return df::CsvSchema{{"u", "v"}, {df::DType::kInt64, df::DType::kInt64}};
-}
-
 df::DataFrame edges_to_frame(const gen::EdgeList& edges) {
   std::vector<std::int64_t> u(edges.size());
   std::vector<std::int64_t> v(edges.size());
@@ -43,7 +39,7 @@ void DataFrameBackend::kernel0(const KernelContext& ctx) {
 void DataFrameBackend::kernel1(const KernelContext& ctx) {
   const PipelineConfig& config = ctx.config;
   const df::DataFrame frame = df::read_edge_stage(
-      ctx.store, ctx.in_stage, edge_schema(), ctx.codec(io::Codec::kGeneric));
+      ctx.store, ctx.in_stage, ctx.codec(io::Codec::kGeneric));
   const std::vector<std::string> keys =
       config.sort_key == sort::SortKey::kStartEnd
           ? std::vector<std::string>{"u", "v"}
@@ -56,7 +52,7 @@ void DataFrameBackend::kernel1(const KernelContext& ctx) {
 sparse::CsrMatrix DataFrameBackend::kernel2(const KernelContext& ctx) {
   const PipelineConfig& config = ctx.config;
   const df::DataFrame frame = df::read_edge_stage(
-      ctx.store, ctx.in_stage, edge_schema(), ctx.codec(io::Codec::kGeneric));
+      ctx.store, ctx.in_stage, ctx.codec(io::Codec::kGeneric));
   // df.groupby(["u","v"]).size() -> COO triplets with duplicate counts,
   // then the sparse substrate takes over (scipy.sparse analogue).
   const df::DataFrame triplets = frame.groupby_count({"u", "v"}, "count");
@@ -76,7 +72,7 @@ sparse::CsrMatrix DataFrameBackend::kernel2(const KernelContext& ctx) {
   const std::uint64_t n = config.num_vertices();
   sparse::CsrMatrix a =
       sparse::CsrMatrix::from_triplets(rows, cols, vals, n, n);
-  sparse::apply_filter(a, nullptr);
+  sparse::apply_filter(a);
   return a;
 }
 

@@ -1,7 +1,6 @@
 #include "core/backend_graphblas.hpp"
 
 #include "core/backend_native.hpp"
-#include "core/checksum.hpp"
 #include "grb/algorithms.hpp"
 #include "grb/ops.hpp"
 #include "io/edge_files.hpp"
@@ -85,13 +84,8 @@ AlgorithmResult GraphBlasBackend::run_algorithm(
     result.bfs_source = sparse::bfs_default_source(matrix);
     const grb::Matrix a{matrix};
     result.levels = grb::bfs_levels(a, result.bfs_source);
-    std::int64_t depth = 0;
-    for (const std::int64_t level : result.levels) {
-      if (level > depth) depth = level;
-    }
-    result.iterations = static_cast<int>(depth);
+    result.iterations = bfs_depth(result.levels);
     result.work_edges = matrix.nnz();
-    result.checksum = algorithm_checksum(result);
     return result;
   }
   if (algorithm == "cc") {
@@ -102,7 +96,6 @@ AlgorithmResult GraphBlasBackend::run_algorithm(
     result.labels = grb::connected_components(a);
     result.iterations = 1;
     result.work_edges = matrix.nnz();
-    result.checksum = algorithm_checksum(result);
     return result;
   }
   return PipelineBackend::run_algorithm(ctx, matrix, algorithm);

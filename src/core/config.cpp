@@ -31,13 +31,9 @@ void PipelineConfig::validate() const {
   util::require(!algorithms.empty(), "pipeline: algorithm list is empty");
   for (const auto& algorithm : algorithms) {
     if (!is_algorithm_name(algorithm)) {
-      std::string valid;
-      for (const auto& known : algorithm_names()) {
-        if (!valid.empty()) valid += ", ";
-        valid += known;
-      }
       throw util::ConfigError("pipeline: unknown algorithm '" + algorithm +
-                              "' (valid values: " + valid + ")");
+                              "' (valid values: " +
+                              joined_algorithm_names() + ")");
     }
   }
   if (storage != "dir" && storage != "mem") {

@@ -25,8 +25,7 @@ void kernel_object(util::JsonWriter& json, const char* name,
 
 std::string run_report_json(const PipelineConfig& config,
                             const PipelineResult& result,
-                            const std::optional<EigenCheck>& check,
-                            const ReportOptions& options) {
+                            const std::optional<EigenCheck>& check) {
   util::JsonWriter json;
   json.begin_object();
   json.field("benchmark", "pagerank-pipeline");
@@ -148,20 +147,18 @@ std::string run_report_json(const PipelineConfig& config,
   json.field("nnz", result.matrix.nnz());
   json.end_object();
 
-  if (options.include_checksums) {
-    json.begin_object("checksums");
-    if (!result.ranks.empty()) {
-      json.field("rank_digest", digest_hex(rank_digest(result.ranks)));
-    }
-    if (result.matrix.nnz() > 0) {
-      json.field("matrix_fingerprint",
-                 digest_hex(matrix_fingerprint(result.matrix)));
-    }
-    for (const AlgorithmRun& run : result.algorithms) {
-      json.field(run.output.algorithm, run.output.checksum);
-    }
-    json.end_object();
+  json.begin_object("checksums");
+  if (!result.ranks.empty()) {
+    json.field("rank_digest", digest_hex(rank_digest(result.ranks)));
   }
+  if (result.matrix.nnz() > 0) {
+    json.field("matrix_fingerprint",
+               digest_hex(matrix_fingerprint(result.matrix)));
+  }
+  for (const AlgorithmRun& run : result.algorithms) {
+    json.field(run.output.algorithm, run.output.checksum);
+  }
+  json.end_object();
 
   if (check.has_value()) {
     json.begin_object("eigen_check");

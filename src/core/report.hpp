@@ -12,14 +12,9 @@
 
 namespace prpb::core {
 
-struct ReportOptions {
-  bool include_checksums = true;  ///< rank digest + matrix fingerprint
-};
-
 /// Renders a full run report as a JSON document.
 std::string run_report_json(const PipelineConfig& config,
                             const PipelineResult& result,
-                            const std::optional<EigenCheck>& check = {},
-                            const ReportOptions& options = {});
+                            const std::optional<EigenCheck>& check = {});
 
 }  // namespace prpb::core

@@ -324,7 +324,6 @@ PipelineResult run_pipeline(const PipelineConfig& config,
                  "pipeline: " + run.output.algorithm +
                      " output has wrong size");
   }
-  if (!options.keep_matrix) result.matrix = sparse::CsrMatrix();
   return result;
 }
 

@@ -124,7 +124,6 @@ struct PipelineResult {
 
 struct RunOptions {
   bool run_kernel0 = true;  ///< when false, stage0 must already exist
-  bool keep_matrix = true;  ///< retain the kernel-2 matrix in the result
   /// Run against this store instead of building one from config.storage
   /// (not owned; lets tests and benches share or inspect stages).
   io::StageStore* store = nullptr;

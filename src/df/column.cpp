@@ -1,6 +1,5 @@
 #include "df/column.hpp"
 
-#include <charconv>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -69,23 +68,6 @@ Column Column::take(const std::vector<std::size_t>& indices) const {
         return Column(std::move(out));
       },
       data_);
-}
-
-double Column::as_double(std::size_t row) const {
-  switch (dtype()) {
-    case DType::kInt64: return static_cast<double>(i64()[row]);
-    case DType::kFloat64: return f64()[row];
-    case DType::kString: {
-      const std::string& s = str()[row];
-      double out = 0.0;
-      const auto [ptr, ec] =
-          std::from_chars(s.data(), s.data() + s.size(), out);
-      util::require(ec == std::errc{} && ptr == s.data() + s.size(),
-                    "as_double: non-numeric string '" + s + "'");
-      return out;
-    }
-  }
-  throw util::Error("as_double: unknown dtype");
 }
 
 std::string Column::cell_str(std::size_t row) const {

@@ -35,9 +35,6 @@ class Column {
   /// New column containing rows at `indices` (gather).
   [[nodiscard]] Column take(const std::vector<std::size_t>& indices) const;
 
-  /// Cell as double (strings are parsed; throws on non-numeric strings).
-  [[nodiscard]] double as_double(std::size_t row) const;
-
   /// Cell rendered as text (the generic formatting path).
   [[nodiscard]] std::string cell_str(std::size_t row) const;
 

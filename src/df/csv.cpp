@@ -1,57 +1,41 @@
 #include "df/csv.hpp"
 
-#include <charconv>
+#include <array>
 
 #include "io/edge_batch.hpp"
 #include "io/edge_files.hpp"
-#include "io/file_stream.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
 
 namespace prpb::df {
 
-namespace fs = std::filesystem;
-
 namespace {
 
-struct TypedBuffers {
-  std::vector<std::vector<std::int64_t>> i64;
-  std::vector<std::vector<double>> f64;
-  std::vector<std::vector<std::string>> str;
-};
+using EdgeColumns = std::array<std::vector<std::int64_t>, 2>;  // u, v
 
-void parse_line(std::string_view line, const CsvSchema& schema, char sep,
-                TypedBuffers& buffers) {
+DataFrame edge_frame(EdgeColumns columns) {
+  DataFrame frame;
+  frame.add_column("u", Column(std::move(columns[0])));
+  frame.add_column("v", Column(std::move(columns[1])));
+  return frame;
+}
+
+void parse_line(std::string_view line, EdgeColumns& columns) {
   std::size_t field = 0;
   std::size_t pos = 0;
-  while (field < schema.dtypes.size()) {
-    const std::size_t next = line.find(sep, pos);
+  while (field < columns.size()) {
+    const std::size_t next = line.find('\t', pos);
     std::string_view raw = next == std::string_view::npos
                                ? line.substr(pos)
                                : line.substr(pos, next - pos);
     // Materialize the field as a string first — the generic path.
     const std::string cell(raw);
-    switch (schema.dtypes[field]) {
-      case DType::kInt64: {
-        const auto v = util::parse_i64_full(cell);
-        util::io_require(v.has_value(), "csv: bad int64 field '" + cell + "'");
-        buffers.i64[field].push_back(*v);
-        break;
-      }
-      case DType::kFloat64: {
-        const auto v = util::parse_f64_full(cell);
-        util::io_require(v.has_value(),
-                         "csv: bad float64 field '" + cell + "'");
-        buffers.f64[field].push_back(*v);
-        break;
-      }
-      case DType::kString:
-        buffers.str[field].push_back(cell);
-        break;
-    }
+    const auto v = util::parse_i64_full(cell);
+    util::io_require(v.has_value(), "csv: bad int64 field '" + cell + "'");
+    columns[field].push_back(*v);
     ++field;
     if (next == std::string_view::npos) {
-      util::io_require(field == schema.dtypes.size(),
+      util::io_require(field == columns.size(),
                        "csv: too few fields in line");
       return;
     }
@@ -60,93 +44,35 @@ void parse_line(std::string_view line, const CsvSchema& schema, char sep,
   util::io_require(pos >= line.size(), "csv: too many fields in line");
 }
 
-void append_frame(DataFrame& frame, const CsvSchema& schema,
-                  TypedBuffers& buffers) {
-  for (std::size_t c = 0; c < schema.dtypes.size(); ++c) {
-    switch (schema.dtypes[c]) {
-      case DType::kInt64:
-        frame.add_column(schema.names[c], Column(std::move(buffers.i64[c])));
-        break;
-      case DType::kFloat64:
-        frame.add_column(schema.names[c], Column(std::move(buffers.f64[c])));
-        break;
-      case DType::kString:
-        frame.add_column(schema.names[c], Column(std::move(buffers.str[c])));
-        break;
-    }
-  }
-}
-
-void read_into(io::StageReader& reader, const CsvSchema& schema,
-               const CsvOptions& options, TypedBuffers& buffers) {
-  // Whole-shard view: lines are sliced in place, no chunk-boundary carry
-  // buffer. A final record without a trailing newline is tolerated,
-  // matching the edge decoders; malformed lines still throw.
-  const auto view = reader.view();
-  const std::string_view text = view->chars();
-  bool first_line = true;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = util::strip_cr(text.substr(pos, eol - pos));
-    if (!(first_line && options.header) && !line.empty()) {
-      parse_line(line, schema, options.separator, buffers);
-    }
-    first_line = false;
-    pos = eol + 1;
-  }
-}
-
-TypedBuffers make_buffers(const CsvSchema& schema) {
-  util::require(schema.names.size() == schema.dtypes.size(),
-                "csv schema: names/dtypes size mismatch");
-  util::require(!schema.names.empty(), "csv schema: empty");
-  TypedBuffers buffers;
-  buffers.i64.resize(schema.dtypes.size());
-  buffers.f64.resize(schema.dtypes.size());
-  buffers.str.resize(schema.dtypes.size());
-  return buffers;
-}
-
-}  // namespace
-
-DataFrame read_csv(const fs::path& path, const CsvSchema& schema,
-                   const CsvOptions& options) {
-  TypedBuffers buffers = make_buffers(schema);
-  io::FileReader reader(path);
-  read_into(reader, schema, options, buffers);
-  DataFrame frame;
-  append_frame(frame, schema, buffers);
-  return frame;
-}
-
-DataFrame read_csv_stage(io::StageStore& store, const std::string& stage,
-                         const CsvSchema& schema, const CsvOptions& options) {
-  TypedBuffers buffers = make_buffers(schema);
+/// Reads and concatenates every TSV shard of `stage` (sorted shard order).
+DataFrame read_csv_stage(io::StageStore& store, const std::string& stage) {
+  EdgeColumns columns;
   for (const auto& shard : store.list(stage)) {
+    // Whole-shard view: lines are sliced in place, no chunk-boundary carry
+    // buffer. A final record without a trailing newline is tolerated,
+    // matching the edge decoders; malformed lines still throw.
     const auto reader = store.open_read(stage, shard);
-    read_into(*reader, schema, options, buffers);
+    const auto view = reader->view();
+    const std::string_view text = view->chars();
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+      std::size_t eol = text.find('\n', pos);
+      if (eol == std::string_view::npos) eol = text.size();
+      const std::string_view line =
+          util::strip_cr(text.substr(pos, eol - pos));
+      if (!line.empty()) parse_line(line, columns);
+      pos = eol + 1;
+    }
   }
-  DataFrame frame;
-  append_frame(frame, schema, buffers);
-  return frame;
+  return edge_frame(std::move(columns));
 }
 
-DataFrame read_csv_dir(const fs::path& dir, const CsvSchema& schema,
-                       const CsvOptions& options) {
-  io::DirStageStore store;
-  return read_csv_stage(store, dir.string(), schema, options);
-}
-
-namespace {
 void write_rows(const DataFrame& frame, io::StageWriter& writer,
-                std::size_t row_begin, std::size_t row_end,
-                const CsvOptions& options) {
+                std::size_t row_begin, std::size_t row_end) {
   for (std::size_t r = row_begin; r < row_end; ++r) {
     std::string line;
     for (std::size_t c = 0; c < frame.num_columns(); ++c) {
-      if (c != 0) line.push_back(options.separator);
+      if (c != 0) line.push_back('\t');
       line += frame.col_at(c).cell_str(r);  // generic formatting
     }
     line.push_back('\n');
@@ -154,95 +80,49 @@ void write_rows(const DataFrame& frame, io::StageWriter& writer,
   }
 }
 
-void write_header(const DataFrame& frame, io::StageWriter& writer,
-                  const CsvOptions& options) {
-  if (!options.header) return;
-  std::string line;
-  for (std::size_t c = 0; c < frame.num_columns(); ++c) {
-    if (c != 0) line.push_back(options.separator);
-    line += frame.names()[c];
-  }
-  line.push_back('\n');
-  writer.write(line);
-}
-}  // namespace
-
-void write_csv(const DataFrame& frame, const fs::path& path,
-               const CsvOptions& options) {
-  io::FileWriter writer(path);
-  write_header(frame, writer, options);
-  write_rows(frame, writer, 0, frame.num_rows(), options);
-  writer.close();
-}
-
+/// Writes the frame row-partitioned into `shards` TSV shards of `stage`
+/// (cleared first). Returns total bytes written.
 std::uint64_t write_csv_stage(const DataFrame& frame, io::StageStore& store,
-                              const std::string& stage, std::size_t shards,
-                              const CsvOptions& options) {
+                              const std::string& stage, std::size_t shards) {
   store.clear_stage(stage);
   const auto bounds = io::shard_boundaries(frame.num_rows(), shards);
   std::uint64_t bytes = 0;
   for (std::size_t s = 0; s < shards; ++s) {
     const auto writer = store.open_write(stage, io::shard_name(s));
-    write_header(frame, *writer, options);
-    write_rows(frame, *writer, bounds[s], bounds[s + 1], options);
+    write_rows(frame, *writer, bounds[s], bounds[s + 1]);
     writer->close();
     bytes += writer->bytes_written();
   }
   return bytes;
 }
 
-std::uint64_t write_csv_dir(const DataFrame& frame, const fs::path& dir,
-                            std::size_t shards, const CsvOptions& options) {
-  io::DirStageStore store;
-  return write_csv_stage(frame, store, dir.string(), shards, options);
-}
-
-// ---- codec-aware edge-stage forms ------------------------------------------
-
-namespace {
-void require_edge_schema(const CsvSchema& schema) {
-  util::require(schema.dtypes.size() == 2 &&
-                    schema.dtypes[0] == DType::kInt64 &&
-                    schema.dtypes[1] == DType::kInt64,
-                "edge stage: schema must be two int64 columns");
-}
 }  // namespace
 
 DataFrame read_edge_stage(io::StageStore& store, const std::string& stage,
-                          const CsvSchema& schema,
-                          const io::StageCodec& codec,
-                          const CsvOptions& options) {
-  if (codec.name() == "tsv") {
-    return read_csv_stage(store, stage, schema, options);
-  }
-  require_edge_schema(schema);
-  std::vector<std::int64_t> u;
-  std::vector<std::int64_t> v;
+                          const io::StageCodec& codec) {
+  if (codec.name() == "tsv") return read_csv_stage(store, stage);
+  EdgeColumns columns;
   io::EdgeBatchReader reader(store, stage, codec);
   gen::EdgeList batch;
   while (reader.next(batch)) {
     for (const auto& edge : batch) {
-      u.push_back(static_cast<std::int64_t>(edge.u));
-      v.push_back(static_cast<std::int64_t>(edge.v));
+      columns[0].push_back(static_cast<std::int64_t>(edge.u));
+      columns[1].push_back(static_cast<std::int64_t>(edge.v));
     }
   }
-  DataFrame frame;
-  frame.add_column(schema.names[0], Column(std::move(u)));
-  frame.add_column(schema.names[1], Column(std::move(v)));
-  return frame;
+  return edge_frame(std::move(columns));
 }
 
 std::uint64_t write_edge_stage(const DataFrame& frame, io::StageStore& store,
                                const std::string& stage, std::size_t shards,
-                               const io::StageCodec& codec,
-                               const CsvOptions& options) {
-  if (codec.name() == "tsv") {
-    return write_csv_stage(frame, store, stage, shards, options);
-  }
+                               const io::StageCodec& codec) {
   util::require(frame.num_columns() == 2 &&
                     frame.col_at(0).dtype() == DType::kInt64 &&
                     frame.col_at(1).dtype() == DType::kInt64,
                 "edge stage: frame must be two int64 columns");
+  if (codec.name() == "tsv") {
+    return write_csv_stage(frame, store, stage, shards);
+  }
   const auto& u = frame.col_at(0).i64();
   const auto& v = frame.col_at(1).i64();
   io::EdgeBatchWriter writer(store, stage, codec, shards, frame.num_rows());

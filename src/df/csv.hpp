@@ -1,11 +1,14 @@
-// Delimited text I/O for the dataframe engine (pandas read_csv/to_csv
-// analogue). Every field round-trips through a std::string — the columnar
-// but generic cost profile the dataframe backend is meant to exhibit.
+// Edge-stage I/O for the dataframe engine (pandas read_csv/to_csv
+// analogue). An edge stage holds a frame of two int64 columns, `u` and `v`.
+//
+// With the TSV codec every field round-trips through a std::string — the
+// columnar but generic cost profile the dataframe backend is meant to
+// exhibit — and the on-disk bytes match the other backends'. Other codecs
+// decode/encode typed edge batches directly.
 #pragma once
 
-#include <filesystem>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "df/dataframe.hpp"
 #include "io/stage_codec.hpp"
@@ -13,70 +16,16 @@
 
 namespace prpb::df {
 
-struct CsvOptions {
-  char separator = '\t';
-  bool header = false;  ///< benchmark edge files carry no header
-};
-
-/// Schema for headerless reads: column names + dtypes in file order.
-struct CsvSchema {
-  std::vector<std::string> names;
-  std::vector<DType> dtypes;
-};
-
-/// Reads one delimited file. With options.header the first line names the
-/// columns and dtypes are inferred per column (int64 -> float64 -> string).
-DataFrame read_csv(const std::filesystem::path& path, const CsvSchema& schema,
-                   const CsvOptions& options = {});
-
-/// Reads and concatenates every file in a stage directory (sorted order).
-DataFrame read_csv_dir(const std::filesystem::path& dir,
-                       const CsvSchema& schema, const CsvOptions& options = {});
-
-/// Writes the frame to one file.
-void write_csv(const DataFrame& frame, const std::filesystem::path& path,
-               const CsvOptions& options = {});
-
-/// Writes the frame row-partitioned into `shards` files under `dir`
-/// (named like the pipeline's edge stages). Returns total bytes written.
-std::uint64_t write_csv_dir(const DataFrame& frame,
-                            const std::filesystem::path& dir,
-                            std::size_t shards,
-                            const CsvOptions& options = {});
-
-// ---- StageStore forms (the dataframe backend's kernel seam) -----------------
-
-/// Reads and concatenates every shard of `stage` (sorted shard order).
-DataFrame read_csv_stage(io::StageStore& store, const std::string& stage,
-                         const CsvSchema& schema,
-                         const CsvOptions& options = {});
-
-/// Writes the frame row-partitioned into `shards` shards of `stage`
-/// (cleared first). Returns total bytes written.
-std::uint64_t write_csv_stage(const DataFrame& frame, io::StageStore& store,
-                              const std::string& stage, std::size_t shards,
-                              const CsvOptions& options = {});
-
-// ---- codec-aware edge-stage forms ------------------------------------------
-//
-// The dataframe backend's stages are two-int64-column frames. With the TSV
-// codec these dispatch to the CSV paths above — preserving the per-cell
-// string materialization that is this backend's honest cost profile and
-// keeping the on-disk bytes identical. Other codecs decode/encode typed
-// edge batches directly.
-
-/// Reads every shard of an edge stage. The schema must be two int64
-/// columns.
+/// Reads every shard of an edge stage (sorted shard order) into a frame of
+/// int64 columns `u` and `v`. Throws IoError on a malformed TSV line: a
+/// non-integer field, or a line without exactly two fields.
 DataFrame read_edge_stage(io::StageStore& store, const std::string& stage,
-                          const CsvSchema& schema,
-                          const io::StageCodec& codec,
-                          const CsvOptions& options = {});
+                          const io::StageCodec& codec);
 
 /// Writes a two-int64-column frame row-partitioned into `shards` shards of
 /// `stage` (cleared first). Returns total bytes written.
 std::uint64_t write_edge_stage(const DataFrame& frame, io::StageStore& store,
                                const std::string& stage, std::size_t shards,
-                               const io::StageCodec& codec,
-                               const CsvOptions& options = {});
+                               const io::StageCodec& codec);
 
 }  // namespace prpb::df

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -58,15 +57,6 @@ DataFrame DataFrame::sort_values(const std::vector<std::string>& by) const {
   return take(order);
 }
 
-DataFrame DataFrame::filter(const std::vector<bool>& mask) const {
-  util::require(mask.size() == rows_, "filter: mask length mismatch");
-  std::vector<std::size_t> indices;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) indices.push_back(i);
-  }
-  return take(indices);
-}
-
 DataFrame DataFrame::take(const std::vector<std::size_t>& indices) const {
   DataFrame out;
   for (std::size_t c = 0; c < columns_.size(); ++c) {
@@ -76,14 +66,8 @@ DataFrame DataFrame::take(const std::vector<std::size_t>& indices) const {
   return out;
 }
 
-DataFrame DataFrame::head(std::size_t n) const {
-  std::vector<std::size_t> indices(std::min(n, rows_));
-  std::iota(indices.begin(), indices.end(), 0);
-  return take(indices);
-}
-
 namespace {
-/// Sorted-group scaffolding shared by the aggregations: returns row order
+/// Sorted-group scaffolding for groupby_count: returns row order
 /// sorted by keys plus group boundaries in that order.
 struct Groups {
   std::vector<std::size_t> order;
@@ -145,62 +129,6 @@ DataFrame DataFrame::groupby_count(const std::vector<std::string>& keys,
         static_cast<std::int64_t>(g.starts[gi + 1] - g.starts[gi]));
   }
   out.add_column(count_name, Column(std::move(counts)));
-  return out;
-}
-
-DataFrame DataFrame::groupby_sum(const std::vector<std::string>& keys,
-                                 const std::string& value,
-                                 const std::string& sum_name) const {
-  const Groups g = group_rows(*this, keys);
-  const auto reps = group_representatives(g);
-  const Column& values = col(value);
-
-  DataFrame out;
-  for (const auto& key : keys) out.add_column(key, col(key).take(reps));
-  std::vector<double> sums;
-  sums.reserve(reps.size());
-  for (std::size_t gi = 0; gi + 1 < g.starts.size(); ++gi) {
-    double acc = 0.0;
-    for (std::size_t i = g.starts[gi]; i < g.starts[gi + 1]; ++i)
-      acc += values.as_double(g.order[i]);
-    sums.push_back(acc);
-  }
-  out.add_column(sum_name, Column(std::move(sums)));
-  return out;
-}
-
-DataFrame DataFrame::merge(const DataFrame& right,
-                           const std::string& key) const {
-  const auto& left_keys = col(key).i64();
-  const auto& right_keys = right.col(key).i64();
-
-  // Hash-join: bucket right rows by key value.
-  std::unordered_map<std::int64_t, std::vector<std::size_t>> buckets;
-  buckets.reserve(right_keys.size());
-  for (std::size_t r = 0; r < right_keys.size(); ++r) {
-    buckets[right_keys[r]].push_back(r);
-  }
-  std::vector<std::size_t> left_rows;
-  std::vector<std::size_t> right_rows;
-  for (std::size_t l = 0; l < left_keys.size(); ++l) {
-    const auto it = buckets.find(left_keys[l]);
-    if (it == buckets.end()) continue;
-    for (const std::size_t r : it->second) {
-      left_rows.push_back(l);
-      right_rows.push_back(r);
-    }
-  }
-
-  DataFrame out = take(left_rows);
-  for (std::size_t c = 0; c < right.num_columns(); ++c) {
-    const std::string& name = right.names()[c];
-    if (name == key) continue;
-    util::require(!out.has_column(name),
-                  "merge: column name collision on '" + name + "'");
-    out.add_column(name, right.columns_[c].take(right_rows));
-  }
-  // Edge case: zero matched rows with a column-less left frame.
-  if (out.num_columns() == 0) out.rows_ = 0;
   return out;
 }
 

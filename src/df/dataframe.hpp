@@ -1,6 +1,6 @@
 // DataFrame: named typed columns with pandas-style relational operations.
-// The `dataframe` pipeline backend runs kernels 0-2 through these
-// operations (sort_values, groupby aggregation, filtering).
+// The `dataframe` pipeline backend runs kernels 1-2 through these
+// operations (sort_values, groupby_count).
 #pragma once
 
 #include <cstdint>
@@ -35,33 +35,14 @@ class DataFrame {
   [[nodiscard]] DataFrame sort_values(
       const std::vector<std::string>& by) const;
 
-  /// Rows where mask[i] is true (pandas boolean indexing).
-  [[nodiscard]] DataFrame filter(const std::vector<bool>& mask) const;
-
   /// Gather rows by index.
   [[nodiscard]] DataFrame take(const std::vector<std::size_t>& indices) const;
-
-  /// First n rows.
-  [[nodiscard]] DataFrame head(std::size_t n) const;
 
   /// Group by `keys` (int64 columns), emitting one row per distinct key
   /// combination with a `count_name` int64 column of group sizes. Output is
   /// sorted by key. (pandas groupby(...).size())
   [[nodiscard]] DataFrame groupby_count(const std::vector<std::string>& keys,
                                         const std::string& count_name) const;
-
-  /// Group by `keys`, summing the numeric column `value` into `sum_name`.
-  /// (pandas groupby(...)[value].sum())
-  [[nodiscard]] DataFrame groupby_sum(const std::vector<std::string>& keys,
-                                      const std::string& value,
-                                      const std::string& sum_name) const;
-
-  /// Inner join on an int64 key column present in both frames (pandas
-  /// merge(..., how="inner")). Output rows are ordered by left row then
-  /// matching right rows in order; right-frame columns other than the key
-  /// are appended (their names must not collide with left columns).
-  [[nodiscard]] DataFrame merge(const DataFrame& right,
-                                const std::string& key) const;
 
  private:
   [[nodiscard]] std::size_t column_index(const std::string& name) const;

@@ -351,13 +351,13 @@ void install_standard_builtins(std::map<std::string, Builtin>& builtins) {
 
   // ---- edge-file I/O (generic TSV unless the host picked a codec) -----------
   // When the host installed a StageStore (set_stage_store), the string
-  // argument names a stage of that store; otherwise it is a filesystem path
-  // handled by a transient DirStageStore, preserving the legacy layout.
+  // argument names a stage of that store; otherwise it is a filesystem path,
+  // resolved by a transient DirStageStore rooted at the working directory.
   // set_stage_codec swaps the encoding; the default stays the generic TSV
   // string path an interpreted stack pays for.
   builtins["load_edges"] = [](std::vector<Value>& args, Interpreter& interp) {
     expect_args(args, 1, "load_edges");
-    io::DirStageStore fallback;
+    io::DirStageStore fallback(".");
     io::StageStore& store =
         interp.stage_store() ? *interp.stage_store() : fallback;
     const gen::EdgeList edges =
@@ -382,7 +382,7 @@ void install_standard_builtins(std::map<std::string, Builtin>& builtins) {
       edges.push_back(gen::Edge{as_index(u[i], "save_edges"),
                                 as_index(v[i], "save_edges")});
     }
-    io::DirStageStore fallback;
+    io::DirStageStore fallback(".");
     io::StageStore& store =
         interp.stage_store() ? *interp.stage_store() : fallback;
     const std::uint64_t bytes = io::write_edge_list(
@@ -391,7 +391,7 @@ void install_standard_builtins(std::map<std::string, Builtin>& builtins) {
   };
   builtins["count_edges"] = [](std::vector<Value>& args, Interpreter& interp) {
     expect_args(args, 1, "count_edges");
-    io::DirStageStore fallback;
+    io::DirStageStore fallback(".");
     io::StageStore& store =
         interp.stage_store() ? *interp.stage_store() : fallback;
     return Value(static_cast<double>(

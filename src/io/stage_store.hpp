@@ -94,12 +94,11 @@ class StageStore {
 };
 
 /// On-disk store: stage `s` is the directory root/<s>, shards are regular
-/// files inside it. With an empty root, stage names are used as paths
-/// verbatim (this is how the path-based io helpers are expressed on top of
-/// the store without changing their file layout).
+/// files inside it. An absolute stage name replaces the root, so a store
+/// rooted at "." resolves relative and absolute stage names as plain paths.
 class DirStageStore final : public StageStore {
  public:
-  explicit DirStageStore(std::filesystem::path root = {})
+  explicit DirStageStore(std::filesystem::path root)
       : root_(std::move(root)) {}
 
   [[nodiscard]] std::string kind() const override { return "dir"; }
@@ -118,11 +117,11 @@ class DirStageStore final : public StageStore {
       const std::string& stage) const override;
   [[nodiscard]] bool empty(const std::string& stage) const override;
   [[nodiscard]] const std::filesystem::path* root_dir() const override {
-    return root_.empty() ? nullptr : &root_;
+    return &root_;
   }
 
   [[nodiscard]] std::filesystem::path resolve(const std::string& stage) const {
-    return root_.empty() ? std::filesystem::path(stage) : root_ / stage;
+    return root_ / stage;
   }
 
  private:

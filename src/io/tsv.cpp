@@ -36,16 +36,15 @@ void append_edges_fast(std::string& out, const gen::Edge* edges,
   out.resize(at + static_cast<std::size_t>(cursor - begin));
 }
 
-void append_edge_fast(std::string& out, const gen::Edge& edge) {
-  append_edges_fast(out, &edge, 1);
-}
-
+namespace {
+/// Appends "u\tv\n" using generic stream formatting.
 void append_edge_generic(std::string& out, const gen::Edge& edge) {
   // Deliberate generic path: ostringstream + locale-aware formatting.
   std::ostringstream os;
   os << edge.u << '\t' << edge.v << '\n';
   out += os.str();
 }
+}  // namespace
 
 void append_edges(std::string& out, const gen::Edge* edges, std::size_t count,
                   Codec codec) {
@@ -54,10 +53,6 @@ void append_edges(std::string& out, const gen::Edge* edges, std::size_t count,
   } else {
     for (std::size_t i = 0; i < count; ++i) append_edge_generic(out, edges[i]);
   }
-}
-
-void append_edge(std::string& out, const gen::Edge& edge, Codec codec) {
-  append_edges(out, &edge, 1, codec);
 }
 
 namespace {
@@ -222,6 +217,8 @@ std::size_t parse_edges_swar(std::string_view text, gen::EdgeList& out) {
   return static_cast<std::size_t>(cursor - begin);
 }
 
+namespace {
+/// Same contract as parse_edges_fast but via generic string conversion.
 std::size_t parse_edges_generic(std::string_view text, gen::EdgeList& out) {
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -246,6 +243,7 @@ std::size_t parse_edges_generic(std::string_view text, gen::EdgeList& out) {
   }
   return pos;
 }
+}  // namespace
 
 std::size_t parse_edges(std::string_view text, gen::EdgeList& out,
                         Codec codec) {

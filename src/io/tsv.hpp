@@ -26,18 +26,10 @@ enum class Codec { kFast, kGeneric };
 void append_edges_fast(std::string& out, const gen::Edge* edges,
                        std::size_t count);
 
-/// One-edge case of append_edges_fast.
-void append_edge_fast(std::string& out, const gen::Edge& edge);
-
-/// Appends "u\tv\n" using generic stream formatting.
-void append_edge_generic(std::string& out, const gen::Edge& edge);
-
 /// Appends `count` edges in `codec`: kFast through append_edges_fast,
-/// kGeneric one edge at a time.
+/// kGeneric one edge at a time through generic stream formatting.
 void append_edges(std::string& out, const gen::Edge* edges, std::size_t count,
                   Codec codec);
-
-void append_edge(std::string& out, const gen::Edge& edge, Codec codec);
 
 /// Parses every complete "u\tv\n" line in `text` and appends to `out`.
 /// Returns the number of bytes consumed (always ends at a line boundary;
@@ -53,11 +45,9 @@ std::size_t parse_edges_fast(std::string_view text, gen::EdgeList& out);
 /// so results and errors are byte-identical to parse_edges_fast.
 std::size_t parse_edges_swar(std::string_view text, gen::EdgeList& out);
 
-/// Same contract as parse_edges_fast but via generic string conversion.
-std::size_t parse_edges_generic(std::string_view text, gen::EdgeList& out);
-
 /// Dispatch: kFast routes to the SWAR hot loop, kGeneric to the
-/// deliberately generic string path.
+/// deliberately generic string path (same contract as parse_edges_fast,
+/// via generic string conversion).
 std::size_t parse_edges(std::string_view text, gen::EdgeList& out,
                         Codec codec);
 

@@ -4,19 +4,6 @@
 
 namespace prpb::sparse {
 
-namespace {
-/// Inserts a unit self-loop on every row with no stored entries.
-CsrMatrix with_diagonal_on_empty_rows(const CsrMatrix& a) {
-  CsrBuilder builder(a.rows(), a.cols(), a.nnz() + a.rows());
-  for (std::uint64_t r = 0; r < a.rows(); ++r) {  // rows in order: grouped
-    if (a.row_ptr()[r] == a.row_ptr()[r + 1]) (void)builder.add(r, r, 1.0);
-    for (std::uint64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k)
-      (void)builder.add(r, a.col_idx()[k], a.values()[k]);
-  }
-  return builder.finish();
-}
-}  // namespace
-
 std::vector<bool> elimination_mask(const std::vector<double>& din,
                                    FilterReport* report) {
   const double max_din =
@@ -43,15 +30,10 @@ std::vector<bool> elimination_mask(const std::vector<double>& din,
   return mask;
 }
 
-void apply_filter(CsrMatrix& a, FilterReport* report,
-                  const FilterOptions& options) {
+void apply_filter(CsrMatrix& a, FilterReport* report) {
   const std::uint64_t nnz_before = a.nnz();
   a.zero_columns(elimination_mask(a.col_sums(), report));
   const std::uint64_t nnz_after = a.nnz();
-
-  if (options.diagonal_for_empty_rows) {
-    a = with_diagonal_on_empty_rows(a);
-  }
 
   const std::vector<double> dout = a.row_sums();
   a.scale_rows_inverse(dout);
@@ -65,13 +47,13 @@ void apply_filter(CsrMatrix& a, FilterReport* report,
 }
 
 CsrMatrix filter_edges(const gen::EdgeList& edges, std::uint64_t n,
-                       FilterReport* report, const FilterOptions& options) {
+                       FilterReport* report) {
   CsrMatrix a = CsrMatrix::from_edges(edges, n, n);
   if (report != nullptr) {
     *report = FilterReport{};
     report->input_edges = edges.size();
   }
-  apply_filter(a, report, options);
+  apply_filter(a, report);
   return a;
 }
 

@@ -27,15 +27,6 @@ struct FilterReport {
   std::uint64_t dangling_rows = 0;     ///< rows with dout == 0 after zeroing
 };
 
-struct FilterOptions {
-  /// Paper §V open question: "Should a diagonal entry be added to empty
-  /// rows/columns to allow the PageRank algorithm to converge?" When set,
-  /// a unit self-loop is inserted on every vertex whose row is empty after
-  /// the column zeroing (before normalization), so the matrix becomes fully
-  /// row-stochastic and kernel 3 conserves probability mass.
-  bool diagonal_for_empty_rows = false;
-};
-
 /// The column-elimination rule on the in-degrees `din = sum(A, 1)`: marks
 /// the super-node columns (din == max(din) > 0) and the leaf columns
 /// (din == 1). When `report` is set, fills its max_in_degree,
@@ -46,14 +37,12 @@ std::vector<bool> elimination_mask(const std::vector<double>& din,
 /// Runs the full kernel-2 filter on an edge list, producing the normalized
 /// adjacency matrix consumed by kernel 3. Each nonzero row of the result
 /// sums to 1 (dangling rows stay all-zero; the paper deliberately leaves
-/// them unadjusted — unless FilterOptions enables the diagonal fix-up).
+/// them unadjusted).
 CsrMatrix filter_edges(const gen::EdgeList& edges, std::uint64_t n,
-                       FilterReport* report = nullptr,
-                       const FilterOptions& options = {});
+                       FilterReport* report = nullptr);
 
 /// The zero/normalize steps alone, applied to an existing count matrix
 /// (exposed so the GraphBLAS backend and tests can share the reference).
-void apply_filter(CsrMatrix& a, FilterReport* report = nullptr,
-                  const FilterOptions& options = {});
+void apply_filter(CsrMatrix& a, FilterReport* report = nullptr);
 
 }  // namespace prpb::sparse

@@ -33,12 +33,12 @@ std::vector<double> pagerank_initial_vector(std::uint64_t n,
 }
 
 void pagerank_update(std::vector<double>& r, const std::vector<double>& y,
-                     double damping, double dangling_mass) {
+                     double damping) {
   const double c = damping;
   const auto n = static_cast<double>(r.size());
   double r_sum = 0.0;
   for (const double x : r) r_sum += x;
-  const double add = (1.0 - c) * r_sum / n + c * dangling_mass / n;
+  const double add = (1.0 - c) * r_sum / n;
   for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
 }
 
@@ -95,18 +95,9 @@ void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
         });
   };
 
-  // Dangling rows (no out-edges) are those with a zero row sum.
-  const std::vector<double> dout =
-      config.redistribute_dangling ? a.row_sums() : std::vector<double>();
-
   run_pagerank_steps(config, r, [&] {
     spmv();
-    double dangling_mass = 0.0;
-    if (config.redistribute_dangling) {
-      for (std::size_t i = 0; i < r.size(); ++i)
-        if (dout[i] == 0.0) dangling_mass += r[i];
-    }
-    pagerank_update(r, y, config.damping, dangling_mass);
+    pagerank_update(r, y, config.damping);
   });
 }
 

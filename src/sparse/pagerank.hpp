@@ -4,8 +4,7 @@
 //     r = ((c .* r) * A) + ((1-c) .* sum(r, 2))
 // Dangling-node mass is intentionally NOT redistributed — the paper omits the
 // dangling correction term, so sum(r) decays when dangling rows exist. Tests
-// pin this behaviour; enable `redistribute_dangling` for the textbook
-// stochastic variant (listed by the paper as a possible future adjustment).
+// pin this behaviour.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +33,6 @@ struct PageRankConfig {
   int iterations = 20;
   double damping = 0.85;  ///< c
   std::uint64_t seed = 20160205;
-  bool redistribute_dangling = false;  ///< extension beyond the paper
   /// Optional per-iteration callback. When set, the loop keeps a copy of
   /// the previous vector to compute the residual — leave unset on hot
   /// paths that don't need telemetry.
@@ -72,11 +70,11 @@ void run_pagerank_steps(const PageRankConfig& config,
                         const std::function<void()>& step);
 
 /// One update given y = r·A, in place:
-///   r = c*y + (1-c)/N*sum(r) + c*dangling_mass/N.
+///   r = c*y + (1-c)/N*sum(r).
 /// The additive term uses the paper's damping vector
 /// a = ones(1,N) .* (1-c) ./ N, i.e. the /N is included (appendix form).
 void pagerank_update(std::vector<double>& r, const std::vector<double>& y,
-                     double damping, double dangling_mass = 0.0);
+                     double damping);
 
 /// L1 norm.
 double norm1(const std::vector<double>& v);

@@ -148,12 +148,14 @@ TEST(AlgorithmStage, ResultShapesAndChecksums) {
   EXPECT_EQ(bfs.bfs_source, 0u);
   EXPECT_EQ(bfs.iterations, 2);  // deepest reachable level
   EXPECT_EQ(bfs.work_edges, matrix.nnz());
-  EXPECT_FALSE(bfs.checksum.empty());
-  EXPECT_EQ(bfs.checksum, algorithm_checksum(bfs));
+  // The runner digests each output outside the timed K3 interval, so a
+  // direct run_algorithm() result carries no checksum.
+  EXPECT_TRUE(bfs.checksum.empty());
+  EXPECT_FALSE(algorithm_checksum(bfs).empty());
 
   const auto cc = backend->run_algorithm(ctx, matrix, "cc");
   EXPECT_EQ(cc.labels.size(), matrix.rows());
-  EXPECT_NE(cc.checksum, bfs.checksum);
+  EXPECT_NE(algorithm_checksum(cc), algorithm_checksum(bfs));
 
   // pagerank routes through kernel3(), which wants N = 2^scale rows.
   PipelineConfig pr_config;
@@ -166,7 +168,8 @@ TEST(AlgorithmStage, ResultShapesAndChecksums) {
   EXPECT_EQ(pagerank.ranks.size(), square.rows());
   EXPECT_TRUE(pagerank.has_ranks());
   EXPECT_EQ(pagerank.iterations, pr_config.iterations);
-  EXPECT_EQ(pagerank.checksum, algorithm_checksum(pagerank));
+  EXPECT_TRUE(pagerank.checksum.empty());
+  EXPECT_FALSE(algorithm_checksum(pagerank).empty());
 }
 
 // ---- cross-backend identity ------------------------------------------------

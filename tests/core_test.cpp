@@ -311,17 +311,6 @@ TEST(RunnerTest, SkipKernel0ReusesExistingStage) {
   EXPECT_EQ(first.ranks, second.ranks);
 }
 
-TEST(RunnerTest, KeepMatrixFalseDropsMatrix) {
-  util::TempDir work("prpb-core");
-  const PipelineConfig config = small_config(work);
-  const auto backend = make_backend("native");
-  RunOptions options;
-  options.keep_matrix = false;
-  const PipelineResult result = run_pipeline(config, *backend, options);
-  EXPECT_EQ(result.matrix.nnz(), 0u);
-  EXPECT_FALSE(result.ranks.empty());
-}
-
 TEST(RunnerTest, InvalidConfigRejectedBeforeWork) {
   util::TempDir work("prpb-core");
   PipelineConfig config = small_config(work);

@@ -1,13 +1,13 @@
 // Tests for the dataframe engine (src/df): typed columns, relational
-// operations, and delimited I/O.
+// operations, and edge-stage I/O.
 #include <gtest/gtest.h>
 
 #include "df/column.hpp"
 #include "df/csv.hpp"
 #include "df/dataframe.hpp"
-#include "io/file_stream.hpp"
+#include "io/stage_codec.hpp"
+#include "io/stage_store.hpp"
 #include "util/error.hpp"
-#include "util/fs.hpp"
 
 namespace prpb::df {
 namespace {
@@ -40,14 +40,6 @@ TEST(ColumnTest, TakeGathersRows) {
   const Column c(std::vector<std::int64_t>{10, 20, 30});
   const Column t = c.take({2, 0, 2});
   EXPECT_EQ(t.i64(), (std::vector<std::int64_t>{30, 10, 30}));
-}
-
-TEST(ColumnTest, AsDoubleAcrossTypes) {
-  EXPECT_DOUBLE_EQ(Column(std::vector<std::int64_t>{7}).as_double(0), 7.0);
-  EXPECT_DOUBLE_EQ(Column(std::vector<double>{2.5}).as_double(0), 2.5);
-  EXPECT_DOUBLE_EQ(Column(std::vector<std::string>{"4.5"}).as_double(0), 4.5);
-  EXPECT_THROW((void)Column(std::vector<std::string>{"xyz"}).as_double(0),
-               util::Error);
 }
 
 TEST(ColumnTest, CellStrRendersEveryType) {
@@ -109,19 +101,6 @@ TEST(DataFrameTest, SortValuesNeedsKey) {
   EXPECT_THROW(sample_frame().sort_values({}), util::ConfigError);
 }
 
-TEST(DataFrameTest, FilterByMask) {
-  const DataFrame f =
-      sample_frame().filter({true, false, false, true, false});
-  EXPECT_EQ(f.num_rows(), 2u);
-  EXPECT_EQ(f.col("u").i64(), (std::vector<std::int64_t>{3, 2}));
-  EXPECT_THROW(sample_frame().filter({true}), util::ConfigError);
-}
-
-TEST(DataFrameTest, HeadTruncates) {
-  EXPECT_EQ(sample_frame().head(2).num_rows(), 2u);
-  EXPECT_EQ(sample_frame().head(100).num_rows(), 5u);
-}
-
 TEST(DataFrameTest, GroupbyCountSingleKey) {
   const DataFrame counts = sample_frame().groupby_count({"u"}, "n");
   EXPECT_EQ(counts.num_rows(), 3u);
@@ -138,15 +117,6 @@ TEST(DataFrameTest, GroupbyCountCompositeKey) {
   EXPECT_EQ(counts.col("n").i64(), (std::vector<std::int64_t>{2, 1, 1}));
 }
 
-TEST(DataFrameTest, GroupbySum) {
-  const DataFrame sums = sample_frame().groupby_sum({"u"}, "w", "total");
-  EXPECT_EQ(sums.num_rows(), 3u);
-  const auto& totals = sums.col("total").f64();
-  EXPECT_NEAR(totals[0], 0.7, 1e-12);  // u=1: .2 + .5
-  EXPECT_NEAR(totals[1], 0.4, 1e-12);  // u=2
-  EXPECT_NEAR(totals[2], 0.4, 1e-12);  // u=3: .1 + .3
-}
-
 TEST(DataFrameTest, GroupbyOnEmptyFrame) {
   DataFrame frame;
   frame.add_column("u", Column(std::vector<std::int64_t>{}));
@@ -154,160 +124,81 @@ TEST(DataFrameTest, GroupbyOnEmptyFrame) {
   EXPECT_EQ(counts.num_rows(), 0u);
 }
 
-// ---- merge (inner join) -----------------------------------------------------------
+// ---- edge-stage csv ---------------------------------------------------------
 
-TEST(MergeTest, InnerJoinMatchesKeys) {
-  DataFrame users;
-  users.add_column("id", Column(std::vector<std::int64_t>{1, 2, 3}));
-  users.add_column("followers",
-                   Column(std::vector<std::int64_t>{10, 20, 30}));
-  DataFrame scores;
-  scores.add_column("id", Column(std::vector<std::int64_t>{3, 1}));
-  scores.add_column("rank", Column(std::vector<double>{0.3, 0.1}));
+// The dataframe backend's TSV stages, read and written cell by cell.
+const io::StageCodec& tsv() { return io::tsv_codec(io::Codec::kGeneric); }
 
-  const DataFrame joined = users.merge(scores, "id");
-  ASSERT_EQ(joined.num_rows(), 2u);
-  EXPECT_EQ(joined.col("id").i64(), (std::vector<std::int64_t>{1, 3}));
-  EXPECT_EQ(joined.col("followers").i64(),
-            (std::vector<std::int64_t>{10, 30}));
-  EXPECT_DOUBLE_EQ(joined.col("rank").f64()[0], 0.1);
-  EXPECT_DOUBLE_EQ(joined.col("rank").f64()[1], 0.3);
+DataFrame edge_frame(std::vector<std::int64_t> u, std::vector<std::int64_t> v) {
+  DataFrame frame;
+  frame.add_column("u", Column(std::move(u)));
+  frame.add_column("v", Column(std::move(v)));
+  return frame;
 }
 
-TEST(MergeTest, DuplicateRightKeysFanOut) {
-  DataFrame left;
-  left.add_column("k", Column(std::vector<std::int64_t>{7}));
-  DataFrame right;
-  right.add_column("k", Column(std::vector<std::int64_t>{7, 7}));
-  right.add_column("v", Column(std::vector<std::int64_t>{1, 2}));
-  const DataFrame joined = left.merge(right, "k");
-  EXPECT_EQ(joined.num_rows(), 2u);
-  EXPECT_EQ(joined.col("v").i64(), (std::vector<std::int64_t>{1, 2}));
-}
-
-TEST(MergeTest, NoMatchesGivesEmptyFrame) {
-  DataFrame left;
-  left.add_column("k", Column(std::vector<std::int64_t>{1}));
-  DataFrame right;
-  right.add_column("k", Column(std::vector<std::int64_t>{2}));
-  right.add_column("v", Column(std::vector<std::int64_t>{9}));
-  EXPECT_EQ(left.merge(right, "k").num_rows(), 0u);
-}
-
-TEST(MergeTest, ColumnCollisionThrows) {
-  DataFrame left;
-  left.add_column("k", Column(std::vector<std::int64_t>{1}));
-  left.add_column("v", Column(std::vector<std::int64_t>{5}));
-  DataFrame right;
-  right.add_column("k", Column(std::vector<std::int64_t>{1}));
-  right.add_column("v", Column(std::vector<std::int64_t>{6}));
-  EXPECT_THROW(left.merge(right, "k"), util::ConfigError);  // v collides
-}
-
-TEST(MergeTest, MissingKeyThrows) {
-  DataFrame left;
-  left.add_column("k", Column(std::vector<std::int64_t>{1}));
-  DataFrame right;
-  right.add_column("other", Column(std::vector<std::int64_t>{1}));
-  EXPECT_THROW(left.merge(right, "k"), util::ConfigError);
-}
-
-// ---- csv ------------------------------------------------------------------------
-
-CsvSchema edge_schema() {
-  return CsvSchema{{"u", "v"}, {DType::kInt64, DType::kInt64}};
+/// One-shard TSV stage "s" holding `text`.
+void write_stage(io::MemStageStore& store, const std::string& text) {
+  const auto writer = store.open_write("s", io::shard_name(0));
+  writer->write(text);
+  writer->close();
 }
 
 TEST(CsvTest, WriteReadRoundTrip) {
-  util::TempDir dir("prpb-df");
-  DataFrame frame;
-  frame.add_column("u", Column(std::vector<std::int64_t>{1, 2, 3}));
-  frame.add_column("v", Column(std::vector<std::int64_t>{4, 5, 6}));
-  write_csv(frame, dir.sub("edges.tsv"));
-  const DataFrame back = read_csv(dir.sub("edges.tsv"), edge_schema());
+  io::MemStageStore store;
+  const DataFrame frame = edge_frame({1, 2, 3}, {4, 5, 6});
+  write_edge_stage(frame, store, "s", 1, tsv());
+  const DataFrame back = read_edge_stage(store, "s", tsv());
+  EXPECT_EQ(back.names(), (std::vector<std::string>{"u", "v"}));
   EXPECT_EQ(back.col("u").i64(), frame.col("u").i64());
   EXPECT_EQ(back.col("v").i64(), frame.col("v").i64());
 }
 
 TEST(CsvTest, DirShardingRoundTrip) {
-  util::TempDir dir("prpb-df");
-  DataFrame frame;
+  io::MemStageStore store;
   std::vector<std::int64_t> u(100), v(100);
   for (int i = 0; i < 100; ++i) {
     u[i] = i;
     v[i] = 2 * i;
   }
-  frame.add_column("u", Column(std::move(u)));
-  frame.add_column("v", Column(std::move(v)));
-  const auto bytes = write_csv_dir(frame, dir.path(), 7);
-  EXPECT_GT(bytes, 0u);
-  EXPECT_EQ(util::list_files_sorted(dir.path()).size(), 7u);
-  const DataFrame back = read_csv_dir(dir.path(), edge_schema());
-  EXPECT_EQ(back.num_rows(), 100u);
-  EXPECT_EQ(back.col("u").i64()[99], 99);
-  EXPECT_EQ(back.col("v").i64()[99], 198);
-}
-
-TEST(CsvTest, MixedDtypes) {
-  util::TempDir dir("prpb-df");
-  DataFrame frame;
-  frame.add_column("id", Column(std::vector<std::int64_t>{1, 2}));
-  frame.add_column("score", Column(std::vector<double>{0.5, 1.5}));
-  frame.add_column("name", Column(std::vector<std::string>{"a", "b"}));
-  write_csv(frame, dir.sub("mixed.tsv"));
-  const CsvSchema schema{{"id", "score", "name"},
-                         {DType::kInt64, DType::kFloat64, DType::kString}};
-  const DataFrame back = read_csv(dir.sub("mixed.tsv"), schema);
-  EXPECT_EQ(back.col("id").i64()[1], 2);
-  EXPECT_DOUBLE_EQ(back.col("score").f64()[0], 0.5);
-  EXPECT_EQ(back.col("name").str()[1], "b");
-}
-
-TEST(CsvTest, HeaderWrittenAndSkipped) {
-  util::TempDir dir("prpb-df");
-  DataFrame frame;
-  frame.add_column("u", Column(std::vector<std::int64_t>{7}));
-  CsvOptions options;
-  options.header = true;
-  write_csv(frame, dir.sub("h.tsv"), options);
-  const CsvSchema schema{{"u"}, {DType::kInt64}};
-  const DataFrame back = read_csv(dir.sub("h.tsv"), schema, options);
-  EXPECT_EQ(back.num_rows(), 1u);
-  EXPECT_EQ(back.col("u").i64()[0], 7);
-}
-
-TEST(CsvTest, CustomSeparator) {
-  util::TempDir dir("prpb-df");
-  DataFrame frame;
-  frame.add_column("u", Column(std::vector<std::int64_t>{1}));
-  frame.add_column("v", Column(std::vector<std::int64_t>{2}));
-  CsvOptions options;
-  options.separator = ',';
-  write_csv(frame, dir.sub("c.csv"), options);
-  const DataFrame back = read_csv(dir.sub("c.csv"), edge_schema(), options);
-  EXPECT_EQ(back.col("v").i64()[0], 2);
+  const auto bytes =
+      write_edge_stage(edge_frame(std::move(u), std::move(v)), store, "s", 7,
+                       tsv());
+  EXPECT_EQ(bytes, store.stage_bytes("s"));
+  EXPECT_EQ(store.list("s").size(), 7u);
+  const DataFrame back = read_edge_stage(store, "s", tsv());
+  ASSERT_EQ(back.num_rows(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(back.col("u").i64()[i], i);
+    EXPECT_EQ(back.col("v").i64()[i], 2 * i);
+  }
 }
 
 TEST(CsvTest, MalformedFieldThrows) {
-  util::TempDir dir("prpb-df");
-  io::write_file(dir.sub("bad.tsv"), "1\tnotanumber\n");
-  EXPECT_THROW(read_csv(dir.sub("bad.tsv"), edge_schema()), util::IoError);
+  io::MemStageStore store;
+  write_stage(store, "1\tnotanumber\n");
+  EXPECT_THROW(read_edge_stage(store, "s", tsv()), util::IoError);
 }
 
 TEST(CsvTest, FieldCountMismatchThrows) {
-  util::TempDir dir("prpb-df");
-  io::write_file(dir.sub("short.tsv"), "1\n");
-  EXPECT_THROW(read_csv(dir.sub("short.tsv"), edge_schema()),
-               util::IoError);
-  io::write_file(dir.sub("long.tsv"), "1\t2\t3\n");
-  EXPECT_THROW(read_csv(dir.sub("long.tsv"), edge_schema()), util::IoError);
+  io::MemStageStore store;
+  write_stage(store, "1\n");
+  EXPECT_THROW(read_edge_stage(store, "s", tsv()), util::IoError);
+  write_stage(store, "1\t2\t3\n");
+  EXPECT_THROW(read_edge_stage(store, "s", tsv()), util::IoError);
 }
 
 TEST(CsvTest, BadSchemaThrows) {
-  const CsvSchema bad{{"a"}, {DType::kInt64, DType::kInt64}};
-  util::TempDir dir("prpb-df");
-  io::write_file(dir.sub("f.tsv"), "1\n");
-  EXPECT_THROW(read_csv(dir.sub("f.tsv"), bad), util::ConfigError);
+  // Edge stages hold exactly two int64 columns, whatever the codec.
+  io::MemStageStore store;
+  for (const io::StageCodec* codec : {&tsv(), &io::binary_codec()}) {
+    EXPECT_THROW(write_edge_stage(sample_frame(), store, "s", 1, *codec),
+                 util::ConfigError);
+    DataFrame floats;
+    floats.add_column("u", Column(std::vector<std::int64_t>{1}));
+    floats.add_column("v", Column(std::vector<double>{2.0}));
+    EXPECT_THROW(write_edge_stage(floats, store, "s", 1, *codec),
+                 util::ConfigError);
+  }
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "gen/generator.hpp"
 #include "sparse/filter.hpp"
-#include "sparse/pagerank.hpp"
 
 namespace prpb::sparse {
 namespace {
@@ -170,59 +169,6 @@ TEST_P(FilterGeneratorTest, InvariantsHoldAcrossGenerators) {
 
 INSTANTIATE_TEST_SUITE_P(Generators, FilterGeneratorTest,
                          ::testing::Values("kronecker", "bter", "ppl"));
-
-// ---- diagonal fix-up for empty rows (paper §V open question) ----------------------
-
-TEST(FilterDiagonalTest, MakesMatrixFullyRowStochastic) {
-  const auto generator = gen::make_generator("kronecker", 9, 16, 5);
-  FilterOptions options;
-  options.diagonal_for_empty_rows = true;
-  FilterReport report;
-  const CsrMatrix a = filter_edges(generator->generate_all(),
-                                   generator->num_vertices(), &report,
-                                   options);
-  for (const double s : a.row_sums()) {
-    EXPECT_NEAR(s, 1.0, 1e-12);  // every row, no dangling left
-  }
-  EXPECT_EQ(report.dangling_rows, 0u);
-}
-
-TEST(FilterDiagonalTest, NonEmptyRowsUntouched) {
-  FilterOptions options;
-  options.diagonal_for_empty_rows = true;
-  // din = [1, 2, 2, 1]: columns 0 and 3 zeroed (leaf), columns 1/2 kept.
-  const gen::EdgeList edges = {{0, 1}, {0, 2}, {1, 2}, {2, 1}, {3, 0},
-                               {1, 3}};
-  const CsrMatrix with_diag = filter_edges(edges, 4, nullptr, options);
-  const CsrMatrix without = filter_edges(edges, 4, nullptr);
-  for (std::uint64_t r = 0; r < 4; ++r) {
-    const bool was_empty =
-        without.row_ptr()[r] == without.row_ptr()[r + 1];
-    if (was_empty) {
-      EXPECT_DOUBLE_EQ(with_diag.at(r, r), 1.0) << "row " << r;
-    } else {
-      for (std::uint64_t k = without.row_ptr()[r];
-           k < without.row_ptr()[r + 1]; ++k) {
-        EXPECT_DOUBLE_EQ(with_diag.at(r, without.col_idx()[k]),
-                         without.values()[k]);
-      }
-    }
-  }
-}
-
-TEST(FilterDiagonalTest, PageRankConservesMassWithDiagonal) {
-  const auto generator = gen::make_generator("kronecker", 8, 16, 5);
-  FilterOptions options;
-  options.diagonal_for_empty_rows = true;
-  const CsrMatrix a = filter_edges(generator->generate_all(),
-                                   generator->num_vertices(), nullptr,
-                                   options);
-  PageRankConfig config;
-  const auto r = pagerank(a, config);
-  double total = 0;
-  for (const double x : r) total += x;
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
 
 }  // namespace
 }  // namespace prpb::sparse

@@ -33,7 +33,7 @@ TEST_P(CodecTest, RoundTripsEdges) {
   const EdgeList edges = {{0, 0}, {1, 2}, {12345, 67890},
                           {~0ULL >> 1, 42}};
   std::string text;
-  for (const auto& edge : edges) append_edge(text, edge, GetParam());
+  for (const auto& edge : edges) append_edges(text, &edge, 1, GetParam());
   EdgeList parsed;
   const std::size_t consumed = parse_edges(text, parsed, GetParam());
   EXPECT_EQ(consumed, text.size());
@@ -92,8 +92,8 @@ TEST(CodecTest, CodecsProduceIdenticalText) {
   std::string fast;
   std::string generic;
   for (const auto& edge : edges) {
-    append_edge_fast(fast, edge);
-    append_edge_generic(generic, edge);
+    append_edges(fast, &edge, 1, Codec::kFast);
+    append_edges(generic, &edge, 1, Codec::kGeneric);
   }
   EXPECT_EQ(fast, generic);
 }
@@ -197,7 +197,7 @@ TEST(SwarParserTest, FuzzAgainstScalar) {
       const std::uint64_t u = next() >> (next() % 64);
       const std::uint64_t v = next() >> (next() % 64);
       expected.push_back({u, v});
-      append_edge_fast(text, {u, v});
+      append_edges(text, &expected.back(), 1, Codec::kFast);
     }
     EdgeList swar;
     EXPECT_EQ(parse_edges_swar(text, swar), text.size());
@@ -1059,7 +1059,7 @@ TEST(BinaryCodecTest, TsvWritesIdenticalBytesViaCodecSeam) {
   write_edge_shard(store, "s", "edges_00000.tsv", edges,
                    tsv_codec(Codec::kFast));
   std::string expected;
-  for (const auto& edge : edges) append_edge_fast(expected, edge);
+  for (const auto& edge : edges) append_edges(expected, &edge, 1, Codec::kFast);
   const auto reader = store.open_read("s", "edges_00000.tsv");
   std::string bytes;
   for (;;) {
@@ -1075,7 +1075,7 @@ TEST(BinaryCodecTest, TsvWritesIdenticalBytesViaCodecSeam) {
 
 std::string generic_text(const EdgeList& edges) {
   std::string text;
-  for (const auto& edge : edges) append_edge_generic(text, edge);
+  for (const auto& edge : edges) append_edges(text, &edge, 1, Codec::kGeneric);
   return text;
 }
 
@@ -1110,7 +1110,7 @@ TEST(TsvEncoderTest, DigitBoundariesMatchGeneric) {
   EXPECT_EQ(encoded_shard(by_v), generic_text(by_v));
   for (const auto& edge : by_u) {
     std::string fast;
-    append_edge_fast(fast, edge);
+    append_edges(fast, &edge, 1, Codec::kFast);
     EXPECT_EQ(fast, generic_text({edge}));
   }
 }

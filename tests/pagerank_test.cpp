@@ -89,15 +89,6 @@ TEST(PageRankTest, MassDecaysWithDanglingNodes) {
   EXPECT_NEAR(sum, 0.575, 1e-12);
 }
 
-TEST(PageRankTest, RedistributeDanglingConservesMass) {
-  const CsrMatrix a = CsrMatrix::from_triplets({0}, {1}, {1.0}, 2, 2);
-  PageRankConfig config;
-  config.iterations = 10;
-  config.redistribute_dangling = true;
-  const auto r = pagerank(a, config);
-  EXPECT_NEAR(std::accumulate(r.begin(), r.end(), 0.0), 1.0, 1e-9);
-}
-
 TEST(PageRankTest, DampingZeroGivesUniformTeleport) {
   // c = 0: r' = sum(r)/N everywhere.
   const CsrMatrix a = two_cycle();
@@ -217,29 +208,24 @@ TEST(PageRankTest, UniformGraphGivesUniformRank) {
 TEST(PageRankTest, PooledRunIsBitIdenticalToSerial) {
   // The pooled SpMV sums each output entry over the transposed matrix in
   // serial row order, so any thread count reproduces the serial ranks
-  // exactly — with telemetry on, and with dangling-mass redistribution.
+  // exactly, with telemetry on.
   const auto generator = gen::make_generator("kronecker", 10, 16, 20160205);
   const CsrMatrix a =
       filter_edges(generator->generate_all(), generator->num_vertices());
-  for (const bool redistribute : {false, true}) {
-    std::vector<double> residuals;
-    PageRankConfig config;
-    config.redistribute_dangling = redistribute;
-    config.observer = [&residuals](const IterationStats& stats) {
-      residuals.push_back(stats.residual_l1);
-      residuals.push_back(stats.rank_sum);
-    };
-    const auto serial = pagerank(a, config);
-    const auto serial_residuals = residuals;
-    ASSERT_EQ(serial_residuals.size(), 2u * config.iterations);
-    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
-      util::ThreadPool pool(threads);
-      residuals.clear();
-      EXPECT_EQ(pagerank(a, config, &pool), serial)
-          << threads << " threads, redistribute " << redistribute;
-      EXPECT_EQ(residuals, serial_residuals)
-          << threads << " threads, redistribute " << redistribute;
-    }
+  std::vector<double> residuals;
+  PageRankConfig config;
+  config.observer = [&residuals](const IterationStats& stats) {
+    residuals.push_back(stats.residual_l1);
+    residuals.push_back(stats.rank_sum);
+  };
+  const auto serial = pagerank(a, config);
+  const auto serial_residuals = residuals;
+  ASSERT_EQ(serial_residuals.size(), 2u * config.iterations);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    util::ThreadPool pool(threads);
+    residuals.clear();
+    EXPECT_EQ(pagerank(a, config, &pool), serial) << threads << " threads";
+    EXPECT_EQ(residuals, serial_residuals) << threads << " threads";
   }
 }
 

@@ -41,7 +41,7 @@ TEST_P(SeedSweep, TsvRoundTripPreservesAnyEdgeList) {
   const auto edges = random_edges(GetParam(), 2000, ~0ULL >> 1);
   for (const auto codec : {io::Codec::kFast, io::Codec::kGeneric}) {
     std::string text;
-    for (const auto& edge : edges) io::append_edge(text, edge, codec);
+    for (const auto& edge : edges) io::append_edges(text, &edge, 1, codec);
     gen::EdgeList parsed;
     EXPECT_EQ(io::parse_edges(text, parsed, codec), text.size());
     EXPECT_EQ(parsed, edges);

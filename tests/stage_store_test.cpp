@@ -153,16 +153,18 @@ INSTANTIATE_TEST_SUITE_P(DirAndMem, StoreContractTest,
                            return param_info.param;
                          });
 
-TEST(DirStageStoreTest, EmptyRootResolvesStagesAsPaths) {
+TEST(DirStageStoreTest, DotRootResolvesStagesAsPaths) {
+  // The interpreter's no-store fallback: rooted at ".", an absolute stage
+  // name is the stage's directory.
   util::TempDir dir("prpb-store");
-  DirStageStore store;
-  EXPECT_EQ(store.root_dir(), nullptr);
+  DirStageStore store(".");
   const std::string stage = (dir.path() / "stage").string();
   const auto writer = store.open_write(stage, shard_name(0));
   writer->write("1\t2\n");
   writer->close();
   EXPECT_TRUE(std::filesystem::exists(dir.path() / "stage" /
                                       shard_name(0)));
+  EXPECT_EQ(store.list(stage), std::vector<std::string>{shard_name(0)});
 }
 
 TEST(DirStageStoreTest, RootedStoreExposesRootDir) {

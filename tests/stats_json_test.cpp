@@ -382,21 +382,6 @@ TEST(ReportTest, IncludesEigenCheckWhenGiven) {
   EXPECT_NE(json.find("\"pass\":true"), std::string::npos);
 }
 
-TEST(ReportTest, ChecksumsCanBeDisabled) {
-  util::TempDir work("prpb-report");
-  core::PipelineConfig config;
-  config.scale = 7;
-  config.work_dir = work.path();
-  const auto backend = core::make_backend("native");
-  const auto result = core::run_pipeline(config, *backend);
-
-  core::ReportOptions options;
-  options.include_checksums = false;
-  const std::string json =
-      core::run_report_json(config, result, {}, options);
-  EXPECT_EQ(json.find("rank_digest"), std::string::npos);
-}
-
 TEST(ReportTest, SameRunSameReportDifferentBackendSameDigest) {
   // Reports from two backends differ in timings but agree on digests.
   auto digest_of = [](const std::string& json) {

@@ -340,7 +340,7 @@ TEST(PipelineTraceTest, IterationTelemetryConverges) {
     EXPECT_EQ(stats.iteration, static_cast<int>(i));
     EXPECT_GE(stats.seconds, 0.0);
     // Rank mass starts at 1 and can only leak through dangling vertices
-    // (redistribute_dangling defaults off, matching the paper).
+    // (the paper's update does not redistribute it).
     EXPECT_GT(stats.rank_sum, 0.0);
     EXPECT_LE(stats.rank_sum, 1.0 + 1e-9);
     EXPECT_GE(stats.residual_l1, 0.0);
