@@ -63,13 +63,11 @@ std::vector<double> GraphBlasBackend::kernel3(const KernelContext& ctx,
   const grb::Matrix a{matrix};
   const sparse::PageRankConfig pr = ctx.k3_config();
   grb::Vector r{sparse::pagerank_initial_vector(n, pr.seed)};
-  const double c = pr.damping;
-  sparse::run_pagerank_steps(pr, r.data(), [&] {
-    // r = c * (r vxm A) + (1-c)/N * reduce(r, plus)
-    const double r_sum = grb::reduce<grb::Plus>(r);
-    grb::Vector y = grb::vxm<grb::PlusTimes>(r, a);
-    const double add = (1.0 - c) * r_sum / static_cast<double>(n);
-    r = grb::apply(y, [c, add](double x) { return c * x + add; });
+  sparse::run_pagerank_steps(pr, [&] {
+    // r = c * (r vxm A) + (1-c)/N * reduce(r, plus), with the update's
+    // residual and rank sum from the shared update loop.
+    const grb::Vector y = grb::vxm<grb::PlusTimes>(r, a);
+    return sparse::pagerank_update(r.data(), y.data(), pr.damping);
   });
   return r.data();
 }

@@ -85,7 +85,7 @@ std::vector<double> NativeBackend::kernel3(const KernelContext& ctx,
                                            const sparse::CsrMatrix& matrix) {
   util::require(matrix.rows() == ctx.config.num_vertices(),
                 "kernel3: matrix size does not match N = 2^scale");
-  return sparse::pagerank(matrix, ctx.k3_config());
+  return sparse::pagerank(matrix, ctx.k3_config(), nullptr, ctx.hooks.trace);
 }
 
 }  // namespace prpb::core

@@ -70,7 +70,7 @@ struct KernelContext {
   /// Per-iteration kernel-3 observer: appends to k3_sink and records a
   /// "k3/iter" span per iteration carrying its iteration number, L1
   /// residual and rank sum. Empty (falsy) when neither telemetry consumer
-  /// is attached, so backends can skip the residual bookkeeping.
+  /// is attached, so the iteration loop skips its clock readings.
   [[nodiscard]] sparse::IterationObserver k3_observer() const {
     if (k3_sink == nullptr && !hooks.tracing()) return {};
     auto* sink = k3_sink;

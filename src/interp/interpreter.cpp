@@ -220,9 +220,18 @@ Value Interpreter::call_user_function(const UserFunction& fn,
                             " argument(s), got " +
                             std::to_string(args.size()));
   }
-  constexpr std::size_t kMaxDepth = 4096;
-  if (call_depth_ >= kMaxDepth) {
-    runtime_error(line, "call depth limit exceeded in '" + name + "'");
+  // A runaway recursion must fail before the native stack does. Frame
+  // sizes differ by build (a sanitized Debug frame is several times a
+  // Release one), so the guard bounds the stack bytes this thread has used
+  // since the outermost call, not the number of calls.
+  const auto frame =
+      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  if (call_depth_ == 0) stack_base_ = frame;
+  const std::uintptr_t used =
+      stack_base_ > frame ? stack_base_ - frame : frame - stack_base_;
+  if (used > kMaxStackBytes) {
+    runtime_error(line, "call stack limit exceeded in '" + name +
+                            "' at depth " + std::to_string(call_depth_));
   }
   // Fresh local scope (Matlab semantics: no access to caller variables).
   scopes_.emplace_back();

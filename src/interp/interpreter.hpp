@@ -124,6 +124,14 @@ class Interpreter {
   const io::StageCodec* stage_codec_ = nullptr;
   std::uint64_t dispatches_ = 0;
   std::size_t call_depth_ = 0;
+  /// Native stack bytes user-function calls may use below the outermost
+  /// one: half of the 8 MiB default thread stack, which leaves the caller
+  /// and the unwinding of the error room in every build. A call level
+  /// takes about 1.1 KiB in a RelWithDebInfo build and 4 KiB in a
+  /// sanitized Debug one (about 3700 and 1000 levels).
+  static constexpr std::uintptr_t kMaxStackBytes = std::uintptr_t{4} << 20;
+  /// Frame address of the outermost user-function call on this thread.
+  std::uintptr_t stack_base_ = 0;
 };
 
 /// Installs the standard builtin library into `builtins` (called by the

@@ -163,7 +163,7 @@ void write_matrix_market(const sparse::CsrMatrix& a,
     for (std::uint64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
       std::snprintf(buf, sizeof(buf), "%llu %llu %.17g\n",
                     (unsigned long long)(r + 1),
-                    (unsigned long long)(a.col_idx()[k] + 1),
+                    (unsigned long long)a.col_idx()[k] + 1,
                     a.values()[k]);
       writer.write(buf);
     }

@@ -7,13 +7,22 @@
 #include "util/error.hpp"
 
 namespace prpb::sparse {
+namespace {
+
+std::uint64_t checked_cols(std::uint64_t cols) {
+  util::require(cols <= kMaxCols,
+                "CsrMatrix: more than 2^32 columns (scale > 32)");
+  return cols;
+}
+
+}  // namespace
 
 CsrMatrix::CsrMatrix(std::uint64_t rows, std::uint64_t cols)
-    : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {}
+    : rows_(rows), cols_(checked_cols(cols)), row_ptr_(rows + 1, 0) {}
 
 CsrBuilder::CsrBuilder(std::uint64_t rows, std::uint64_t cols,
                        std::size_t reserve)
-    : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {
+    : rows_(rows), cols_(checked_cols(cols)), row_ptr_(rows + 1, 0) {
   col_idx_.reserve(reserve);
   values_.reserve(reserve);
 }
@@ -75,7 +84,7 @@ CsrMatrix CsrMatrix::from_triplets(const std::vector<std::uint64_t>& row,
 
 CsrMatrix CsrMatrix::from_parts(std::uint64_t rows, std::uint64_t cols,
                                 std::vector<std::uint64_t> row_ptr,
-                                std::vector<std::uint64_t> col_idx,
+                                std::vector<ColIndex> col_idx,
                                 std::vector<double> values) {
   util::require(row_ptr.size() == rows + 1,
                 "from_parts: row_ptr must have rows+1 entries");
@@ -183,7 +192,7 @@ CsrMatrix CsrMatrix::transpose() const {
   for (std::uint64_t r = 0; r < rows_; ++r) {
     for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
       const std::uint64_t pos = cursor[col_idx_[k]]++;
-      t.col_idx_[pos] = r;
+      t.col_idx_[pos] = static_cast<ColIndex>(r);
       t.values_[pos] = values_[k];
     }
   }

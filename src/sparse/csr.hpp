@@ -3,6 +3,9 @@
 //
 // Kernel 2 constructs A = sparse(u, v, 1, N, N): entries accumulate duplicate
 // edges as counts, so sum(A(:)) == M even though nnz(A) < M (paper §IV.C).
+//
+// Column indices are 32-bit: N = 2^scale with scale <= 32, so every column
+// of a pipeline matrix fits, and each entry costs 12 bytes instead of 16.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +17,17 @@
 
 namespace prpb::sparse {
 
+/// A stored column index.
+using ColIndex = std::uint32_t;
+
+/// The widest matrix a ColIndex addresses: cols <= 2^32.
+inline constexpr std::uint64_t kMaxCols = std::uint64_t{1} << 32;
+
 class CsrMatrix {
  public:
   CsrMatrix() = default;
-  /// Empty matrix with the given shape.
+  /// Empty matrix with the given shape. Throws ConfigError when `cols`
+  /// exceeds kMaxCols.
   CsrMatrix(std::uint64_t rows, std::uint64_t cols);
 
   /// Builds the duplicate-accumulating adjacency matrix from an edge list
@@ -41,7 +51,7 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<std::uint64_t>& row_ptr() const {
     return row_ptr_;
   }
-  [[nodiscard]] const std::vector<std::uint64_t>& col_idx() const {
+  [[nodiscard]] const std::vector<ColIndex>& col_idx() const {
     return col_idx_;
   }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
@@ -86,13 +96,13 @@ class CsrMatrix {
   /// the builder's contract.
   static CsrMatrix from_parts(std::uint64_t rows, std::uint64_t cols,
                               std::vector<std::uint64_t> row_ptr,
-                              std::vector<std::uint64_t> col_idx,
+                              std::vector<ColIndex> col_idx,
                               std::vector<double> values);
 
   std::uint64_t rows_ = 0;
   std::uint64_t cols_ = 0;
   std::vector<std::uint64_t> row_ptr_;  // size rows_+1
-  std::vector<std::uint64_t> col_idx_;  // sorted within each row
+  std::vector<ColIndex> col_idx_;  // sorted within each row
   std::vector<double> values_;
 };
 
@@ -103,7 +113,8 @@ class CsrMatrix {
 /// from_triplets and kernel 2's streamed stage read.
 class CsrBuilder {
  public:
-  /// `reserve` entries are allocated up front (kernel 2 passes M).
+  /// `reserve` entries are allocated up front (kernel 2 passes M). Throws
+  /// ConfigError when `cols` exceeds kMaxCols.
   CsrBuilder(std::uint64_t rows, std::uint64_t cols, std::size_t reserve = 0);
 
   /// Adds one entry. Returns false, adding nothing, when `row` precedes
@@ -121,7 +132,7 @@ class CsrBuilder {
       }
       row_ordered_ = row_ordered_ && col > col_idx_.back();
     }
-    col_idx_.push_back(col);
+    col_idx_.push_back(static_cast<ColIndex>(col));
     values_.push_back(value);
     return true;
   }
@@ -143,12 +154,12 @@ class CsrBuilder {
   std::uint64_t rows_;
   std::uint64_t cols_;
   std::vector<std::uint64_t> row_ptr_;
-  std::vector<std::uint64_t> col_idx_;
+  std::vector<ColIndex> col_idx_;
   std::vector<double> values_;
   std::uint64_t row_ = 0;       // the open row
   std::size_t row_start_ = 0;   // row_ptr_[row_]
   bool row_ordered_ = true;     // the open row's columns only ascend
-  std::vector<std::pair<std::uint64_t, double>> unordered_;
+  std::vector<std::pair<ColIndex, double>> unordered_;
 };
 
 }  // namespace prpb::sparse

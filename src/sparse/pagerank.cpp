@@ -1,7 +1,9 @@
 #include "sparse/pagerank.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "obs/trace.hpp"
 #include "rand/rng.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -32,79 +34,172 @@ std::vector<double> pagerank_initial_vector(std::uint64_t n,
   return r;
 }
 
-void pagerank_update(std::vector<double>& r, const std::vector<double>& y,
-                     double damping) {
-  const double c = damping;
-  const auto n = static_cast<double>(r.size());
-  double r_sum = 0.0;
-  for (const double x : r) r_sum += x;
-  const double add = (1.0 - c) * r_sum / n;
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
+namespace {
+
+/// The update loop behind every path: r[i] = c*y_i + add, with y_i =
+/// load(i), in index order. The residual and the new sum are accumulated
+/// in the same pass, in the same order a separate pass over r would use.
+template <typename Load>
+IterationStats update_ranks(std::vector<double>& r, double c, double add,
+                            Load load) {
+  IterationStats stats;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    const double next = c * load(i) + add;
+    stats.residual_l1 += std::abs(next - r[i]);
+    stats.rank_sum += next;
+    r[i] = next;
+  }
+  return stats;
+}
+
+/// The paper's additive term (1-c)/N * sum(r).
+double teleport(double c, double r_sum, std::size_t n) {
+  return (1.0 - c) * r_sum / static_cast<double>(n);
+}
+
+double sum(const std::vector<double>& v) {
+  double acc = 0.0;
+  for (const double x : v) acc += x;
+  return acc;
+}
+
+/// A's columns renamed by descending in-degree, ties by ascending column:
+/// the serial SpMV adds column j's products into y'[order[j]], so the
+/// entries of the most-written columns sit together at the front of y'.
+struct GroupedColumns {
+  std::vector<ColIndex> order;  ///< π, a permutation of the columns
+  std::vector<ColIndex> col;    ///< π[col_idx[k]] for every entry k
+};
+
+GroupedColumns group_columns(const CsrMatrix& a) {
+  GroupedColumns g;
+  // order[j] holds column j's in-degree, then its slot (a counting sort).
+  g.order.assign(a.cols(), 0);
+  ColIndex max_degree = 0;
+  for (const ColIndex j : a.col_idx()) {
+    max_degree = std::max(max_degree, ++g.order[j]);
+  }
+  {
+    // next[d]: the slot of the next column of degree d. Columns with a
+    // higher degree come first.
+    std::vector<std::uint64_t> next(std::uint64_t{max_degree} + 1, 0);
+    for (const ColIndex degree : g.order) ++next[degree];
+    std::uint64_t slot = 0;
+    for (std::uint64_t d = next.size(); d-- > 0;) {
+      const std::uint64_t count = next[d];
+      next[d] = slot;
+      slot += count;
+    }
+    for (ColIndex& entry : g.order) {
+      entry = static_cast<ColIndex>(next[entry]++);
+    }
+  }
+  g.col.resize(a.nnz());
+  const ColIndex* order = g.order.data();
+  const ColIndex* col_idx = a.col_idx().data();
+  for (std::size_t k = 0; k < g.col.size(); ++k) {
+    g.col[k] = order[col_idx[k]];
+  }
+  return g;
+}
+
+}  // namespace
+
+IterationStats pagerank_update(std::vector<double>& r,
+                               const std::vector<double>& y, double damping) {
+  return update_ranks(r, damping, teleport(damping, sum(r), r.size()),
+                      [&y](std::size_t i) { return y[i]; });
 }
 
 void run_pagerank_steps(const PageRankConfig& config,
-                        const std::vector<double>& r,
-                        const std::function<void()>& step) {
+                        const std::function<IterationStats()>& step) {
   if (!config.observer) {
-    for (int it = 0; it < config.iterations; ++it) step();
+    for (int it = 0; it < config.iterations; ++it) (void)step();
     return;
   }
-  std::vector<double> previous;
   util::Stopwatch iter_watch;
   for (int it = 0; it < config.iterations; ++it) {
-    previous = r;
     iter_watch.restart();
-    step();
-    IterationStats stats;
-    stats.iteration = it;
+    IterationStats stats = step();
     stats.seconds = iter_watch.seconds();
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      stats.residual_l1 += std::abs(r[i] - previous[i]);
-      stats.rank_sum += r[i];
-    }
+    stats.iteration = it;
     config.observer(stats);
   }
 }
 
 void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
-                      const PageRankConfig& config, util::ThreadPool* pool) {
+                      const PageRankConfig& config, util::ThreadPool* pool,
+                      obs::TraceRecorder* trace) {
   config.validate();
   util::require(a.rows() == a.cols(), "pagerank: matrix must be square");
   util::require(r.size() == a.rows(), "pagerank: r size must equal N");
 
-  // y = r·A as y[j] = Σ Aᵀ(j, i) · r[i]: each output entry is owned by one
-  // task, so rows of Aᵀ partition the work with no atomics.
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  const CsrMatrix at = pooled ? a.transpose() : CsrMatrix();
-  std::vector<double> y(a.cols());
-  const auto spmv = [&] {
-    if (!pooled) {
-      a.vec_mat(r, y);
-      return;
-    }
-    util::parallel_for_chunks(
-        *pool, 0, at.rows(), [&](std::uint64_t lo, std::uint64_t hi) {
-          for (std::uint64_t j = lo; j < hi; ++j) {
-            double acc = 0.0;
-            for (std::uint64_t k = at.row_ptr()[j]; k < at.row_ptr()[j + 1];
-                 ++k) {
-              acc += r[at.col_idx()[k]] * at.values()[k];
-            }
-            y[j] = acc;
-          }
-        });
+  // sum(r) for the next update is the rank_sum of the last one.
+  const double c = config.damping;
+  double r_sum = sum(r);
+  const auto update = [&](auto load) {
+    const IterationStats stats =
+        update_ranks(r, c, teleport(c, r_sum, r.size()), load);
+    r_sum = stats.rank_sum;
+    return stats;
   };
 
-  run_pagerank_steps(config, r, [&] {
-    spmv();
-    pagerank_update(r, y, config.damping);
+  if (pool != nullptr && pool->size() > 1) {
+    // y = r·A as y[j] = Σ Aᵀ(j, i) · r[i]: each output entry is owned by
+    // one task, so rows of Aᵀ partition the work with no atomics.
+    const CsrMatrix at = a.transpose();
+    std::vector<double> y(a.cols());
+    run_pagerank_steps(config, [&] {
+      util::parallel_for_chunks(
+          *pool, 0, at.rows(), [&](std::uint64_t lo, std::uint64_t hi) {
+            for (std::uint64_t j = lo; j < hi; ++j) {
+              double acc = 0.0;
+              for (std::uint64_t k = at.row_ptr()[j];
+                   k < at.row_ptr()[j + 1]; ++k) {
+                acc += r[at.col_idx()[k]] * at.values()[k];
+              }
+              y[j] = acc;
+            }
+          });
+      return update([&y](std::size_t i) { return y[i]; });
+    });
+    return;
+  }
+
+  GroupedColumns grouped;
+  {
+    const obs::Span span(trace, "k3/group");
+    grouped = group_columns(a);
+  }
+  // The update reads each entry of y' once and zeroes it for the next
+  // scatter, so y' is all zeros between iterations.
+  std::vector<double> y(a.cols(), 0.0);
+  run_pagerank_steps(config, [&] {
+    const std::uint64_t* row_ptr = a.row_ptr().data();
+    const ColIndex* col = grouped.col.data();
+    const double* values = a.values().data();
+    double* yg = y.data();
+    for (std::uint64_t row = 0; row < a.rows(); ++row) {
+      const double xr = r[row];
+      if (xr == 0.0) continue;
+      for (std::uint64_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
+        yg[col[k]] += xr * values[k];
+      }
+    }
+    const ColIndex* order = grouped.order.data();
+    return update([yg, order](std::size_t j) {
+      const double yj = yg[order[j]];
+      yg[order[j]] = 0.0;
+      return yj;
+    });
   });
 }
 
 std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config,
-                             util::ThreadPool* pool) {
+                             util::ThreadPool* pool,
+                             obs::TraceRecorder* trace) {
   std::vector<double> r = pagerank_initial_vector(a.rows(), config.seed);
-  pagerank_iterate(a, r, config, pool);
+  pagerank_iterate(a, r, config, pool, trace);
   return r;
 }
 

@@ -14,6 +14,10 @@
 #include "sparse/csr.hpp"
 #include "util/threadpool.hpp"
 
+namespace prpb::obs {
+class TraceRecorder;
+}  // namespace prpb::obs
+
 namespace prpb::sparse {
 
 /// Per-iteration telemetry handed to PageRankConfig::observer. The residual
@@ -33,9 +37,9 @@ struct PageRankConfig {
   int iterations = 20;
   double damping = 0.85;  ///< c
   std::uint64_t seed = 20160205;
-  /// Optional per-iteration callback. When set, the loop keeps a copy of
-  /// the previous vector to compute the residual — leave unset on hot
-  /// paths that don't need telemetry.
+  /// Optional per-iteration callback. The residual and rank sum come out
+  /// of the update loop itself, so an observer costs only its clock
+  /// readings and the call.
   IterationObserver observer;
 
   void validate() const;
@@ -47,34 +51,42 @@ std::vector<double> pagerank_initial_vector(std::uint64_t n,
 
 /// Runs `config.iterations` updates starting from `r` (modified in place).
 ///
-/// With a pool of more than one thread, the SpMV runs over the transposed
-/// matrix, one task per chunk of output entries: each y[j] is still summed
-/// over rows in ascending order, so the ranks are bit-identical to the
-/// serial `vec_mat` used with no pool or a one-thread pool.
+/// Every path adds the products into each y[j] in ascending row order,
+/// exactly as `vec_mat` does, so all of them give the same bits:
+/// - With no pool or a one-thread pool, the push SpMV scatters into a
+///   copy of y whose entries are ordered by descending in-degree, so the
+///   hub entries stay in cache. Renaming the columns does not change the
+///   order of the additions into any one entry. The grouping is built once
+///   per call, under a "k3/group" span on `trace` when it is recording.
+/// - With a pool of more than one thread, the SpMV runs over the
+///   transposed matrix, one task per chunk of output entries.
 void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
                       const PageRankConfig& config,
-                      util::ThreadPool* pool = nullptr);
+                      util::ThreadPool* pool = nullptr,
+                      obs::TraceRecorder* trace = nullptr);
 
 /// Convenience: initial vector + iterations.
 std::vector<double> pagerank(const CsrMatrix& a, const PageRankConfig& config,
-                             util::ThreadPool* pool = nullptr);
+                             util::ThreadPool* pool = nullptr,
+                             obs::TraceRecorder* trace = nullptr);
 
 /// The K3 iteration producer every PageRank loop shares: calls `step`
-/// `config.iterations` times, each call advancing the iterate that `r`
-/// refers to by one update (in place, or by reassigning the object that
-/// owns `r`). When config.observer is set, it copies the previous iterate,
-/// times the step, and reports {iteration, residual_l1, rank_sum, seconds}
-/// to the observer; without one it only runs the steps.
+/// `config.iterations` times. Each call advances the iterate by one update
+/// and returns that update's residual_l1 and rank_sum, as
+/// pagerank_update() computes them. When config.observer is set, it times
+/// each step and reports {iteration, residual_l1, rank_sum, seconds} to
+/// the observer; without one it only runs the steps.
 void run_pagerank_steps(const PageRankConfig& config,
-                        const std::vector<double>& r,
-                        const std::function<void()>& step);
+                        const std::function<IterationStats()>& step);
 
 /// One update given y = r·A, in place:
 ///   r = c*y + (1-c)/N*sum(r).
 /// The additive term uses the paper's damping vector
 /// a = ones(1,N) .* (1-c) ./ N, i.e. the /N is included (appendix form).
-void pagerank_update(std::vector<double>& r, const std::vector<double>& y,
-                     double damping);
+/// Returns the update's ||r_new - r_old||_1 and sum(r_new), both summed in
+/// index order; iteration and seconds are left 0.
+IterationStats pagerank_update(std::vector<double>& r,
+                               const std::vector<double>& y, double damping);
 
 /// L1 norm.
 double norm1(const std::vector<double>& v);

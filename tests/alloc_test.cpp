@@ -18,6 +18,9 @@
 #include "io/edge_files.hpp"
 #include "io/stage_store.hpp"
 #include "sort/edge_sort.hpp"
+#include "sparse/csr.hpp"
+#include "sparse/pagerank.hpp"
+#include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/threadpool.hpp"
 
@@ -152,10 +155,50 @@ TEST(AllocTest, NativeKernel2PeaksAtTheMatrix) {
         {config, *store, core::stages::kStage1, "", core::stages::kTemp});
     const std::size_t m = config.num_edges();
     const std::size_t n = config.num_vertices();
-    EXPECT_LE(heap.peak_above(base), 16 * m + 8 * (n + 1) + 2 * kMiB)
+    EXPECT_LE(heap.peak_above(base), 12 * m + 8 * (n + 1) + 2 * kMiB)
         << storage;
     EXPECT_EQ(matrix.rows(), n);
   }
+}
+
+TEST(AllocTest, NativeKernel3PeaksAtTheGroupedCopy) {
+  // Above the live matrix, K3 holds the rank vector and the grouped
+  // scatter target (8·N each), the column order (4·N) and the grouped
+  // columns (4·nnz), with the runner's telemetry sink attached.
+  core::PipelineConfig config;
+  config.scale = 14;
+  config.storage = "mem";
+  const auto store = core::make_stage_store(config);
+  core::NativeBackend backend;
+  backend.kernel0(
+      {config, *store, "", core::stages::kStage0, core::stages::kTemp});
+  backend.kernel1({config, *store, core::stages::kStage0,
+                   core::stages::kStage1, core::stages::kTemp});
+  const sparse::CsrMatrix matrix = backend.kernel2(
+      {config, *store, core::stages::kStage1, "", core::stages::kTemp});
+  std::vector<sparse::IterationStats> iterations;
+  iterations.reserve(static_cast<std::size_t>(config.iterations));
+  core::KernelContext ctx{config, *store, "", "", core::stages::kTemp};
+  ctx.k3_sink = &iterations;
+  const std::size_t base = heap.live.load();
+  heap.reset();
+  const std::vector<double> ranks = backend.kernel3(ctx, matrix);
+  const std::size_t n = config.num_vertices();
+  EXPECT_LE(heap.peak_above(base),
+            4 * matrix.nnz() + 4 * n + 16 * n + 2 * kMiB);
+  EXPECT_EQ(ranks.size(), n);
+  EXPECT_EQ(iterations.size(), static_cast<std::size_t>(config.iterations));
+}
+
+TEST(AllocTest, CsrRejectsMoreThan32BitColumnsWithoutAllocating) {
+  // One row keeps every shape here tiny: only the column count is huge.
+  heap.reset();
+  EXPECT_NO_THROW(sparse::CsrMatrix(1, sparse::kMaxCols));
+  EXPECT_NO_THROW(sparse::CsrBuilder(1, sparse::kMaxCols));
+  EXPECT_THROW(sparse::CsrMatrix(1, sparse::kMaxCols + 1), util::ConfigError);
+  EXPECT_THROW(sparse::CsrBuilder(1, sparse::kMaxCols + 1),
+               util::ConfigError);
+  EXPECT_EQ(heap.large.load(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "gen/generator.hpp"
 #include "sparse/dense.hpp"
@@ -226,6 +229,140 @@ TEST(PageRankTest, PooledRunIsBitIdenticalToSerial) {
     residuals.clear();
     EXPECT_EQ(pagerank(a, config, &pool), serial) << threads << " threads";
     EXPECT_EQ(residuals, serial_residuals) << threads << " threads";
+  }
+}
+
+// ---- bit-identity oracle ----------------------------------------------------------
+//
+// A plain push reference written out here: y = r·A with vec_mat, then the
+// paper's update, with the residual taken against a copy of the previous
+// vector and the rank sum from a separate pass. Every library path must
+// reproduce it bit for bit, telemetry included.
+
+struct OracleRun {
+  std::vector<double> ranks;
+  std::vector<IterationStats> stats;
+};
+
+OracleRun push_reference(const CsrMatrix& a, std::vector<double> r,
+                         const PageRankConfig& config) {
+  OracleRun run;
+  const double c = config.damping;
+  std::vector<double> y;
+  for (int it = 0; it < config.iterations; ++it) {
+    const std::vector<double> previous = r;
+    a.vec_mat(r, y);
+    double r_sum = 0.0;
+    for (const double x : r) r_sum += x;
+    const double add = (1.0 - c) * r_sum / static_cast<double>(r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
+    IterationStats stats;
+    stats.iteration = it;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      stats.residual_l1 += std::abs(r[i] - previous[i]);
+      stats.rank_sum += r[i];
+    }
+    run.stats.push_back(stats);
+  }
+  run.ranks = std::move(r);
+  return run;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Runs pagerank_iterate serially and on pools of 1–4 threads, each from
+/// `r0`, and checks ranks and telemetry against push_reference. Wall time
+/// (`seconds`) is the one field no two runs share; it is checked for sign.
+void expect_matches_push_reference(const CsrMatrix& a,
+                                   const std::vector<double>& r0,
+                                   PageRankConfig config,
+                                   const std::string& label) {
+  const OracleRun expected = push_reference(a, r0, config);
+  std::vector<IterationStats> stats;
+  config.observer = [&stats](const IterationStats& s) { stats.push_back(s); };
+  for (const std::size_t threads : {0u, 1u, 2u, 3u, 4u}) {
+    const std::string where = label + ", " + std::to_string(threads) +
+                              (threads == 0 ? " (serial)" : " threads");
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+    std::vector<double> r = r0;
+    stats.clear();
+    pagerank_iterate(a, r, config, pool.get());
+    EXPECT_TRUE(same_bits(r, expected.ranks)) << where;
+    ASSERT_EQ(stats.size(), expected.stats.size()) << where;
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+      EXPECT_EQ(stats[i].iteration, expected.stats[i].iteration) << where;
+      EXPECT_TRUE(
+          same_bits(stats[i].residual_l1, expected.stats[i].residual_l1))
+          << where << ", iteration " << i;
+      EXPECT_TRUE(same_bits(stats[i].rank_sum, expected.stats[i].rank_sum))
+          << where << ", iteration " << i;
+      EXPECT_GE(stats[i].seconds, 0.0) << where;
+    }
+  }
+}
+
+TEST(PageRankOracleTest, GeneratedGraphsMatchPushReference) {
+  for (const char* name : {"kronecker", "bter", "ppl"}) {
+    for (const int scale : {10, 12, 14}) {
+      const auto generator = gen::make_generator(name, scale, 16, 20160205);
+      const CsrMatrix a =
+          filter_edges(generator->generate_all(), generator->num_vertices());
+      const PageRankConfig config;
+      expect_matches_push_reference(
+          a, pagerank_initial_vector(a.rows(), config.seed), config,
+          std::string(name) + " s" + std::to_string(scale));
+    }
+  }
+}
+
+TEST(PageRankOracleTest, SingleVertexMatchesPushReference) {
+  const PageRankConfig config;
+  expect_matches_push_reference(
+      CsrMatrix::from_triplets({0}, {0}, {1.0}, 1, 1), {1.0}, config,
+      "N = 1, self loop");
+  expect_matches_push_reference(CsrMatrix(1, 1), {1.0}, config,
+                                "N = 1, no entry");
+}
+
+TEST(PageRankOracleTest, MatrixWithoutEntriesMatchesPushReference) {
+  const CsrMatrix a(5, 5);
+  expect_matches_push_reference(a, pagerank_initial_vector(5, 3),
+                                PageRankConfig{}, "no entries");
+}
+
+TEST(PageRankOracleTest, DanglingRowsAndEmptyColumnsMatchPushReference) {
+  // Rows 1, 4 and 5 are dangling; columns 0, 3 and 5 are empty, as the
+  // kernel-2 filter leaves them. Column 2 has the highest in-degree and
+  // column 4 ties with column 1, so the grouping reorders and breaks ties.
+  const CsrMatrix a = CsrMatrix::from_triplets(
+      {0, 0, 2, 2, 3, 3, 3}, {2, 4, 1, 2, 1, 2, 4},
+      {0.5, 0.5, 0.25, 0.75, 0.125, 0.5, 0.375}, 6, 6);
+  expect_matches_push_reference(a, pagerank_initial_vector(6, 11),
+                                PageRankConfig{}, "dangling rows");
+}
+
+TEST(PageRankOracleTest, ZeroEntriesInTheRankVectorMatchPushReference) {
+  // The push SpMV skips rows whose rank is exactly zero. With damping 1
+  // the zeros persist past the first iteration.
+  const auto generator = gen::make_generator("kronecker", 10, 16, 5);
+  const CsrMatrix a =
+      filter_edges(generator->generate_all(), generator->num_vertices());
+  std::vector<double> r0 = pagerank_initial_vector(a.rows(), 9);
+  for (std::size_t i = 0; i < r0.size(); i += 3) r0[i] = 0.0;
+  for (const double damping : {0.85, 1.0}) {
+    PageRankConfig config;
+    config.damping = damping;
+    expect_matches_push_reference(a, r0, config,
+                                  "zeros in r, c = " + std::to_string(damping));
   }
 }
 

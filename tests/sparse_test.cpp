@@ -98,7 +98,7 @@ TEST(CsrFromEdgesTest, RowsGroupedWithUnorderedColumnsAndScatteredDuplicates) {
                           {2, 3}, {2, 3}, {2, 0}, {2, 3}};
   const CsrMatrix m = CsrMatrix::from_edges(edges, 3, 6);
   EXPECT_EQ(m.row_ptr(), (std::vector<std::uint64_t>{0, 3, 3, 5}));
-  EXPECT_EQ(m.col_idx(), (std::vector<std::uint64_t>{1, 2, 5, 0, 3}));
+  EXPECT_EQ(m.col_idx(), (std::vector<ColIndex>{1, 2, 5, 0, 3}));
   EXPECT_EQ(m.values(), (std::vector<double>{1, 2, 2, 1, 3}));
   EdgeList sorted = edges;
   std::sort(sorted.begin(), sorted.end());
@@ -109,7 +109,7 @@ TEST(CsrFromEdgesTest, EmptyLeadingTrailingAndInnerRows) {
   const EdgeList edges = {{2, 1}, {2, 1}, {4, 0}};
   const CsrMatrix m = CsrMatrix::from_edges(edges, 7, 2);
   EXPECT_EQ(m.row_ptr(), (std::vector<std::uint64_t>{0, 0, 0, 1, 1, 2, 2, 2}));
-  EXPECT_EQ(m.col_idx(), (std::vector<std::uint64_t>{1, 0}));
+  EXPECT_EQ(m.col_idx(), (std::vector<ColIndex>{1, 0}));
   EXPECT_EQ(m.values(), (std::vector<double>{2, 1}));
   EXPECT_EQ(CsrMatrix::from_edges({}, 3, 3).row_ptr(),
             (std::vector<std::uint64_t>{0, 0, 0, 0}));
@@ -163,7 +163,7 @@ TEST(CsrBuilderTest, RowOutOfOrderIsRejectedAndNotAdded) {
   EXPECT_TRUE(builder.add(2, 0, 0.5));
   const CsrMatrix m = builder.finish();
   EXPECT_EQ(m.row_ptr(), (std::vector<std::uint64_t>{0, 0, 1, 2}));
-  EXPECT_EQ(m.col_idx(), (std::vector<std::uint64_t>{2, 0}));
+  EXPECT_EQ(m.col_idx(), (std::vector<ColIndex>{2, 0}));
   EXPECT_EQ(m.values(), (std::vector<double>{1.0, 0.5}));
 }
 

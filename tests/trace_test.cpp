@@ -272,8 +272,10 @@ TEST(PipelineTraceTest, GoldenStructureAtScale8) {
         "codec/decode", "codec/encode"}) {
     EXPECT_GE(spans[name], 1u) << "missing span " << name;
   }
-  // Exactly one "k3/iter" span per PageRank iteration.
+  // Exactly one "k3/iter" span per PageRank iteration, after the one
+  // "k3/group" span of the serial SpMV's column grouping.
   EXPECT_EQ(spans["k3/iter"], static_cast<std::size_t>(config.iterations));
+  EXPECT_EQ(spans["k3/group"], 1u);
   EXPECT_EQ(result.k3_iterations.size(),
             static_cast<std::size_t>(config.iterations));
 
