@@ -37,9 +37,10 @@ void BM_FormatEdges(benchmark::State& state) {
                           state.iterations());
 }
 
-void BM_ParseEdges(benchmark::State& state) {
-  const gen::EdgeList edges = sample_edges();
-  const auto codec = static_cast<io::Codec>(state.range(0));
+/// Parses `edges`, formatted by the fast codec, in `codec`. Bytes/s counts
+/// the text, so it compares with perfbench's io.decode_mb_per_s.
+void parse_sample(benchmark::State& state, const gen::EdgeList& edges,
+                  io::Codec codec) {
   std::string text;
   io::append_edges_fast(text, edges.data(), edges.size());
   for (auto _ : state) {
@@ -50,6 +51,32 @@ void BM_ParseEdges(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(edges.size()) *
                           state.iterations());
+  state.SetBytesProcessed(static_cast<std::int64_t>(text.size()) *
+                          state.iterations());
+}
+
+void BM_ParseEdges(benchmark::State& state) {
+  parse_sample(state, sample_edges(), static_cast<io::Codec>(state.range(0)));
+}
+
+/// K1's read at the benchmark's scale: the s18 edge list, ≈ 58 MB of text,
+/// far beyond L2.
+void BM_ParseEdgesS18(benchmark::State& state) {
+  gen::KroneckerParams params;
+  params.scale = 18;
+  parse_sample(state, gen::KroneckerGenerator(params).generate_all(),
+               io::Codec::kFast);
+}
+
+/// The s14 sample with every id offset by 10^8: 9-digit ids make each line
+/// 20 bytes, so the structural lane classifies a second 16 bytes per line.
+void BM_ParseEdgesWideIds(benchmark::State& state) {
+  gen::EdgeList edges = sample_edges();
+  for (auto& edge : edges) {
+    edge.u += 100000000;
+    edge.v += 100000000;
+  }
+  parse_sample(state, edges, io::Codec::kFast);
 }
 
 BENCHMARK(BM_FormatEdges)
@@ -60,6 +87,8 @@ BENCHMARK(BM_ParseEdges)
     ->Arg(static_cast<int>(io::Codec::kFast))
     ->Arg(static_cast<int>(io::Codec::kGeneric))
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseEdgesS18)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseEdgesWideIds)->Unit(benchmark::kMillisecond);
 
 // ---- storage ablation: dir vs mem stage stores ------------------------------
 // Arg 0 selects the store (0 = dir, 1 = mem), arg 1 the shard count — the

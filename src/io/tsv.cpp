@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <optional>
 #include <sstream>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -63,8 +66,8 @@ namespace {
 }
 
 /// Scalar parse of one raw line (newline already removed, CR not yet).
-/// Shared by the scalar reference loop and the SWAR slow lane so both
-/// agree byte-for-byte on edge cases and error text.
+/// Shared by the scalar reference loop and the structural lane's scalar
+/// fallback so both agree byte-for-byte on edge cases and error text.
 inline void parse_line_scalar(std::string_view raw, gen::EdgeList& out) {
   const std::string_view line = util::strip_cr(raw);
   if (line.empty()) return;
@@ -79,7 +82,7 @@ inline void parse_line_scalar(std::string_view raw, gen::EdgeList& out) {
 
 }  // namespace
 
-std::size_t parse_edges_fast(std::string_view text, gen::EdgeList& out) {
+std::size_t parse_edges_scalar(std::string_view text, gen::EdgeList& out) {
   std::size_t pos = 0;
   while (pos < text.size()) {
     const std::size_t eol = text.find('\n', pos);
@@ -90,135 +93,113 @@ std::size_t parse_edges_fast(std::string_view text, gen::EdgeList& out) {
   return pos;
 }
 
-// ---- SWAR hot loop ----------------------------------------------------------
+// ---- structural lane --------------------------------------------------------
 
+#if defined(__SSE2__)
 namespace {
 
-constexpr std::uint64_t kLoBits = 0x0101010101010101ull;
-constexpr std::uint64_t kHiBits = 0x8080808080808080ull;
-constexpr std::uint64_t kAsciiZeros = 0x3030303030303030ull;
+/// Bytes a lane line may touch from its start: two 16-byte classifies, and
+/// an 8-byte digit load that can start at byte 31. Lines that start closer
+/// to the buffer end take the scalar lane.
+constexpr std::ptrdiff_t kLaneBytes = 40;
 
-/// Unaligned little-endian word load; memcpy keeps it UBSan-clean.
-inline std::uint64_t load8(const char* p) {
+/// Bitmasks over a line's first 16 (or 32) bytes: bit i is set where
+/// byte i is a newline, a tab or an ASCII digit.
+struct ByteClasses {
+  std::uint32_t newline;
+  std::uint32_t tab;
+  std::uint32_t digit;
+};
+
+inline ByteClasses classify16(const char* p) {
+  const __m128i bytes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  // A byte is a digit when (byte - '0') wraps to at most 9 as unsigned.
+  const __m128i offset = _mm_sub_epi8(bytes, _mm_set1_epi8('0'));
+  const __m128i digit =
+      _mm_cmpeq_epi8(_mm_min_epu8(offset, _mm_set1_epi8(9)), offset);
+  const auto mask = [](__m128i lanes) {
+    return static_cast<std::uint32_t>(_mm_movemask_epi8(lanes));
+  };
+  return {mask(_mm_cmpeq_epi8(bytes, _mm_set1_epi8('\n'))),
+          mask(_mm_cmpeq_epi8(bytes, _mm_set1_epi8('\t'))), mask(digit)};
+}
+
+/// Converts the 8 bytes at `p`, ASCII digits with the most significant
+/// first (SSE2 hosts are little-endian), via three multiply-shift
+/// reductions. A `shift` of 8·k bits drops the last k bytes and reads the
+/// first 8 - k as the value, led by k zero digits.
+inline std::uint64_t parse8(const char* p, unsigned shift = 0) {
   std::uint64_t word;
   std::memcpy(&word, p, sizeof(word));
-  if constexpr (std::endian::native != std::endian::little) {
-    std::uint64_t swapped = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      swapped |= ((word >> (56 - 8 * i)) & 0xffu) << (8 * i);
-    }
-    word = swapped;
-  }
-  return word;
-}
-
-/// High bit set in every byte of `word` equal to `c`. The zero-byte trick
-/// ((x - 1) & ~x & 0x80) can smear borrows into HIGHER bytes only, so the
-/// lowest set bit always marks the first match exactly.
-inline std::uint64_t match_byte(std::uint64_t word, char c) {
-  const std::uint64_t x = word ^ (kLoBits * static_cast<unsigned char>(c));
-  return (x - kLoBits) & ~x & kHiBits;
-}
-
-/// First occurrence of `c` in [p, end), or nullptr. Word-at-a-time scan.
-inline const char* swar_find(const char* p, const char* end, char c) {
-  while (end - p >= 8) {
-    const std::uint64_t mask = match_byte(load8(p), c);
-    if (mask != 0) return p + (std::countr_zero(mask) >> 3);
-    p += 8;
-  }
-  while (p < end && *p != c) ++p;
-  return p == end ? nullptr : p;
-}
-
-/// True when all 8 bytes are ASCII digits: high nibble must be 3 and the
-/// low nibble must not carry past 9 when 6 is added.
-inline bool all_digits8(std::uint64_t word) {
-  return ((word & 0xF0F0F0F0F0F0F0F0ull) |
-          (((word + 0x0606060606060606ull) & 0xF0F0F0F0F0F0F0F0ull) >> 4)) ==
-         0x3333333333333333ull;
-}
-
-/// Converts 8 ASCII digits (most significant digit in the lowest byte, as
-/// loaded from text) to their value via three multiply-shift reductions.
-inline std::uint64_t parse8(std::uint64_t word) {
-  word = (word & 0x0F0F0F0F0F0F0F0Full) * 2561 >> 8;
+  word = ((word << shift) & 0x0F0F0F0F0F0F0F0Full) * 2561 >> 8;
   word = (word & 0x00FF00FF00FF00FFull) * 6553601 >> 16;
   return (word & 0x0000FFFF0000FFFFull) * 42949672960001ull >> 32;
 }
 
-/// Parses `len` (1..8) digits starting at `p`. Requires p+8 to be a valid
-/// load (the caller guarantees the line's newline has 7 bytes after it).
-/// Returns nullopt when any of the `len` bytes is not a digit.
-inline std::optional<std::uint64_t> parse_digits_1to8(const char* p,
-                                                      std::size_t len) {
-  std::uint64_t word = load8(p);
-  if (len < 8) {
-    // Shift the digits toward the high bytes (later text positions) and
-    // fill the vacated front with ASCII '0' pad digits.
-    word = (word << (8 * (8 - len))) | (kAsciiZeros >> (8 * len));
-  }
-  if (!all_digits8(word)) return std::nullopt;
-  return parse8(word);
+/// Value of the `len` (1..16) digits at `p`; reads p[0, max(len, 8)).
+inline std::uint64_t parse_digits(const char* p, unsigned len) {
+  if (len <= 8) return parse8(p, 8 * (8 - len));
+  return parse8(p, 8 * (16 - len)) * 100000000ull + parse8(p + len - 8);
 }
 
-/// Parses a whole digit field [p, p+len). Fields up to 16 digits cannot
-/// overflow u64; longer ones go through the checked scalar parser.
-inline std::optional<std::uint64_t> parse_field(const char* p,
-                                                std::size_t len) {
-  if (len == 0) return std::nullopt;
-  if (len <= 8) return parse_digits_1to8(p, len);
-  if (len <= 16) {
-    const auto hi = parse_digits_1to8(p, len - 8);
-    const auto lo = parse_digits_1to8(p + len - 8, 8);
-    if (!hi || !lo) return std::nullopt;
-    return *hi * 100000000ull + *lo;
+/// Takes the line at `p` when it is "u\tv\n" with 1..16 digits per field
+/// and its newline within 32 bytes: appends the edge and returns the byte
+/// after the newline. Returns nullptr for anything else. Reads
+/// [p, p + kLaneBytes).
+inline const char* take_line(const char* p, gen::EdgeList& out) {
+  ByteClasses classes = classify16(p);
+  if (classes.newline == 0) {
+    const ByteClasses high = classify16(p + 16);
+    if (high.newline == 0) return nullptr;
+    classes = {high.newline << 16, classes.tab | high.tab << 16,
+               classes.digit | high.digit << 16};
   }
-  const std::string_view field(p, len);
-  std::size_t cursor = 0;
-  const auto value = util::parse_u64(field, cursor);
-  if (!value || cursor != len) return std::nullopt;
-  return value;
+  const unsigned nl = static_cast<unsigned>(std::countr_zero(classes.newline));
+  const std::uint32_t line = (1u << nl) - 1;
+  const std::uint32_t tab = classes.tab & line;
+  if (tab == 0 || (tab & (tab - 1)) != 0 ||
+      ((classes.digit | tab) & line) != line) {
+    return nullptr;
+  }
+  const unsigned u_len = static_cast<unsigned>(std::countr_zero(tab));
+  const unsigned v_len = nl - u_len - 1;
+  if (u_len - 1 >= 16 || v_len - 1 >= 16) return nullptr;  // 0 or > 16
+  out.push_back(
+      gen::Edge{parse_digits(p, u_len), parse_digits(p + u_len + 1, v_len)});
+  return p + nl + 1;
 }
 
 }  // namespace
+#endif
 
-std::size_t parse_edges_swar(std::string_view text, gen::EdgeList& out) {
+std::size_t parse_edges_structural(std::string_view text, gen::EdgeList& out) {
   const char* const begin = text.data();
   const char* const end = begin + text.size();
   const char* cursor = begin;
   while (cursor < end) {
-    const char* nl = swar_find(cursor, end, '\n');
-    if (nl == nullptr) break;  // partial line: stop
-    bool taken = false;
-    // Hot lane: every word load within the line stays in bounds as long
-    // as 7 bytes follow the newline, i.e. nl + 8 <= end.
-    if (nl > cursor && end - nl >= 8 && nl[-1] != '\r') {
-      const char* tab = swar_find(cursor, nl, '\t');
-      if (tab != nullptr) {
-        const auto u = parse_field(cursor, static_cast<std::size_t>(tab - cursor));
-        const auto v = parse_field(tab + 1, static_cast<std::size_t>(nl - tab - 1));
-        if (u && v) {
-          out.push_back(gen::Edge{*u, *v});
-          taken = true;
-        }
+#if defined(__SSE2__)
+    if (end - cursor >= kLaneBytes) {
+      if (const char* next = take_line(cursor, out)) {
+        cursor = next;
+        continue;
       }
     }
-    if (!taken) {
-      // Slow lane: empty lines, CRLF, malformed input, or lines too close
-      // to the buffer end for whole-word loads. One line at a time through
-      // the scalar reference so behavior and error text match exactly.
-      parse_line_scalar(
-          std::string_view(cursor, static_cast<std::size_t>(nl - cursor)),
-          out);
-    }
+#endif
+    // Scalar lane: empty lines, CRLF, malformed input, long fields, and
+    // lines near the buffer end, through the reference line parser so
+    // edges and error text match parse_edges_scalar exactly.
+    const auto* nl = static_cast<const char*>(
+        std::memchr(cursor, '\n', static_cast<std::size_t>(end - cursor)));
+    if (nl == nullptr) break;  // partial line: stop
+    parse_line_scalar(
+        std::string_view(cursor, static_cast<std::size_t>(nl - cursor)), out);
     cursor = nl + 1;
   }
   return static_cast<std::size_t>(cursor - begin);
 }
 
 namespace {
-/// Same contract as parse_edges_fast but via generic string conversion.
+/// Same contract as parse_edges_scalar but via generic string conversion.
 std::size_t parse_edges_generic(std::string_view text, gen::EdgeList& out) {
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -247,7 +228,7 @@ std::size_t parse_edges_generic(std::string_view text, gen::EdgeList& out) {
 
 std::size_t parse_edges(std::string_view text, gen::EdgeList& out,
                         Codec codec) {
-  return codec == Codec::kFast ? parse_edges_swar(text, out)
+  return codec == Codec::kFast ? parse_edges_structural(text, out)
                                : parse_edges_generic(text, out);
 }
 

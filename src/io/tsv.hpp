@@ -2,8 +2,9 @@
 // strings with a newline between each edge" (paper §IV.A).
 //
 // Two codecs are provided:
-//  * fast    — hand-rolled digit parsing/formatting; what a tuned C++
-//              implementation uses (the `native` backend).
+//  * fast    — an SSE2 structural scan with multiply-shift digit parsing,
+//              and hand-rolled formatting; what a tuned C++ implementation
+//              uses (the `native` backend).
 //  * generic — iostream/locale-based conversion; deliberately the kind of
 //              string path an interpreted stack pays for, used by the
 //              `arraylang` and `dataframe` backends to keep their I/O cost
@@ -35,18 +36,20 @@ void append_edges(std::string& out, const gen::Edge* edges, std::size_t count,
 /// Returns the number of bytes consumed (always ends at a line boundary;
 /// a trailing partial line is left unconsumed for the caller to carry over).
 /// Throws IoError on malformed lines. This is the scalar reference
-/// implementation the SWAR hot loop is conformance-tested against.
-std::size_t parse_edges_fast(std::string_view text, gen::EdgeList& out);
+/// implementation the structural lane is conformance-tested against.
+std::size_t parse_edges_scalar(std::string_view text, gen::EdgeList& out);
 
-/// Same contract and behavior as parse_edges_fast, via word-at-a-time
-/// (SWAR) newline/tab search and branch-light digit parsing. Lines the
-/// hot loop cannot take (empty, CRLF, malformed, too close to the buffer
-/// end for whole-word loads) drop to the scalar lane one line at a time,
-/// so results and errors are byte-identical to parse_edges_fast.
-std::size_t parse_edges_swar(std::string_view text, gen::EdgeList& out);
+/// Same contract and behavior as parse_edges_scalar. On SSE2 hosts each
+/// line's first 16 bytes (32 when they hold no newline) are classified into
+/// newline, tab and digit bitmasks, and a line that is "u\tv\n" with 1..16
+/// digits per field is converted by multiply-shift digit parsing. Every
+/// other line (empty, CRLF, malformed, longer fields, or within 40 bytes of
+/// the buffer end), and every line on other hosts, goes through the scalar
+/// reference's line parser, so results and errors are byte-identical.
+std::size_t parse_edges_structural(std::string_view text, gen::EdgeList& out);
 
-/// Dispatch: kFast routes to the SWAR hot loop, kGeneric to the
-/// deliberately generic string path (same contract as parse_edges_fast,
+/// Dispatch: kFast routes to the structural lane, kGeneric to the
+/// deliberately generic string path (same contract as parse_edges_scalar,
 /// via generic string conversion).
 std::size_t parse_edges(std::string_view text, gen::EdgeList& out,
                         Codec codec);

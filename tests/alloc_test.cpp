@@ -135,11 +135,16 @@ TEST(AllocTest, StageReadReservesOnce) {
   }
 }
 
+// The two peak tests run at scale 16, where the 4·M (K2) and 4·nnz (K3)
+// bytes that u64 columns would add exceed the fixed 2 MiB slack for reader
+// buffers and bookkeeping; at scale 14 they fit inside it.
+constexpr int kPeakScale = 16;
+
 TEST(AllocTest, NativeKernel2PeaksAtTheMatrix) {
   for (const char* storage : {"dir", "mem"}) {
     util::TempDir work("prpb-alloc");
     core::PipelineConfig config;
-    config.scale = 14;
+    config.scale = kPeakScale;
     config.storage = storage;
     config.work_dir = work.path();
     const auto store = core::make_stage_store(config);
@@ -166,7 +171,7 @@ TEST(AllocTest, NativeKernel3PeaksAtTheGroupedCopy) {
   // scatter target (8·N each), the column order (4·N) and the grouped
   // columns (4·nnz), with the runner's telemetry sink attached.
   core::PipelineConfig config;
-  config.scale = 14;
+  config.scale = kPeakScale;
   config.storage = "mem";
   const auto store = core::make_stage_store(config);
   core::NativeBackend backend;

@@ -83,8 +83,8 @@ INSTANTIATE_TEST_SUITE_P(BothCodecs, CodecTest,
 
 TEST(CodecTest, FastRejectsTrailingGarbage) {
   EdgeList parsed;
-  EXPECT_THROW(parse_edges_fast("1\t2x\n", parsed), util::IoError);
-  EXPECT_THROW(parse_edges_fast("1\t2\t3\n", parsed), util::IoError);
+  EXPECT_THROW(parse_edges_scalar("1\t2x\n", parsed), util::IoError);
+  EXPECT_THROW(parse_edges_scalar("1\t2\t3\n", parsed), util::IoError);
 }
 
 TEST(CodecTest, CodecsProduceIdenticalText) {
@@ -98,53 +98,68 @@ TEST(CodecTest, CodecsProduceIdenticalText) {
   EXPECT_EQ(fast, generic);
 }
 
-// ---- SWAR parser conformance ------------------------------------------------
-// parse_edges_swar must be byte-identical to the scalar reference
-// (parse_edges_fast): same edges, same consumed count, same errors.
+// ---- structural parser conformance ------------------------------------------
+// parse_edges_structural must be byte-identical to the scalar reference
+// (parse_edges_scalar): same edges, same consumed count, same error text.
 
-void expect_swar_matches_scalar(const std::string& text) {
-  EdgeList scalar;
-  EdgeList swar;
-  bool scalar_threw = false;
-  bool swar_threw = false;
-  std::size_t scalar_consumed = 0;
-  std::size_t swar_consumed = 0;
+struct ParseOutcome {
+  EdgeList edges;
+  std::size_t consumed = 0;
+  std::string error;  // what() of the IoError, empty when none was thrown
+};
+
+template <typename Parser>
+ParseOutcome run_parser(Parser parser, const std::string& text) {
+  ParseOutcome outcome;
   try {
-    scalar_consumed = parse_edges_fast(text, scalar);
-  } catch (const util::IoError&) {
-    scalar_threw = true;
+    outcome.consumed = parser(text, outcome.edges);
+  } catch (const util::IoError& e) {
+    outcome.error = e.what();
   }
-  try {
-    swar_consumed = parse_edges_swar(text, swar);
-  } catch (const util::IoError&) {
-    swar_threw = true;
-  }
-  EXPECT_EQ(swar_threw, scalar_threw) << "input: '" << text << "'";
-  if (!scalar_threw && !swar_threw) {
-    EXPECT_EQ(swar_consumed, scalar_consumed) << "input: '" << text << "'";
-    EXPECT_EQ(swar, scalar) << "input: '" << text << "'";
-  }
+  return outcome;
 }
 
-TEST(SwarParserTest, DigitWidthSweep) {
+void expect_structural_matches_scalar(const std::string& text) {
+  const ParseOutcome scalar = run_parser(parse_edges_scalar, text);
+  const ParseOutcome structural = run_parser(parse_edges_structural, text);
+  EXPECT_EQ(structural.error, scalar.error) << "input: '" << text << "'";
+  EXPECT_EQ(structural.consumed, scalar.consumed) << "input: '" << text << "'";
+  EXPECT_EQ(structural.edges, scalar.edges) << "input: '" << text << "'";
+}
+
+/// xorshift64: the fuzz tests' seeded, reproducible byte source.
+struct XorShift64 {
+  std::uint64_t state;
+  std::uint64_t operator()() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+};
+
+TEST(StructuralParserTest, DigitWidthSweep) {
   // Every (u digits, v digits) combination from 1..20 exercises the
-  // 1..8-digit word path, the 9..16 two-word path, the >16 scalar path,
-  // and the 20-digit overflow rejection.
+  // 1..8-digit conversion, the 9..16 two-word conversion, the second
+  // 16-byte classify, the >16 scalar lane and the 20-digit overflow
+  // rejection.
   for (std::size_t du = 1; du <= 20; ++du) {
     for (std::size_t dv = 1; dv <= 20; ++dv) {
       std::string u(du, '7');
       std::string v(dv, '3');
       u.front() = '1';
       v.front() = '9';
-      expect_swar_matches_scalar(u + "\t" + v + "\n");
-      // Padded with a long second line so word loads are in bounds for
-      // the first and the slow lane covers the last.
-      expect_swar_matches_scalar(u + "\t" + v + "\n123456\t654321\n");
+      expect_structural_matches_scalar(u + "\t" + v + "\n");
+      // Padded with 42 bytes of lines so the first line is in reach of
+      // the structural lane and the scalar lane covers the last.
+      expect_structural_matches_scalar(u + "\t" + v +
+                                       "\n123456\t654321\n123456\t654321"
+                                       "\n123456\t654321\n");
     }
   }
 }
 
-TEST(SwarParserTest, EdgeCasesMatchScalar) {
+TEST(StructuralParserTest, EdgeCasesMatchScalar) {
   const char* cases[] = {
       "",                        // empty input
       "\n",                      // empty line
@@ -166,19 +181,13 @@ TEST(SwarParserTest, EdgeCasesMatchScalar) {
       "-1\t2\n",                 // sign not accepted
       "1\t2",                    // unterminated single record
   };
-  for (const char* text : cases) expect_swar_matches_scalar(text);
+  for (const char* text : cases) expect_structural_matches_scalar(text);
 }
 
-TEST(SwarParserTest, FuzzAgainstScalar) {
+TEST(StructuralParserTest, FuzzAgainstScalar) {
   // Pseudo-random inputs mixing digits, separators and junk; both parsers
   // must agree on every one of them.
-  std::uint64_t state = 0x243f6a8885a308d3ULL;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
+  XorShift64 next{0x243f6a8885a308d3ULL};
   const char alphabet[] = "0123456789\t\n\r x";
   for (int round = 0; round < 500; ++round) {
     std::string text;
@@ -186,7 +195,7 @@ TEST(SwarParserTest, FuzzAgainstScalar) {
     for (std::size_t i = 0; i < len; ++i) {
       text.push_back(alphabet[next() % (sizeof(alphabet) - 1)]);
     }
-    expect_swar_matches_scalar(text);
+    expect_structural_matches_scalar(text);
   }
   // Well-formed fuzz: random ids at every width, all lines must parse.
   for (int round = 0; round < 200; ++round) {
@@ -199,19 +208,50 @@ TEST(SwarParserTest, FuzzAgainstScalar) {
       expected.push_back({u, v});
       append_edges(text, &expected.back(), 1, Codec::kFast);
     }
-    EdgeList swar;
-    EXPECT_EQ(parse_edges_swar(text, swar), text.size());
-    EXPECT_EQ(swar, expected);
+    EdgeList structural;
+    EXPECT_EQ(parse_edges_structural(text, structural), text.size());
+    EXPECT_EQ(structural, expected);
   }
 }
 
-TEST(SwarParserTest, ChunkBoundarySplits) {
+TEST(StructuralParserTest, LongTextFuzzAgainstScalar) {
+  // Multi-line well-formed texts with ids of 1..20 digits (some lines
+  // CRLF), 0..2 bytes replaced by structural or junk bytes, then cut at a
+  // random length: the structural lane takes the lines it can and hands
+  // every other line (and the last 40 bytes) to the scalar lane mid-text.
+  XorShift64 next{0x9e3779b97f4a7c15ULL};
+  const auto random_id = [&next] {
+    std::string id(1 + next() % 20, '0');
+    for (char& c : id) c = static_cast<char>('0' + next() % 10);
+    return id;
+  };
+  const char replacements[] = "0123456789\t\n\rx-";
+  for (int round = 0; round < 100000; ++round) {
+    std::string text;
+    const std::size_t lines = 1 + next() % 8;
+    for (std::size_t i = 0; i < lines; ++i) {
+      text += random_id();
+      text += '\t';
+      text += random_id();
+      text += next() % 8 == 0 ? "\r\n" : "\n";  // CRLF is well formed too
+    }
+    for (std::uint64_t edits = next() % 3; edits > 0; --edits) {
+      text[next() % text.size()] =
+          replacements[next() % (sizeof(replacements) - 1)];
+    }
+    text.resize(next() % (text.size() + 1));
+    expect_structural_matches_scalar(text);
+    if (::testing::Test::HasFailure()) break;  // one report, not thousands
+  }
+}
+
+TEST(StructuralParserTest, ChunkBoundarySplits) {
   // Every split point of a multi-line text must decode identically when
   // fed as two chunks — the decoder's carry must never duplicate or drop
   // a record (regression for the no-copy carry rework).
   const std::string text = "1\t2\n345\t6789\n18446744073709551615\t0\n42\t7\n";
   EdgeList whole;
-  parse_edges_fast(text, whole);
+  parse_edges_scalar(text, whole);
   for (std::size_t split = 0; split <= text.size(); ++split) {
     const auto decoder = tsv_codec(Codec::kFast).make_decoder();
     EdgeList out;
@@ -228,7 +268,7 @@ TEST(SwarParserTest, ChunkBoundarySplits) {
   EXPECT_EQ(out, whole);
 }
 
-TEST(SwarParserTest, DecodeOneShotMatchesStreaming) {
+TEST(StructuralParserTest, DecodeOneShotMatchesStreaming) {
   const std::string body = "5\t6\n7\t8";  // missing final newline
   for (const auto* codec : {&tsv_codec(Codec::kFast),
                             &tsv_codec(Codec::kGeneric)}) {
