@@ -1,5 +1,6 @@
 #include "core/checksum.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -72,6 +73,14 @@ std::uint64_t rank_digest(const std::vector<double>& ranks, double quantum) {
   std::uint64_t acc = mix_pair(0xdeadbeefULL, normalized.size());
   for (const double x : normalized) {
     acc = mix_pair(acc, quantize(x, quantum));
+  }
+  return acc;
+}
+
+std::uint64_t rank_bits_digest(const std::vector<double>& ranks) {
+  std::uint64_t acc = mix_pair(0xb175eedULL, ranks.size());
+  for (const double x : ranks) {
+    acc = mix_pair(acc, std::bit_cast<std::uint64_t>(x));
   }
   return acc;
 }

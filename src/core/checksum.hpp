@@ -9,7 +9,7 @@
 //   * kernel 2 — a structural + value fingerprint of the CSR matrix;
 //   * kernel 3 — a digest of the L1-normalized rank vector quantized to a
 //     tolerance, so any backend within fp tolerance produces the same
-//     digest.
+//     digest, and an exact digest of the rank bits.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +50,11 @@ std::uint64_t matrix_fingerprint(const sparse::CsrMatrix& a,
 /// Rank digest: L1-normalize, quantize to `quantum`, hash.
 std::uint64_t rank_digest(const std::vector<double>& ranks,
                           double quantum = 1e-9);
+
+/// Exact rank digest: hashes the raw IEEE-754 bits of every entry, with
+/// no normalization or quantization, so one ulp anywhere changes it. Only
+/// paths that sum in the reference order share it.
+std::uint64_t rank_bits_digest(const std::vector<double>& ranks);
 
 /// BFS-level digest: exact (integer levels admit no tolerance), order- and
 /// length-sensitive — any correct BFS over the same matrix matches.

@@ -138,7 +138,9 @@ DistResult run_distributed(const DistConfig& config, std::size_t ranks) {
 
     // ---- Kernel 3: this rank's entries of r·A, summed across ranks —
     // "summed across all processors and broadcast back". The other ranks
-    // add exact zeros to each entry, so y equals the serial product.
+    // add exact zeros to each entry, so y equals the serial product. It
+    // stays a plain vec_mat push: the tests compare it, bit for bit, with
+    // the serial K3's grouped operator.
     std::vector<double> r = sparse::pagerank_initial_vector(n, config.seed);
     std::vector<double> y;
     const std::uint64_t bytes_before_k3 = comm.stats().bytes_sent;

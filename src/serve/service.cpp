@@ -1,10 +1,8 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/checksum.hpp"
-#include "sparse/pagerank.hpp"
 #include "util/error.hpp"
 
 namespace prpb::serve {
@@ -13,10 +11,9 @@ RankService::RankService(sparse::CsrMatrix matrix, std::vector<double> ranks,
                          const ServiceOptions& options)
     : options_(options),
       matrix_(std::move(matrix)),
+      op_(matrix_),
       num_vertices_(matrix_.rows()),
       ranks_(std::move(ranks)) {
-  util::require(matrix_.rows() == matrix_.cols(),
-                "serve: kernel-2 matrix must be square");
   util::require(ranks_.size() == num_vertices_,
                 "serve: rank vector size must equal the vertex count");
   util::require(options_.iterations >= 0,
@@ -62,96 +59,35 @@ std::vector<RankEntry> RankService::neighbors(std::uint64_t vertex) const {
   return entries;
 }
 
-PprResult RankService::ppr_full(const PprRequest& request) const {
-  const double c = options_.damping;
-  const double n = static_cast<double>(num_vertices_);
+namespace {
 
-  std::vector<double> r = initial_;
-  std::vector<double> y(num_vertices_);
-  std::vector<double> previous;
+/// Runs up to request.iterations steps of `op` from r, teleporting to
+/// every vertex or to the restart list given, stopping once epsilon > 0
+/// and the step's L1 residual drops below it; then digests r and
+/// extracts its top k.
+template <typename... Restart>
+PprResult run_ppr(const sparse::PageRankOperator& op, double damping,
+                  std::vector<double> r, const PprRequest& request,
+                  const Restart&... restart) {
+  double r_sum = 0.0;
+  for (const double x : r) r_sum += x;
+  std::vector<double> y(r.size(), 0.0);
   PprResult result;
   for (std::uint32_t it = 0; it < request.iterations; ++it) {
-    if (request.epsilon > 0.0) previous = r;
-    double r_sum = 0.0;
-    for (const double x : r) r_sum += x;
-
-    matrix_.vec_mat(r, y);
-
-    // This evaluates the reference update's exact expression
-    // ((1-c)·sum(r)/N added everywhere), so full-restart ppr is
-    // bit-identical to sparse::pagerank_iterate on the same matrix.
-    const double add = (1.0 - c) * r_sum / n;
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i] + add;
+    const sparse::IterationStats stats =
+        op.step(r, r_sum, damping, y, restart...);
     result.iterations_run = it + 1;
-
     if (request.epsilon > 0.0) {
-      double residual = 0.0;
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        residual += std::abs(r[i] - previous[i]);
-      }
-      result.residual = residual;
-      if (residual < request.epsilon) break;
+      result.residual = stats.residual_l1;
+      if (stats.residual_l1 < request.epsilon) break;
     }
   }
 
-  finish_ppr(r, request.topk, result);
-  return result;
-}
-
-PprResult RankService::ppr_subset(const PprRequest& request,
-                                  std::vector<std::uint64_t> restart) const {
-  const double c = options_.damping;
-  const double restart_size = static_cast<double>(restart.size());
-
-  // Standard personalized start: r0 = e_S/|S|. The vector is sparse, and
-  // vec_mat skips zero rows, so early iterations only traverse the
-  // restart set's expanding out-neighborhood. (A fully support-tracked
-  // push was tried and measured slower here: with the generator's edge
-  // factor the 2–3-hop neighborhood is already most of the graph, and the
-  // per-edge dedup bookkeeping plus unordered row access cost more than
-  // the dense sweep it saved.)
-  std::vector<double> r(num_vertices_, 0.0);
-  const double mass = 1.0 / restart_size;
-  for (const std::uint64_t v : restart) r[v] = mass;
-
-  std::vector<double> y(num_vertices_);
-  std::vector<double> previous;
-  PprResult result;
-  for (std::uint32_t it = 0; it < request.iterations; ++it) {
-    if (request.epsilon > 0.0) previous = r;
-    double r_sum = 0.0;
-    for (const double x : r) r_sum += x;
-
-    matrix_.vec_mat(r, y);
-
-    // Teleport mass goes to the restart set only.
-    const double add = (1.0 - c) * r_sum / restart_size;
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = c * y[i];
-    for (const std::uint64_t v : restart) r[v] += add;
-    result.iterations_run = it + 1;
-
-    if (request.epsilon > 0.0) {
-      double residual = 0.0;
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        residual += std::abs(r[i] - previous[i]);
-      }
-      result.residual = residual;
-      if (residual < request.epsilon) break;
-    }
-  }
-
-  finish_ppr(r, request.topk, result);
-  return result;
-}
-
-void RankService::finish_ppr(const std::vector<double>& r,
-                             std::uint32_t topk, PprResult& result) const {
   result.digest = core::rank_digest(r);
-  const std::size_t top_count =
-      std::min<std::size_t>(topk, static_cast<std::size_t>(num_vertices_));
+  const std::size_t top_count = std::min<std::size_t>(request.topk, r.size());
   if (top_count > 0) {
-    std::vector<std::uint64_t> order(num_vertices_);
-    for (std::uint64_t v = 0; v < num_vertices_; ++v) order[v] = v;
+    std::vector<std::uint64_t> order(r.size());
+    for (std::uint64_t v = 0; v < r.size(); ++v) order[v] = v;
     std::partial_sort(order.begin(), order.begin() + top_count, order.end(),
                       [&r](std::uint64_t a, std::uint64_t b) {
                         if (r[a] != r[b]) return r[a] > r[b];
@@ -162,7 +98,10 @@ void RankService::finish_ppr(const std::vector<double>& r,
       result.top.push_back({order[i], r[order[i]]});
     }
   }
+  return result;
 }
+
+}  // namespace
 
 PprResult RankService::ppr(const PprRequest& request) const {
   // An empty restart list (or every vertex listed) is the full set;
@@ -170,8 +109,22 @@ PprResult RankService::ppr(const PprRequest& request) const {
   std::vector<std::uint64_t> restart = request.restart;
   std::sort(restart.begin(), restart.end());
   restart.erase(std::unique(restart.begin(), restart.end()), restart.end());
-  const bool full = restart.empty() || restart.size() == num_vertices_;
-  return full ? ppr_full(request) : ppr_subset(request, std::move(restart));
+  if (restart.empty() || restart.size() == num_vertices_) {
+    // Kernel 3's start vector and step, so at the configured iteration
+    // count this is bit-identical to sparse::pagerank_iterate.
+    return run_ppr(op_, options_.damping, initial_, request);
+  }
+  // Standard personalized start: r0 = e_S/|S|. The vector is sparse, and
+  // the scatter skips zero rows, so early iterations only traverse the
+  // restart set's expanding out-neighborhood. (A fully support-tracked
+  // push was tried and measured slower here: with the generator's edge
+  // factor the 2–3-hop neighborhood is already most of the graph, and the
+  // per-edge dedup bookkeeping plus unordered row access cost more than
+  // the dense sweep it saved.)
+  std::vector<double> r(num_vertices_, 0.0);
+  const double mass = 1.0 / static_cast<double>(restart.size());
+  for (const std::uint64_t v : restart) r[v] = mass;
+  return run_ppr(op_, options_.damping, std::move(r), request, restart);
 }
 
 std::string RankService::handle(const Request& request) const {

@@ -17,9 +17,9 @@
 // reproduces the kernel-3 ranks bit for bit (pinned by
 // tests/serving_test.cpp against the golden checksums). A proper subset
 // starts from the standard personalization vector e_S/|S| instead: that
-// start is sparse, and vec_mat skips zero rows, so early iterations only
-// touch the restart set's expanding out-neighborhood — the difference
-// between ~1 ms and a full-matrix SpMV per query at serving scales.
+// start is sparse, and the operator's scatter skips zero rows, so early
+// iterations only touch the restart set's expanding out-neighborhood.
+// Both step kernel 3's sparse::PageRankOperator, built once at load.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,7 @@
 
 #include "serve/protocol.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/pagerank.hpp"
 
 namespace prpb::serve {
 
@@ -52,6 +53,9 @@ class RankService {
   /// are invalid.
   RankService(sparse::CsrMatrix matrix, std::vector<double> ranks,
               const ServiceOptions& options);
+  /// The operator borrows matrix_, so the service stays where it is built.
+  RankService(const RankService&) = delete;
+  RankService& operator=(const RankService&) = delete;
 
   [[nodiscard]] std::uint64_t vertices() const { return num_vertices_; }
   [[nodiscard]] std::uint64_t nnz() const { return matrix_.nnz(); }
@@ -88,20 +92,9 @@ class RankService {
   [[nodiscard]] std::string handle(const Request& request) const;
 
  private:
-  /// Dense reference iteration for the full restart set (bit-identical to
-  /// kernel 3 at the configured iteration count).
-  PprResult ppr_full(const PprRequest& request) const;
-  /// Iteration for proper subsets: starts from the sparse e_S/|S| vector,
-  /// so early sweeps only traverse the restart set's expanding
-  /// out-neighborhood. `restart` is sorted and distinct.
-  PprResult ppr_subset(const PprRequest& request,
-                       std::vector<std::uint64_t> restart) const;
-  /// Shared tail: digest + top-k extraction from the final rank vector.
-  void finish_ppr(const std::vector<double>& r, std::uint32_t topk,
-                  PprResult& result) const;
-
   ServiceOptions options_;
   sparse::CsrMatrix matrix_;
+  sparse::PageRankOperator op_;  ///< borrows matrix_: declared after it
   std::uint64_t num_vertices_ = 0;
   std::vector<double> ranks_;
   std::vector<double> initial_;     ///< kernel-3 seed-derived start vector

@@ -36,15 +36,17 @@ std::vector<double> pagerank_initial_vector(std::uint64_t n,
 
 namespace {
 
-/// The update loop behind every path: r[i] = c*y_i + add, with y_i =
-/// load(i), in index order. The residual and the new sum are accumulated
-/// in the same pass, in the same order a separate pass over r would use.
-template <typename Load>
+/// The update loop behind every path: r[i] = c*y_i + add on the vertices
+/// in the teleport target and c*y_i elsewhere, with y_i = load(i), in
+/// index order. The residual and the new sum are accumulated in the same
+/// pass, in the same order a separate pass over r would use.
+template <typename Load, typename InTarget>
 IterationStats update_ranks(std::vector<double>& r, double c, double add,
-                            Load load) {
+                            Load load, InTarget in_target) {
   IterationStats stats;
   for (std::size_t i = 0; i < r.size(); ++i) {
-    const double next = c * load(i) + add;
+    const double cy = c * load(i);
+    const double next = in_target(i) ? cy + add : cy;
     stats.residual_l1 += std::abs(next - r[i]);
     stats.rank_sum += next;
     r[i] = next;
@@ -52,9 +54,12 @@ IterationStats update_ranks(std::vector<double>& r, double c, double add,
   return stats;
 }
 
-/// The paper's additive term (1-c)/N * sum(r).
-double teleport(double c, double r_sum, std::size_t n) {
-  return (1.0 - c) * r_sum / static_cast<double>(n);
+/// The paper's teleport target: every vertex.
+constexpr auto kEveryVertex = [](std::size_t) { return true; };
+
+/// The teleport term (1-c)·sum(r)/|T| for a target of `size` vertices.
+double teleport(double c, double r_sum, std::size_t size) {
+  return (1.0 - c) * r_sum / static_cast<double>(size);
 }
 
 double sum(const std::vector<double>& v) {
@@ -63,52 +68,88 @@ double sum(const std::vector<double>& v) {
   return acc;
 }
 
-/// A's columns renamed by descending in-degree, ties by ascending column:
-/// the serial SpMV adds column j's products into y'[order[j]], so the
-/// entries of the most-written columns sit together at the front of y'.
-struct GroupedColumns {
-  std::vector<ColIndex> order;  ///< π, a permutation of the columns
-  std::vector<ColIndex> col;    ///< π[col_idx[k]] for every entry k
-};
+}  // namespace
 
-GroupedColumns group_columns(const CsrMatrix& a) {
-  GroupedColumns g;
-  // order[j] holds column j's in-degree, then its slot (a counting sort).
-  g.order.assign(a.cols(), 0);
+PageRankOperator::PageRankOperator(const CsrMatrix& a) : a_(a) {
+  util::require(a.rows() == a.cols(), "pagerank: matrix must be square");
+  // order_[j] holds column j's in-degree, then its slot (a counting sort).
+  order_.assign(a.cols(), 0);
   ColIndex max_degree = 0;
   for (const ColIndex j : a.col_idx()) {
-    max_degree = std::max(max_degree, ++g.order[j]);
+    max_degree = std::max(max_degree, ++order_[j]);
   }
-  {
-    // next[d]: the slot of the next column of degree d. Columns with a
-    // higher degree come first.
-    std::vector<std::uint64_t> next(std::uint64_t{max_degree} + 1, 0);
-    for (const ColIndex degree : g.order) ++next[degree];
-    std::uint64_t slot = 0;
-    for (std::uint64_t d = next.size(); d-- > 0;) {
-      const std::uint64_t count = next[d];
-      next[d] = slot;
-      slot += count;
-    }
-    for (ColIndex& entry : g.order) {
-      entry = static_cast<ColIndex>(next[entry]++);
-    }
+  // next[d]: the slot of the next column of degree d. Columns with a
+  // higher degree come first.
+  std::vector<std::uint64_t> next(std::uint64_t{max_degree} + 1, 0);
+  for (const ColIndex degree : order_) ++next[degree];
+  std::uint64_t slot = 0;
+  for (std::uint64_t d = next.size(); d-- > 0;) {
+    const std::uint64_t count = next[d];
+    next[d] = slot;
+    slot += count;
   }
-  g.col.resize(a.nnz());
-  const ColIndex* order = g.order.data();
-  const ColIndex* col_idx = a.col_idx().data();
-  for (std::size_t k = 0; k < g.col.size(); ++k) {
-    g.col[k] = order[col_idx[k]];
+  for (ColIndex& entry : order_) {
+    entry = static_cast<ColIndex>(next[entry]++);
   }
-  return g;
+  col_.resize(a.nnz());
+  std::transform(a.col_idx().begin(), a.col_idx().end(), col_.begin(),
+                 [this](ColIndex j) { return order_[j]; });
 }
 
-}  // namespace
+template <typename InTarget>
+IterationStats PageRankOperator::advance(std::vector<double>& r,
+                                         double& r_sum, double damping,
+                                         double add, std::vector<double>& y,
+                                         InTarget in_target) const {
+  const std::uint64_t* row_ptr = a_.row_ptr().data();
+  const ColIndex* col = col_.data();
+  const double* values = a_.values().data();
+  double* yg = y.data();
+  for (std::uint64_t row = 0; row < a_.rows(); ++row) {
+    const double xr = r[row];
+    if (xr == 0.0) continue;
+    for (std::uint64_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
+      yg[col[k]] += xr * values[k];
+    }
+  }
+  // Each y'[π(j)] is read once and zeroed for the next scatter.
+  const ColIndex* order = order_.data();
+  const auto load = [yg, order](std::size_t j) {
+    const double yj = yg[order[j]];
+    yg[order[j]] = 0.0;
+    return yj;
+  };
+  const IterationStats stats = update_ranks(r, damping, add, load, in_target);
+  r_sum = stats.rank_sum;
+  return stats;
+}
+
+IterationStats PageRankOperator::step(std::vector<double>& r, double& r_sum,
+                                      double damping,
+                                      std::vector<double>& y) const {
+  return advance(r, r_sum, damping, teleport(damping, r_sum, r.size()), y,
+                 kEveryVertex);
+}
+
+IterationStats PageRankOperator::step(
+    std::vector<double>& r, double& r_sum, double damping,
+    std::vector<double>& y, const std::vector<std::uint64_t>& restart) const {
+  // The restart list is sorted, so the update meets it in order.
+  const std::uint64_t* next = restart.data();
+  const std::uint64_t* const end = next + restart.size();
+  return advance(r, r_sum, damping, teleport(damping, r_sum, restart.size()),
+                 y,
+                 [&next, end](std::size_t i) {
+                   if (next == end || *next != i) return false;
+                   ++next;
+                   return true;
+                 });
+}
 
 IterationStats pagerank_update(std::vector<double>& r,
                                const std::vector<double>& y, double damping) {
   return update_ranks(r, damping, teleport(damping, sum(r), r.size()),
-                      [&y](std::size_t i) { return y[i]; });
+                      [&y](std::size_t i) { return y[i]; }, kEveryVertex);
 }
 
 void run_pagerank_steps(const PageRankConfig& config,
@@ -137,12 +178,6 @@ void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
   // sum(r) for the next update is the rank_sum of the last one.
   const double c = config.damping;
   double r_sum = sum(r);
-  const auto update = [&](auto load) {
-    const IterationStats stats =
-        update_ranks(r, c, teleport(c, r_sum, r.size()), load);
-    r_sum = stats.rank_sum;
-    return stats;
-  };
 
   if (pool != nullptr && pool->size() > 1) {
     // y = r·A as y[j] = Σ Aᵀ(j, i) · r[i]: each output entry is owned by
@@ -161,37 +196,22 @@ void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,
               y[j] = acc;
             }
           });
-      return update([&y](std::size_t i) { return y[i]; });
+      const IterationStats stats =
+          update_ranks(r, c, teleport(c, r_sum, r.size()),
+                       [&y](std::size_t i) { return y[i]; }, kEveryVertex);
+      r_sum = stats.rank_sum;
+      return stats;
     });
     return;
   }
 
-  GroupedColumns grouped;
-  {
+  const PageRankOperator op = [&] {
     const obs::Span span(trace, "k3/group");
-    grouped = group_columns(a);
-  }
-  // The update reads each entry of y' once and zeroes it for the next
-  // scatter, so y' is all zeros between iterations.
+    return PageRankOperator(a);
+  }();
   std::vector<double> y(a.cols(), 0.0);
   run_pagerank_steps(config, [&] {
-    const std::uint64_t* row_ptr = a.row_ptr().data();
-    const ColIndex* col = grouped.col.data();
-    const double* values = a.values().data();
-    double* yg = y.data();
-    for (std::uint64_t row = 0; row < a.rows(); ++row) {
-      const double xr = r[row];
-      if (xr == 0.0) continue;
-      for (std::uint64_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-        yg[col[k]] += xr * values[k];
-      }
-    }
-    const ColIndex* order = grouped.order.data();
-    return update([yg, order](std::size_t j) {
-      const double yj = yg[order[j]];
-      yg[order[j]] = 0.0;
-      return yj;
-    });
+    return op.step(r, r_sum, c, y);
   });
 }
 

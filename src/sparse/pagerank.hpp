@@ -49,15 +49,47 @@ struct PageRankConfig {
 std::vector<double> pagerank_initial_vector(std::uint64_t n,
                                             std::uint64_t seed);
 
+/// The serial PageRank step that kernel 3 and the rank server share. π
+/// renames A's columns by descending in-degree (ties by column), and the
+/// push SpMV adds column j's products into y'[π(j)], so the hub entries
+/// sit together and stay in cache. The scatter runs in row order and
+/// skips rows whose rank is 0, so y'[π(j)] is `vec_mat`'s y[j] bit for
+/// bit. It owns π and the renamed columns and borrows `a`'s row offsets
+/// and values, so `a` must outlive it.
+class PageRankOperator {
+ public:
+  /// Throws util::ConfigError unless `a` is square.
+  explicit PageRankOperator(const CsrMatrix& a);
+
+  /// One update in place, given r_sum = sum(r), which it advances:
+  ///   r = c·(r·A) + (1-c)·r_sum/|T| on each vertex of the teleport
+  /// target T: every vertex (the paper's update), or the sorted, distinct,
+  /// non-empty `restart`. `y` is scratch of N zeros, left zeroed. Returns
+  /// the update's residual_l1 and rank_sum, as pagerank_update() does.
+  IterationStats step(std::vector<double>& r, double& r_sum, double damping,
+                      std::vector<double>& y) const;
+  IterationStats step(std::vector<double>& r, double& r_sum, double damping,
+                      std::vector<double>& y,
+                      const std::vector<std::uint64_t>& restart) const;
+
+ private:
+  template <typename InTarget>
+  IterationStats advance(std::vector<double>& r, double& r_sum, double damping,
+                         double add, std::vector<double>& y,
+                         InTarget in_target) const;
+
+  const CsrMatrix& a_;
+  std::vector<ColIndex> order_;  ///< π, a permutation of the columns
+  std::vector<ColIndex> col_;    ///< π[col_idx[k]] for every entry k
+};
+
 /// Runs `config.iterations` updates starting from `r` (modified in place).
 ///
 /// Every path adds the products into each y[j] in ascending row order,
 /// exactly as `vec_mat` does, so all of them give the same bits:
-/// - With no pool or a one-thread pool, the push SpMV scatters into a
-///   copy of y whose entries are ordered by descending in-degree, so the
-///   hub entries stay in cache. Renaming the columns does not change the
-///   order of the additions into any one entry. The grouping is built once
-///   per call, under a "k3/group" span on `trace` when it is recording.
+/// - With no pool or a one-thread pool, it steps a PageRankOperator built
+///   once per call, under a "k3/group" span on `trace` when it is
+///   recording.
 /// - With a pool of more than one thread, the SpMV runs over the
 ///   transposed matrix, one task per chunk of output entries.
 void pagerank_iterate(const CsrMatrix& a, std::vector<double>& r,

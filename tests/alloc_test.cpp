@@ -17,6 +17,7 @@
 #include "gen/kronecker.hpp"
 #include "io/edge_files.hpp"
 #include "io/stage_store.hpp"
+#include "serve/service.hpp"
 #include "sort/edge_sort.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/pagerank.hpp"
@@ -193,6 +194,37 @@ TEST(AllocTest, NativeKernel3PeaksAtTheGroupedCopy) {
             4 * matrix.nnz() + 4 * n + 16 * n + 2 * kMiB);
   EXPECT_EQ(ranks.size(), n);
   EXPECT_EQ(iterations.size(), static_cast<std::size_t>(config.iterations));
+}
+
+TEST(AllocTest, RankServiceHoldsOneMatrixAndPprNoPreviousCopy) {
+  // The service takes the matrix and ranks by move and adds the grouped
+  // columns (4·nnz) and π (4·N), plus its initial vector and rank order
+  // (8·N each); a second row_ptr (8·N) or values array (8·nnz) would
+  // overrun the 256 KiB slack. One full-restart ppr holds r, the scratch
+  // and the top-k order (8·N each); a copy of the previous r would too.
+  core::PipelineConfig config;
+  config.scale = kPeakScale;
+  config.storage = "mem";
+  core::NativeBackend backend;
+  core::PipelineResult result =
+      core::run_pipeline(config, backend, core::RunOptions{});
+  const std::size_t n = config.num_vertices();
+  const std::size_t nnz = result.matrix.nnz();
+  std::size_t base = heap.live.load();
+  heap.reset();
+  const serve::RankService service(std::move(result.matrix),
+                                   std::move(result.ranks),
+                                   serve::ServiceOptions{});
+  EXPECT_LE(heap.peak_above(base), 4 * nnz + 4 * n + 16 * n + kMiB / 4);
+
+  serve::PprRequest full;
+  full.iterations = 20;
+  full.topk = 10;
+  base = heap.live.load();
+  heap.reset();
+  const serve::PprResult ppr = service.ppr(full);
+  EXPECT_LE(heap.peak_above(base), 24 * n + kMiB / 4);
+  EXPECT_EQ(ppr.top.size(), 10u);
 }
 
 TEST(AllocTest, CsrRejectsMoreThan32BitColumnsWithoutAllocating) {

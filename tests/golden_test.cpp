@@ -1,10 +1,13 @@
 // Golden conformance vectors — committed checksums (tests/data/
 // golden_checksums.json) that every backend × stage codec × store
 // combination must reproduce, and that pin the pipeline's
-// numerical output across refactors. All recorded digests are
+// numerical output across refactors. The recorded digests are
 // representation-independent by design: rank digests quantize before
 // hashing, stage checksums hash decoded records, so one golden value per
-// scale covers the whole combination matrix.
+// scale covers the whole combination matrix. The one exception is
+// `rank_bits`, a hash of the raw rank bits that sees a single ulp: the
+// paths that sum in the reference order (native, the pooled parallel
+// SpMV, the simulated cluster) assert it.
 //
 // Regenerate after an intentional output change with:
 //   PRPB_UPDATE_GOLDEN=1 ctest -R GoldenData.Regenerate
@@ -38,6 +41,7 @@ constexpr const char* kGoldenPath = PRPB_TEST_DATA_DIR "/golden_checksums.json";
 
 struct GoldenEntry {
   std::string rank_digest;
+  std::string rank_bits;  ///< exact; asserted by the scale sweep only
   std::string matrix_fingerprint;
   std::string stage0_multiset;
   std::string stage1_multiset;
@@ -67,6 +71,7 @@ std::optional<GoldenEntry> load_golden(int scale) {
   if (entry == nullptr) return std::nullopt;
   GoldenEntry golden;
   golden.rank_digest = entry->at("rank_digest").string();
+  golden.rank_bits = entry->at("rank_bits").string();
   golden.matrix_fingerprint = entry->at("matrix_fingerprint").string();
   golden.stage0_multiset = entry->at("stage0_multiset").string();
   golden.stage1_multiset = entry->at("stage1_multiset").string();
@@ -95,6 +100,7 @@ GoldenEntry measure(const PipelineConfig& config, PipelineBackend& backend) {
   const StageChecksum s1 = stage_checksum(*store, stages::kStage1, codec);
   GoldenEntry entry;
   entry.rank_digest = digest_hex(rank_digest(result.ranks));
+  entry.rank_bits = digest_hex(rank_bits_digest(result.ranks));
   entry.matrix_fingerprint = digest_hex(matrix_fingerprint(result.matrix));
   entry.stage0_multiset = digest_hex(s0.multiset);
   entry.stage1_multiset = digest_hex(s1.multiset);
@@ -172,8 +178,10 @@ TEST_P(GoldenScaleTest, NativeTsvReproducesCommittedChecksums) {
   ASSERT_TRUE(golden.has_value())
       << "no scale_" << scale << " entry in " << kGoldenPath;
   const PipelineConfig config = golden_config(scale);
-  expect_matches(measure(config, *make_backend("native")), *golden,
-                 "native/tsv/mem scale " + std::to_string(scale));
+  const GoldenEntry actual = measure(config, *make_backend("native"));
+  const std::string label = "native/tsv/mem scale " + std::to_string(scale);
+  expect_matches(actual, *golden, label);
+  EXPECT_EQ(actual.rank_bits, golden->rank_bits) << label;
 }
 
 // Named for the retired --fast-path schedule, which is now the parallel
@@ -188,12 +196,15 @@ TEST_P(GoldenScaleTest, ParallelBinaryFastPathReproducesCommittedChecksums) {
   // Four threads whatever the host reports, so the radix sort's
   // multi-chunk scan and scatter stay pinned by the committed digests.
   ParallelBackend backend(4);
-  expect_matches(measure(config, backend), *golden,
-                 "parallel(4)/binary scale " + std::to_string(scale));
+  const GoldenEntry actual = measure(config, backend);
+  const std::string label = "parallel(4)/binary scale " + std::to_string(scale);
+  expect_matches(actual, *golden, label);
+  EXPECT_EQ(actual.rank_bits, golden->rank_bits) << label;
 }
 
 // The simulated cluster's column decomposition on three ranks (uneven
-// blocks) must land on the same kernel-3 digest as the serial pipeline.
+// blocks) must land on the same kernel-3 ranks as the serial pipeline,
+// bit for bit.
 TEST_P(GoldenScaleTest, DistributedThreeRanksReproducesRankDigest) {
   const int scale = GetParam();
   const auto golden = load_golden(scale);
@@ -209,6 +220,8 @@ TEST_P(GoldenScaleTest, DistributedThreeRanksReproducesRankDigest) {
   config.damping = serial.damping;
   const dist::DistResult result = dist::run_distributed(config, 3);
   EXPECT_EQ(digest_hex(rank_digest(result.ranks)), golden->rank_digest)
+      << "dist(3) scale " << scale;
+  EXPECT_EQ(digest_hex(rank_bits_digest(result.ranks)), golden->rank_bits)
       << "dist(3) scale " << scale;
 }
 
@@ -259,6 +272,7 @@ TEST(GoldenData, Regenerate) {
     json.field("bfs_levels_digest", entry.bfs_levels_digest);
     json.field("cc_labels_digest", entry.cc_labels_digest);
     json.field("bfs_source", entry.bfs_source);
+    json.field("rank_bits", entry.rank_bits);
     json.end_object();
   }
   json.end_object();

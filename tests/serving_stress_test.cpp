@@ -2,7 +2,8 @@
 //
 // Many client threads race mixed queries against one server: every
 // request must get exactly one reply with its own id and a correct
-// payload (no lost, duplicated, or cross-wired replies), a bounded queue
+// payload (no lost, duplicated, or cross-wired replies; every worker
+// steps the service's one shared PageRank operator), a bounded queue
 // must shed — not block, not drop — when the worker pool is saturated,
 // and shutdown mid-load must drain every accepted request cleanly.
 #include <gtest/gtest.h>
@@ -16,15 +17,28 @@
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/checksum.hpp"
 #include "core/runner.hpp"
+#include "io/file_stream.hpp"
 #include "rand/rng.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
+
+#ifndef PRPB_TEST_DATA_DIR
+#error "PRPB_TEST_DATA_DIR must point at tests/data"
+#endif
 
 namespace prpb::serve {
 namespace {
+
+std::string golden_rank_digest(int scale) {
+  const util::JsonValue doc = util::JsonValue::parse(
+      io::read_file(PRPB_TEST_DATA_DIR "/golden_checksums.json"));
+  return doc.at("scale_" + std::to_string(scale)).at("rank_digest").string();
+}
 
 std::unique_ptr<RankService> make_service(int scale) {
   core::PipelineConfig config;
@@ -43,6 +57,7 @@ std::unique_ptr<RankService> make_service(int scale) {
 
 TEST(ServingStressTest, MixedLoadEveryRequestGetsItsOwnReply) {
   const auto service = make_service(8);
+  const std::string golden = golden_rank_digest(8);
   ServerOptions options;
   options.threads = 4;
   RankServer server(*service, options);
@@ -65,7 +80,7 @@ TEST(ServingStressTest, MixedLoadEveryRequestGetsItsOwnReply) {
           Request request;
           // Globally unique id per request: the reply must echo it.
           request.id = static_cast<std::uint32_t>(t) * 1000000u + i + 1;
-          switch (rng.next() % 4) {
+          switch (rng.next() % 5) {
             case 0:
               request.opcode = Opcode::kTopk;
               request.topk_k = 5;
@@ -78,10 +93,16 @@ TEST(ServingStressTest, MixedLoadEveryRequestGetsItsOwnReply) {
               request.opcode = Opcode::kNeighbors;
               request.vertex = rng.next() % n;
               break;
-            default:
+            case 3:
               request.opcode = Opcode::kPpr;
               request.ppr.iterations = 2;
               request.ppr.restart = {rng.next() % n};
+              break;
+            default:
+              // Full restart at the configured count: kernel 3's ranks.
+              request.opcode = Opcode::kPpr;
+              request.ppr.iterations =
+                  static_cast<std::uint32_t>(service->options().iterations);
               break;
           }
           const Response response = client.request(request);
@@ -96,6 +117,10 @@ TEST(ServingStressTest, MixedLoadEveryRequestGetsItsOwnReply) {
           if (request.opcode == Opcode::kRank &&
               response.rank != service->rank(request.vertex)) {
             throw util::InvariantError("rank value mismatch");
+          }
+          if (request.opcode == Opcode::kPpr && request.ppr.restart.empty() &&
+              core::digest_hex(response.ppr.digest) != golden) {
+            throw util::InvariantError("full-restart ppr digest mismatch");
           }
           completed.fetch_add(1, std::memory_order_relaxed);
         }

@@ -3,12 +3,15 @@
 // Pins the serving layer to the pipeline's own numbers: topk must agree
 // with a full sort of the golden rank vector, rank/neighbors with direct
 // CSR lookups, and a full-restart personalized PageRank at the configured
-// iteration count must reproduce the committed kernel-3 rank digest bit
-// for bit — on every backend, through the service API and through the
-// wire.
+// iteration count must reproduce the committed kernel-3 rank digest — on
+// every backend, through the service API and through the wire — and, on
+// native, every kernel-3 rank bit. Every ppr reply must also match a
+// plain vec_mat reference bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,9 +20,11 @@
 #include "core/checksum.hpp"
 #include "core/runner.hpp"
 #include "io/file_stream.hpp"
+#include "rand/rng.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "sparse/pagerank.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -32,12 +37,21 @@ namespace {
 
 constexpr const char* kGoldenPath = PRPB_TEST_DATA_DIR "/golden_checksums.json";
 
-std::string golden_rank_digest(int scale) {
+/// One field of the committed golden entry at `scale`, or "" without one.
+std::string golden_field(int scale, const std::string& field) {
   const util::JsonValue doc =
       util::JsonValue::parse(io::read_file(kGoldenPath));
   const util::JsonValue* entry = doc.find("scale_" + std::to_string(scale));
   if (entry == nullptr) return {};
-  return entry->at("rank_digest").string();
+  return entry->at(field).string();
+}
+
+std::string golden_rank_digest(int scale) {
+  return golden_field(scale, "rank_digest");
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 /// The pipeline run behind every test: the golden config (two shards,
@@ -180,18 +194,138 @@ INSTANTIATE_TEST_SUITE_P(
 
 class ServingPprScaleTest : public ::testing::TestWithParam<int> {};
 
+// With topk = N the reply carries the whole vector: on native it must be
+// kernel 3's, bit for bit, and hash to the golden exact `rank_bits`.
 TEST_P(ServingPprScaleTest, FullRestartPprReproducesGoldenDigest) {
   const int scale = GetParam();
   const std::string golden = golden_rank_digest(scale);
   ASSERT_FALSE(golden.empty());
   const Loaded loaded = load(scale);
+  const std::uint64_t n = loaded.service->vertices();
   PprRequest full;
   full.iterations = 20;
-  EXPECT_EQ(core::digest_hex(loaded.service->ppr(full).digest), golden);
+  full.topk = static_cast<std::uint32_t>(n);
+  const PprResult result = loaded.service->ppr(full);
+  EXPECT_EQ(core::digest_hex(result.digest), golden);
+
+  ASSERT_EQ(result.top.size(), n);
+  std::vector<double> ranks(n);
+  for (const RankEntry& entry : result.top) {
+    ASSERT_LT(entry.vertex, n);
+    ranks[entry.vertex] = entry.rank;
+    EXPECT_TRUE(same_bits(entry.rank, loaded.ranks[entry.vertex]))
+        << "vertex " << entry.vertex;
+  }
+  EXPECT_EQ(core::digest_hex(core::rank_bits_digest(ranks)),
+            golden_field(scale, "rank_bits"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, ServingPprScaleTest,
-                         ::testing::Values(9, 10, 11, 12),
+                         ::testing::Values(8, 9, 10, 11, 12),
+                         [](const ::testing::TestParamInfo<int>& scale) {
+                           return "scale_" + std::to_string(scale.param);
+                         });
+
+// ---- ppr: a plain vec_mat reference ----------------------------------------
+//
+// The service's ppr written out plainly: y = r·A with vec_mat, c·y
+// everywhere plus the teleport term on each restart vertex, the residual
+// against a copy of the previous vector and sum(r) from a separate pass
+// per iteration, then a full sort for the top entries. Every reply field
+// of service.ppr must match it bit for bit.
+
+PprResult ppr_reference(const sparse::CsrMatrix& a,
+                        const ServiceOptions& options,
+                        const PprRequest& request) {
+  const std::uint64_t n = a.rows();
+  std::vector<std::uint64_t> restart = request.restart;
+  std::sort(restart.begin(), restart.end());
+  restart.erase(std::unique(restart.begin(), restart.end()), restart.end());
+  std::vector<double> r;
+  if (restart.empty() || restart.size() == n) {
+    r = sparse::pagerank_initial_vector(n, options.seed);
+    restart.resize(n);
+    for (std::uint64_t v = 0; v < n; ++v) restart[v] = v;
+  } else {
+    r.assign(n, 0.0);
+    for (const std::uint64_t v : restart) {
+      r[v] = 1.0 / static_cast<double>(restart.size());
+    }
+  }
+  const double c = options.damping;
+  std::vector<double> y;
+  PprResult result;
+  for (std::uint32_t it = 0; it < request.iterations; ++it) {
+    const std::vector<double> previous = r;
+    double r_sum = 0.0;
+    for (const double x : r) r_sum += x;
+    a.vec_mat(r, y);
+    const double add =
+        (1.0 - c) * r_sum / static_cast<double>(restart.size());
+    for (std::size_t i = 0; i < n; ++i) r[i] = c * y[i];
+    for (const std::uint64_t v : restart) r[v] += add;
+    result.iterations_run = it + 1;
+    if (request.epsilon > 0.0) {
+      double residual = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        residual += std::abs(r[i] - previous[i]);
+      }
+      result.residual = residual;
+      if (residual < request.epsilon) break;
+    }
+  }
+  result.digest = core::rank_digest(r);
+  std::vector<std::uint64_t> order(n);
+  for (std::uint64_t v = 0; v < n; ++v) order[v] = v;
+  std::sort(order.begin(), order.end(), [&r](std::uint64_t u, std::uint64_t v) {
+    if (r[u] != r[v]) return r[u] > r[v];
+    return u < v;
+  });
+  order.resize(std::min<std::uint64_t>(request.topk, n));
+  for (const std::uint64_t v : order) result.top.push_back({v, r[v]});
+  return result;
+}
+
+class ServingPprOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServingPprOracleTest, MatchesPlainVecMatReference) {
+  const Loaded loaded = load(GetParam());
+  const std::uint64_t n = loaded.service->vertices();
+  rnd::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()));
+  int early_exits = 0;
+  for (const std::uint64_t size : {std::uint64_t{0}, std::uint64_t{1},
+                                   std::uint64_t{3}, n / 2}) {
+    PprRequest request;
+    request.iterations = 40;
+    request.topk = static_cast<std::uint32_t>(n);
+    for (std::uint64_t i = 0; i < size; ++i) {
+      request.restart.push_back(rng.next() % n);
+    }
+    for (const double epsilon : {0.0, 1e-2}) {
+      request.epsilon = epsilon;
+      const std::string where = "restart " + std::to_string(size) +
+                                ", epsilon " + std::to_string(epsilon);
+      const PprResult expected =
+          ppr_reference(loaded.matrix, loaded.service->options(), request);
+      const PprResult actual = loaded.service->ppr(request);
+      EXPECT_EQ(actual.digest, expected.digest) << where;
+      EXPECT_TRUE(same_bits(actual.residual, expected.residual)) << where;
+      EXPECT_EQ(actual.iterations_run, expected.iterations_run) << where;
+      ASSERT_EQ(actual.top.size(), expected.top.size()) << where;
+      for (std::size_t i = 0; i < expected.top.size(); ++i) {
+        EXPECT_EQ(actual.top[i].vertex, expected.top[i].vertex) << where;
+        EXPECT_TRUE(same_bits(actual.top[i].rank, expected.top[i].rank))
+            << where << ", entry " << i;
+      }
+      if (expected.iterations_run < request.iterations) ++early_exits;
+    }
+  }
+  // Each epsilon > 0 case must stop early, or the early exit goes untested.
+  EXPECT_EQ(early_exits, 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scales, ServingPprOracleTest,
+                         ::testing::Values(8, 10, 12),
                          [](const ::testing::TestParamInfo<int>& scale) {
                            return "scale_" + std::to_string(scale.param);
                          });
@@ -257,6 +391,33 @@ TEST(ServingServiceTest, RejectsMismatchedRanksAndBadOptions) {
   bad_damping.damping = 1.5;
   EXPECT_THROW(RankService(result.matrix, result.ranks, bad_damping),
                util::ConfigError);
+}
+
+TEST(ServingServiceTest, ZeroVertexServiceAnswersEveryQuery) {
+  const RankService service(sparse::CsrMatrix(0, 0), {}, ServiceOptions{});
+  EXPECT_EQ(service.vertices(), 0u);
+  EXPECT_EQ(service.nnz(), 0u);
+  EXPECT_TRUE(service.topk(5).empty());
+  PprRequest full;
+  full.iterations = 20;
+  full.topk = 5;
+  const PprResult result = service.ppr(full);
+  EXPECT_EQ(result.iterations_run, 20u);
+  EXPECT_EQ(result.digest, core::rank_digest({}));
+  EXPECT_TRUE(result.top.empty());
+
+  Request info;
+  info.id = 1;
+  info.opcode = Opcode::kInfo;
+  const Response info_reply = decode_response(service.handle(info));
+  ASSERT_TRUE(info_reply.ok());
+  EXPECT_EQ(info_reply.info.vertices, 0u);
+  Request rank;
+  rank.id = 2;
+  rank.opcode = Opcode::kRank;
+  rank.vertex = 0;
+  EXPECT_EQ(decode_response(service.handle(rank)).status,
+            Status::kUnknownVertex);
 }
 
 TEST(ServingServiceTest, HandleMapsUnknownVertexToTypedError) {
